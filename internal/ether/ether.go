@@ -95,9 +95,83 @@ type Segment struct {
 	frames int64
 	bytes  int64
 
+	// hops is the free list of delivery records (see hop) returned by
+	// events that fired on this segment.
+	hops []*hop
+
 	mxFrames *metrics.Counter // ether.segment_frames{seg=N}
 	mxBusyUS *metrics.Counter // ether.segment_busy_us{seg=N}
 	mxQueued *metrics.Counter // ether.frames_queued{seg=N}
+}
+
+// hop is a pooled record for one scheduled step of a frame: the flat
+// pool's switch forward onto segment on, the delivery to one NIC, or the
+// coalesced fault-free broadcast delivery to every NIC of on. Its
+// callback is bound once, so scheduling a step allocates nothing once
+// the pools are warm. A record is taken from the pool of the segment
+// whose event schedules the step and returned to the pool of the segment
+// it fires on; each pool is therefore touched only by events of its own
+// partition, and partitioned execution needs no locks.
+type hop struct {
+	n    *Network
+	kind hopKind
+	fr   Frame
+	on   *Segment // segment the step fires on
+	from *Segment // forward: segment the frame was sent on
+	nic  *NIC     // deliver: the receiver; flood: the sender, skipped
+	at   sim.Time // forward: instant the frame left the source segment
+	fire func()   // run, bound once
+}
+
+type hopKind uint8
+
+const (
+	hopForward hopKind = iota
+	hopDeliver
+	hopFlood
+)
+
+// maxPooledHops bounds a segment's free list. Records drift from
+// segments that send more forwards than they receive to the others, so
+// without a bound a one-way stream would grow its receiver's pool
+// forever; past it, a returned record is left to the garbage collector.
+const maxPooledHops = 256
+
+// schedule fires a step of the given kind on segment on at instant at,
+// from an event running on segment from's partition.
+func (n *Network) schedule(kind hopKind, from, on *Segment, at sim.Time, fr Frame, nic *NIC) {
+	var h *hop
+	if k := len(from.hops); k > 0 {
+		h = from.hops[k-1]
+		from.hops = from.hops[:k-1]
+	} else {
+		h = &hop{n: n}
+		h.fire = h.run
+	}
+	h.kind, h.fr, h.on, h.from, h.nic, h.at = kind, fr, on, from, nic, at
+	from.sm.ScheduleOn(on.sm, at, h.fire)
+}
+
+// run performs the step, recycling the record into the pool of the
+// segment it fired on first, so the step's own sends can reuse it.
+func (h *hop) run() {
+	x := *h
+	h.fr, h.from, h.nic = Frame{}, nil, nil
+	if len(x.on.hops) < maxPooledHops {
+		x.on.hops = append(x.on.hops, h)
+	}
+	switch x.kind {
+	case hopForward:
+		x.n.forward(x.from, x.on, x.fr, x.at)
+	case hopDeliver:
+		x.n.deliverTo(x.nic, x.fr)
+	case hopFlood:
+		for _, dst := range x.on.nics {
+			if dst != x.nic {
+				x.n.deliverTo(dst, x.fr)
+			}
+		}
+	}
 }
 
 // Topology describes the pool interconnect shape. The zero value (or any
@@ -392,21 +466,9 @@ func (c *NIC) Send(fr Frame) {
 			return
 		}
 		for _, seg := range n.segments {
-			if seg == c.seg {
-				continue
+			if seg != c.seg {
+				n.schedule(hopForward, c.seg, seg, arrive, fr, nil)
 			}
-			seg := seg
-			src := c.seg.id
-			c.seg.sm.ScheduleOn(seg.sm, arrive, func() {
-				if n.fault != nil && n.fault.ForwardCut(arrive, src, seg.id) {
-					return
-				}
-				if n.mx != nil {
-					n.mx.segForwarded.Inc()
-				}
-				a2 := n.transmitOn(seg, fr)
-				n.deliverOnSegment(seg, fr, a2, nil)
-			})
 		}
 		return
 	}
@@ -418,18 +480,21 @@ func (c *NIC) Send(fr Frame) {
 		n.unicastHier(c.seg, dst.seg, fr, arrive)
 		return
 	}
-	seg := dst.seg
-	src := c.seg.id
-	c.seg.sm.ScheduleOn(seg.sm, arrive, func() {
-		if n.fault != nil && n.fault.ForwardCut(arrive, src, seg.id) {
-			return
-		}
-		if n.mx != nil {
-			n.mx.segForwarded.Inc()
-		}
-		a2 := n.transmitOn(seg, fr)
-		n.deliverOnSegment(seg, fr, a2, nil)
-	})
+	n.schedule(hopForward, c.seg, dst.seg, arrive, fr, nil)
+}
+
+// forward completes one store-and-forward pass of the flat pool's switch:
+// unless a partition severs the path, the frame that left segment src at
+// instant arrive is transmitted on dst and delivered to its stations.
+func (n *Network) forward(src, dst *Segment, fr Frame, arrive sim.Time) {
+	if n.fault != nil && n.fault.ForwardCut(arrive, src.id, dst.id) {
+		return
+	}
+	if n.mx != nil {
+		n.mx.segForwarded.Inc()
+	}
+	a2 := n.transmitOn(dst, fr)
+	n.deliverOnSegment(dst, fr, a2, nil)
 }
 
 // segGroup returns the switch group of a segment (hierarchical mode only).
@@ -578,6 +643,12 @@ func (n *Network) transmitOn(seg *Segment, fr Frame) sim.Time {
 }
 
 func (n *Network) deliverOnSegment(seg *Segment, fr Frame, at sim.Time, exclude *NIC) {
+	if fr.Dst != Broadcast {
+		if nic := n.nicByID(fr.Dst); nic != nil && nic.seg == seg && nic != exclude {
+			n.deliverAt(seg, nic, fr, at)
+		}
+		return
+	}
 	// Fault-free broadcast coalesces the whole segment into one scheduler
 	// event walking the NICs in attachment order — the order the per-NIC
 	// events would have fired in anyway (they were scheduled back to back,
@@ -585,39 +656,37 @@ func (n *Network) deliverOnSegment(seg *Segment, fr Frame, at sim.Time, exclude 
 	// interleave between them). One event per frame per segment instead
 	// of one per NIC is the difference between O(frames x stations) and
 	// O(frames) scheduler work on a loaded cable.
-	if fr.Dst == Broadcast && n.fault == nil {
-		seg.sm.ScheduleAt(at, func() {
-			for _, nic := range seg.nics {
-				if nic != exclude {
-					n.deliverTo(nic, fr)
-				}
-			}
-		})
+	if n.fault == nil {
+		n.schedule(hopFlood, seg, seg, at, fr, exclude)
 		return
 	}
 	for _, nic := range seg.nics {
-		if nic == exclude {
-			continue
+		if nic != exclude {
+			at = n.deliverAt(seg, nic, fr, at)
 		}
-		if fr.Dst != Broadcast && fr.Dst != nic.id {
-			continue
-		}
-		nic := nic
-		if n.fault != nil {
-			fate := n.fault.FrameFate(at, fr, nic.id)
-			if fate.Drop {
-				n.dropped++
-				continue
-			}
-			if fate.Dup {
-				seg.sm.ScheduleAt(at, func() { n.deliverTo(nic, fr) })
-			}
-			if fate.Delay > 0 {
-				at = at.Add(fate.Delay)
-			}
-		}
-		seg.sm.ScheduleAt(at, func() { n.deliverTo(nic, fr) })
 	}
+}
+
+// deliverAt schedules the delivery of fr to nic, a station of seg, at
+// instant at, after the fault hook's verdict. It returns at pushed back
+// by any delay the hook imposed, which also holds back the deliveries
+// scheduled after it on the segment.
+func (n *Network) deliverAt(seg *Segment, nic *NIC, fr Frame, at sim.Time) sim.Time {
+	if n.fault != nil {
+		fate := n.fault.FrameFate(at, fr, nic.id)
+		if fate.Drop {
+			n.dropped++
+			return at
+		}
+		if fate.Dup {
+			n.schedule(hopDeliver, seg, seg, at, fr, nic)
+		}
+		if fate.Delay > 0 {
+			at = at.Add(fate.Delay)
+		}
+	}
+	n.schedule(hopDeliver, seg, seg, at, fr, nic)
+	return at
 }
 
 // deliverTo completes one frame delivery at a NIC: the down filter, the

@@ -137,9 +137,14 @@ type Stack struct {
 	net  *ether.Network
 	name string
 
-	local    map[Address]bool
-	groups   map[Address]bool
-	routes   map[Address]int // address -> NIC id
+	local  map[Address]bool
+	groups map[Address]bool
+	// routes holds what this stack learned itself: routes from HERE
+	// replies, and unrouted tombstones where it invalidated a dir route.
+	// It takes precedence over dir, the shared directory WarmRoutes
+	// installed (nil when cold).
+	routes   map[Address]int // address -> NIC id, or unrouted
+	dir      routeDir
 	pending  map[Address][]Message
 	locating map[Address]*locateState
 	handlers map[Protocol]Handler
@@ -154,6 +159,13 @@ type Stack struct {
 	// double-release).
 	pool   []*Packet
 	noPool bool
+
+	// rxq holds the received packets whose interrupt items are queued on
+	// the processor, oldest first. The processor services its interrupt
+	// items in FIFO order, so receiveFn, bound once, always finds its
+	// packet at the head and a receive schedules no closure.
+	rxq       []*Packet
+	receiveFn func()
 
 	// Stats
 	SentPackets int64
@@ -196,6 +208,7 @@ func NewStack(p *proc.Processor, net *ether.Network, segment int) (*Stack, error
 		locating: make(map[Address]*locateState),
 		handlers: make(map[Protocol]Handler),
 	}
+	st.receiveFn = st.receiveNext
 	nic, err := net.AddNIC(segment, st.onFrame)
 	if err != nil {
 		return nil, fmt.Errorf("flip: attach nic: %w", err)
@@ -287,34 +300,108 @@ func (st *Stack) Handle(pr Protocol, h Handler) { st.handlers[pr] = h }
 // that a cached route may point at a NIC the address has left (the
 // destination crashed and restarted elsewhere, or migrated). Without
 // invalidation the stale entry sends every retransmission into the void
-// forever.
+// forever. A route from the shared directory is masked by a tombstone in
+// this stack's own map; the directory itself never changes.
 func (st *Stack) InvalidateRoute(a Address) {
-	if _, ok := st.routes[a]; !ok {
+	if _, ok := st.route(a); !ok {
 		return
 	}
-	delete(st.routes, a)
+	if _, ok := st.dir.lookup(a, st.nic.ID()); ok {
+		st.routes[a] = unrouted
+	} else {
+		delete(st.routes, a)
+	}
 	if st.mx != nil {
 		st.mx.routeDrops.Inc()
 	}
 	st.sim.Trace(st.name, "flip.unroute", "addr=%x", uint64(a))
 }
 
-// WarmRoutes pre-populates every stack's unicast route cache with the
-// addresses every other stack has registered so far — the steady state of
-// a long-running pool in which every route has been located once. A
-// locate is a broadcast that interrupts every processor, so a measurement
-// window much shorter than the pool's uptime would otherwise measure
-// FLIP's one-time discovery storm instead of the protocols; addresses
-// registered after the call still locate on first use.
+// unrouted marks an address whose directory route this stack invalidated.
+const unrouted = -2
+
+// route returns the NIC a unicast to a goes to without a locate: the
+// route this stack learned, else the directory's, unless invalidated.
+func (st *Stack) route(a Address) (int, bool) {
+	if nic, ok := st.routes[a]; ok {
+		return nic, nic != unrouted
+	}
+	return st.dir.lookup(a, st.nic.ID())
+}
+
+// routeDir is the read-only address -> NIC directory WarmRoutes shares
+// among the stacks it warms, in place of a copy of every route in every
+// stack's map.
+type routeDir map[Address]dirEntry
+
+// dirEntry records the NICs of the last two stacks, in WarmRoutes order,
+// that had registered the address: a stack is routed to the last one
+// other than itself.
+type dirEntry struct {
+	last, prev int32 // NIC ids; prev is -1 when only one stack had it
+}
+
+// lookup returns the directory route for a as seen by the stack on NIC
+// self.
+func (d routeDir) lookup(a Address, self int) (int, bool) {
+	e, ok := d[a]
+	switch {
+	case !ok:
+		return 0, false
+	case int(e.last) != self:
+		return int(e.last), true
+	case e.prev >= 0:
+		return int(e.prev), true
+	}
+	return 0, false
+}
+
+// WarmRoutes gives every stack a route to each address every other stack
+// has registered so far — the steady state of a long-running pool in
+// which every route has been located once. A locate is a broadcast that
+// interrupts every processor, so a measurement window much shorter than
+// the pool's uptime would otherwise measure FLIP's one-time discovery
+// storm instead of the protocols; addresses registered after the call
+// still locate on first use.
+//
+// The routes live in one directory shared by the stacks, built in O(N)
+// for N stacks; a stack consults it when its own map has no entry. An
+// address registered on several stacks routes to the last of them in
+// stacks order, and that stack to the one before it. The call overrides
+// whatever the stacks had learned or invalidated for the addresses it
+// routes. A stack warmed before has its old directory folded into its
+// own map first, so a repeated call keeps every earlier route but costs
+// what a per-stack copy would.
 func WarmRoutes(stacks []*Stack) {
+	dir := make(routeDir, 2*len(stacks))
 	for _, dst := range stacks {
+		id := int32(dst.nic.ID())
 		for a := range dst.local {
-			for _, src := range stacks {
-				if src != dst {
-					src.routes[a] = dst.nic.ID()
+			e, ok := dir[a]
+			switch {
+			case !ok:
+				e = dirEntry{last: id, prev: -1}
+			case e.last != id:
+				e = dirEntry{last: id, prev: e.last}
+			}
+			dir[a] = e
+		}
+	}
+	for _, st := range stacks {
+		self := st.nic.ID()
+		for a := range st.dir {
+			if _, ok := st.routes[a]; !ok {
+				if nic, ok := st.dir.lookup(a, self); ok {
+					st.routes[a] = nic
 				}
 			}
 		}
+		for a := range st.routes {
+			if _, ok := dir.lookup(a, self); ok {
+				delete(st.routes, a)
+			}
+		}
+		st.dir = dir
 	}
 }
 
@@ -450,7 +537,7 @@ func (st *Stack) transmit(pk *Packet, msg Message) {
 		}
 		return
 	}
-	if dst, ok := st.routes[msg.Dst]; ok {
+	if dst, ok := st.route(msg.Dst); ok {
 		st.nic.Send(ether.Frame{Dst: dst, Size: st.wireSize(pk), Payload: pk, Op: pk.Op})
 		return
 	}
@@ -552,7 +639,18 @@ func (st *Stack) onFrame(fr ether.Frame) {
 	if fr.Dst == ether.Broadcast {
 		cost += st.m.MulticastExtra
 	}
-	st.p.InterruptTagged(cost, pk.Op, sim.PhaseProtoRecv, func() { st.receive(pk) })
+	st.rxq = append(st.rxq, pk)
+	st.p.InterruptTagged(cost, pk.Op, sim.PhaseProtoRecv, st.receiveFn)
+}
+
+// receiveNext processes the oldest received packet once its interrupt
+// item has been serviced.
+func (st *Stack) receiveNext() {
+	pk := st.rxq[0]
+	n := copy(st.rxq, st.rxq[1:])
+	st.rxq[n] = nil
+	st.rxq = st.rxq[:n]
+	st.receive(pk)
 }
 
 func (st *Stack) receive(pk *Packet) {
@@ -563,7 +661,7 @@ func (st *Stack) receive(pk *Packet) {
 			st.nic.Send(ether.Frame{Dst: pk.srcNIC, Size: st.m.FLIPHeaderBytes, Payload: resp})
 		}
 	case kindHere:
-		if old, ok := st.routes[pk.Dst]; ok && old != pk.srcNIC {
+		if old, ok := st.route(pk.Dst); ok && old != pk.srcNIC {
 			// The address answered from a different NIC than the cache
 			// says: the old entry is stale (the address moved). Count it
 			// as an invalidation; the new route replaces it below.

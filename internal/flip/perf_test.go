@@ -1,6 +1,7 @@
 package flip
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -86,15 +87,17 @@ func TestReassemblerStateReuseZeroAlloc(t *testing.T) {
 }
 
 // unicastSteadyStateBudget is the allocation budget for one complete
-// warm-routed unicast send+receive. The packet itself is pooled; the
-// residual (7 objects measured) is the event closures of the ether and
-// interrupt layers.
-const unicastSteadyStateBudget = 10
+// warm-routed unicast send+receive, at its measured value. The ether
+// hops, the interrupt items and the receive are allocation-free; the two
+// objects left are the SendFromInterrupt closure and the packet itself,
+// because in this one-way stream the receiving stack's free list gets
+// every packet back and the sender's never does.
+const unicastSteadyStateBudget = 2
 
 // TestUnicastSteadyStateBudget: a warm-routed single-fragment unicast
 // from send to delivered handler stays within the allocation budget —
-// the pooled packet and batched delivery keep the per-message garbage to
-// the event closures.
+// pooled delivery records, bound callbacks and the receive FIFO leave no
+// per-message event garbage.
 func TestUnicastSteadyStateBudget(t *testing.T) {
 	r := newRig(t, 2)
 	const addr Address = 9
@@ -115,7 +118,77 @@ func TestUnicastSteadyStateBudget(t *testing.T) {
 	}
 }
 
+// warmPool builds n stacks with two registered addresses each, the shape
+// of a 1000-processor pool: every kernel has its RPC reply address and
+// one service port.
+func warmPool(tb testing.TB, n int) []*Stack {
+	r := newRig(tb, n)
+	for i, st := range r.stacks {
+		st.Register(Address(2*i + 1))
+		st.Register(Address(2*i + 2))
+	}
+	return r.stacks
+}
+
+// rewarm runs WarmRoutes on stacks as if for the first time: it drops
+// the directory an earlier call installed, so the measurement never
+// includes the fold a repeated call makes.
+func rewarm(stacks []*Stack) {
+	for _, st := range stacks {
+		st.dir = nil
+	}
+	WarmRoutes(stacks)
+}
+
+// Route warm-up budgets for 1000 stacks with two addresses each. The
+// shared directory is one map of 2000 entries: 10 objects (its tables)
+// and 73 B per stack measured with Go 1.24's maps, which Go 1.22's
+// bucketed maps stay under. The all-pairs warm-up it replaced wrote 2M
+// entries into 1000 maps, about 148 KB per stack.
+const (
+	warmRoutesAllocBudget         = 10
+	warmRoutesBytesPerStackBudget = 96
+)
+
+// TestWarmRoutesBudget: warming 1000 stacks allocates O(N) bytes in a
+// few objects and leaves every stack's own route map empty.
+func TestWarmRoutesBudget(t *testing.T) {
+	const n = 1000
+	stacks := warmPool(t, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rewarm(stacks)
+	runtime.ReadMemStats(&after)
+	if perStack := (after.TotalAlloc - before.TotalAlloc) / n; perStack > warmRoutesBytesPerStackBudget {
+		t.Fatalf("WarmRoutes allocates %d B/stack over %d stacks, budget is %d",
+			perStack, n, warmRoutesBytesPerStackBudget)
+	}
+	if avg := testing.AllocsPerRun(20, func() { rewarm(stacks) }); avg > warmRoutesAllocBudget {
+		t.Fatalf("WarmRoutes allocates %.0f objects over %d stacks, budget is %d",
+			avg, n, warmRoutesAllocBudget)
+	}
+	for i, st := range stacks {
+		if len(st.routes) != 0 {
+			t.Fatalf("stack %d holds %d routes of its own after WarmRoutes, want 0", i, len(st.routes))
+		}
+		if _, ok := st.route(Address(1)); ok != (i != 0) {
+			t.Fatalf("stack %d: route to address 1 present = %v", i, ok)
+		}
+	}
+}
+
 // ---- Micro-benchmarks ----
+
+// BenchmarkWarmRoutes measures the route warm-up of a 1000-stack pool
+// with two addresses per stack.
+func BenchmarkWarmRoutes(b *testing.B) {
+	stacks := warmPool(b, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rewarm(stacks)
+	}
+}
 
 // BenchmarkPacketPool measures the pooled packet allocate/release cycle.
 func BenchmarkPacketPool(b *testing.B) {

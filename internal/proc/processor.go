@@ -47,7 +47,15 @@ type Processor struct {
 	intrBusy    bool       // an interrupt burst is in progress
 	intrPending bool       // a burst start is deferred to driver context
 	intrQ       []intrItem // queued interrupt work items
+	intrFn      func()     // work of the item in service, run by serviceFn
 	dispatchEv  sim.Event  // pending dispatch-after-switch-cost event
+
+	// Event callbacks bound once at New, so scheduling one allocates
+	// nothing. Only serviceFn needs per-event state, and one item at a
+	// time is in service: it finds that item's work in intrFn.
+	burstFn    func()
+	serviceFn  func()
+	dispatchFn func()
 
 	threads []*Thread
 	nextTID int
@@ -93,6 +101,9 @@ func New(s *sim.Sim, m *model.CostModel, id int, name string) *Processor {
 		name:  name,
 		ready: make([][]*Thread, int(PrioDaemon)+1),
 	}
+	p.burstFn = p.deferredBurst
+	p.serviceFn = p.serviceIntrItem
+	p.dispatchFn = p.dispatch
 	if reg := s.Metrics(); reg != nil {
 		l := metrics.L("proc", name)
 		p.mx = &procMetrics{
@@ -171,15 +182,19 @@ func (p *Processor) InterruptTagged(cost time.Duration, op uint64, ph sim.PhaseI
 	}
 	if p.running != nil && p.running.state == stateActive {
 		p.intrPending = true
-		p.sim.Schedule(0, func() {
-			p.intrPending = false
-			if p.intrBusy || len(p.intrQ) == 0 {
-				return
-			}
-			p.intrBusy = true
-			p.suspendCompute()
-			p.nextIntrItem()
-		})
+		p.sim.Schedule(0, p.burstFn)
+		return
+	}
+	p.intrBusy = true
+	p.suspendCompute()
+	p.nextIntrItem()
+}
+
+// deferredBurst starts the burst that InterruptTagged put off because a
+// thread was active when the work was queued.
+func (p *Processor) deferredBurst() {
+	p.intrPending = false
+	if p.intrBusy || len(p.intrQ) == 0 {
 		return
 	}
 	p.intrBusy = true
@@ -201,12 +216,19 @@ func (p *Processor) nextIntrItem() {
 		p.sim.CausalSpan(it.op, waitPhaseFor(it.ph), it.at, now)
 		p.sim.CausalSpan(it.op, it.ph, now, now.Add(it.cost))
 	}
-	p.sim.Schedule(it.cost, func() {
-		if it.fn != nil {
-			it.fn()
-		}
-		p.nextIntrItem()
-	})
+	p.intrFn = it.fn
+	p.sim.Schedule(it.cost, p.serviceFn)
+}
+
+// serviceIntrItem runs the work of the item whose service time has
+// elapsed, then starts the next one.
+func (p *Processor) serviceIntrItem() {
+	fn := p.intrFn
+	p.intrFn = nil
+	if fn != nil {
+		fn()
+	}
+	p.nextIntrItem()
 }
 
 // suspendCompute pauses the running thread's compute so interrupt time
@@ -267,7 +289,7 @@ func (p *Processor) resumeCompute(t *Thread) {
 	t.computeStart = p.sim.Now()
 	rem := t.remaining
 	p.tracef("resume %s rem=%v", t.name, rem)
-	t.computeEv = p.sim.Schedule(rem, func() { p.computeDone(t) })
+	t.computeEv = p.sim.Schedule(rem, t.computeDoneFn)
 }
 
 func (p *Processor) computeDone(t *Thread) {
@@ -321,25 +343,29 @@ func (p *Processor) scheduleDispatch(fromInterrupt bool) {
 	if target.op != 0 && cost > 0 {
 		p.sim.CausalSpan(target.op, sim.PhaseSched, p.sim.Now(), p.sim.Now().Add(cost))
 	}
-	p.dispatchEv = p.sim.Schedule(cost, func() {
-		p.dispatchEv = sim.Event{}
-		if p.intrBusy || p.running != nil {
-			return // burst in progress; endBurst will redo the dispatch
-		}
-		t := p.popReady()
-		if t == nil {
-			return
-		}
-		t.directWake = false
-		if t.remaining > 0 {
-			// The thread was displaced mid-compute; resume the compute.
-			p.running = t
-			t.state = statePreempted
-			p.resumeCompute(t)
-			return
-		}
-		p.activate(t)
-	})
+	p.dispatchEv = p.sim.Schedule(cost, p.dispatchFn)
+}
+
+// dispatch gives the CPU to the best ready thread once the switch cost
+// scheduleDispatch charged has elapsed.
+func (p *Processor) dispatch() {
+	p.dispatchEv = sim.Event{}
+	if p.intrBusy || p.running != nil {
+		return // burst in progress; endBurst will redo the dispatch
+	}
+	t := p.popReady()
+	if t == nil {
+		return
+	}
+	t.directWake = false
+	if t.remaining > 0 {
+		// The thread was displaced mid-compute; resume the compute.
+		p.running = t
+		t.state = statePreempted
+		p.resumeCompute(t)
+		return
+	}
+	p.activate(t)
 }
 
 // activate gives the CPU to t: resumes its goroutine and handles the park
@@ -358,8 +384,7 @@ func (p *Processor) activate(t *Thread) {
 		t.computeReq = 0
 		t.state = stateComputing
 		t.computeStart = p.sim.Now()
-		rem := t.remaining
-		t.computeEv = p.sim.Schedule(rem, func() { p.computeDone(t) })
+		t.computeEv = p.sim.Schedule(t.remaining, t.computeDoneFn)
 	case parkBlock:
 		p.running = nil
 		t.state = stateBlocked

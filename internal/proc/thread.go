@@ -57,6 +57,11 @@ type Thread struct {
 	computeEv    sim.Event
 	computeStart sim.Time
 
+	// Event callbacks bound once at NewThread, so scheduling a compute's
+	// end or a sleep's wake-up allocates nothing.
+	computeDoneFn func()
+	wakeFn        func()
+
 	// Register-window model (§4.2): `depth` is the call-stack depth,
 	// `resident` how many of the top frames still live in hardware
 	// windows. Procedure calls overflow past RegisterWindows; returns
@@ -113,6 +118,8 @@ func (p *Processor) NewThread(name string, prio Priority, body func(t *Thread)) 
 		depth:    1,
 		resident: 1,
 	}
+	t.computeDoneFn = func() { p.computeDone(t) }
+	t.wakeFn = t.sleepWake
 	p.threads = append(p.threads, t)
 	p.stats.ThreadsCreated++
 	if p.mx != nil {
@@ -255,12 +262,16 @@ func (t *Thread) Sleep(d time.Duration) {
 		t.wakeArmed = false
 		return
 	}
-	t.p.sim.Schedule(d, func() {
-		if t.state == stateBlocked {
-			t.p.makeReady(t)
-		}
-	})
+	t.p.sim.Schedule(d, t.wakeFn)
 	t.park(parkBlock)
+}
+
+// sleepWake ends a Sleep: the thread is made runnable if it is still
+// blocked.
+func (t *Thread) sleepWake() {
+	if t.state == stateBlocked {
+		t.p.makeReady(t)
+	}
 }
 
 // ---- Register-window model ----
