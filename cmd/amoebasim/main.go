@@ -454,8 +454,8 @@ type workloadArgs struct {
 	knee                                      bool
 	seed                                      uint64
 	dispatch                                  bypass.Dispatch // bypass receive dispatch mode
-	decomp                                    bool   // collect per-load-point phase breakdowns
-	decompPath                                string // also write the DECOMP artifact (cells + load points)
+	decomp                                    bool            // collect per-load-point phase breakdowns
+	decompPath                                string          // also write the DECOMP artifact (cells + load points)
 }
 
 // workloadSweepConfig validates the flag family and assembles the sweep

@@ -23,7 +23,7 @@ type Request struct {
 
 	ch      chanKey
 	seq     uint64
-	op      uint64 // causally traced operation of the client (0: none)
+	op      uint64       // causally traced operation of the client (0: none)
 	thread  *proc.Thread // the thread that accepted it (Amoeba's binding)
 	kern    *Kernel
 	retAddr flip.Address

@@ -26,10 +26,10 @@ const ArtifactSchemaVersion = 2
 // host-dependent and informational; it is never diffed, only checked
 // against an explicit budget.
 type Artifact struct {
-	SchemaVersion int    `json:"schema_version"`
-	GeneratedAt   string `json:"generated_at,omitempty"` // RFC 3339, informational
-	Scale         string `json:"scale"`
-	Seed          uint64 `json:"seed"`
+	SchemaVersion int          `json:"schema_version"`
+	GeneratedAt   string       `json:"generated_at,omitempty"` // RFC 3339, informational
+	Scale         string       `json:"scale"`
+	Seed          uint64       `json:"seed"`
 	Table1        []Table1Cell `json:"table1"`
 	Table2        []Table2Cell `json:"table2"`
 	Table3        []Table3Cell `json:"table3"`

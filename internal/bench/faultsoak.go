@@ -39,10 +39,10 @@ type FaultSoakResult struct {
 	// Workload outcome. Mismatches and Unrecovered must be zero for the
 	// run to count as correct; CallErrors counts protocol-level give-ups
 	// that the app-level retry then recovered.
-	Calls      int `json:"calls"`
-	GroupSends int `json:"group_sends"`
-	CallErrors int `json:"call_errors"`
-	Mismatches int `json:"mismatches"`
+	Calls       int `json:"calls"`
+	GroupSends  int `json:"group_sends"`
+	CallErrors  int `json:"call_errors"`
+	Mismatches  int `json:"mismatches"`
 	Unrecovered int `json:"unrecovered"`
 
 	// Injector activity, proof the scenario actually did something.

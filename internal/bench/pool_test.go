@@ -5,6 +5,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"amoebasim/internal/model"
+	"amoebasim/internal/proc"
+	"amoebasim/internal/sim"
 )
 
 // TestRunPoolOrderAndCoverage: results come back in job-list order for
@@ -81,5 +86,29 @@ func TestRunPoolRecoversPanic(t *testing.T) {
 	}
 	if results[1].Err != nil {
 		t.Errorf("second job should have run cleanly: %v", results[1].Err)
+	}
+}
+
+// TestRunJobThreadPanic: a panic in a simulated thread's code runs on the
+// thread's goroutine, not the job's. It still becomes the job's error,
+// and the job's deferred Shutdown ends the thread goroutines.
+func TestRunJobThreadPanic(t *testing.T) {
+	res := runJob(Job{Name: "thread-panic", Run: func() error {
+		s := sim.New()
+		p := proc.New(s, model.Calibrated(), 0, "cpu0")
+		defer p.Shutdown()
+		p.NewThread("bystander", proc.PrioNormal, func(th *proc.Thread) { th.Block() })
+		p.NewThread("buggy", proc.PrioNormal, func(th *proc.Thread) {
+			th.Compute(time.Millisecond)
+			panic("kaboom")
+		})
+		s.Run()
+		return nil
+	}})
+	if res.Err == nil {
+		t.Fatal("thread panic not reported")
+	}
+	if msg := res.Err.Error(); !strings.Contains(msg, "job thread-panic") || !strings.Contains(msg, "kaboom") {
+		t.Errorf("error should name the job and the panic: %v", res.Err)
 	}
 }

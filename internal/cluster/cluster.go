@@ -141,12 +141,12 @@ type Cluster struct {
 	// Sim is the simulation clock. Under parallel execution it is
 	// partition 0's simulator — Now() is only meaningful between runs
 	// (RunUntil leaves every partition at the same instant).
-	Sim        *sim.Sim
-	Model      *model.CostModel
-	Net        *ether.Network
+	Sim   *sim.Sim
+	Model *model.CostModel
+	Net   *ether.Network
 	// Par is the conservative parallel execution group, or nil when the
 	// cluster runs on the single-queue engine (see Config.Par).
-	Par *sim.Group
+	Par        *sim.Group
 	Procs      []*proc.Processor
 	Kernels    []*akernel.Kernel
 	Transports []panda.Transport // indexed by worker processor id

@@ -119,12 +119,12 @@ func TestParEngagesOnlyWhenSafe(t *testing.T) {
 		t.Errorf("plain unicast pool: want partitioned engine with 2 partitions, got Par=%v parts=%d", c.Par, c.Partitions())
 	}
 	for name, mut := range map[string]func(*Config){
-		"group":    func(c *Config) { c.Group = true },
-		"metrics":  func(c *Config) { c.Metrics = true },
-		"faults":   func(c *Config) { c.FaultScenario = "burst-loss" },
-		"loss":     func(c *Config) { c.LossRate = 0.01 },
-		"par1":     func(c *Config) { c.Par = 1 },
-		"one-seg":  func(c *Config) { c.Segments = 1 },
+		"group":   func(c *Config) { c.Group = true },
+		"metrics": func(c *Config) { c.Metrics = true },
+		"faults":  func(c *Config) { c.FaultScenario = "burst-loss" },
+		"loss":    func(c *Config) { c.LossRate = 0.01 },
+		"par1":    func(c *Config) { c.Par = 1 },
+		"one-seg": func(c *Config) { c.Segments = 1 },
 	} {
 		if c := mk(mut); c.Par != nil {
 			t.Errorf("%s: want single-queue fallback, got partitioned engine", name)

@@ -43,7 +43,7 @@ func TestDefaultPlacementBalanced(t *testing.T) {
 		procs    int
 		segments int
 	}{
-		{"paper pool", 32, 0},           // 4 segments of 8
+		{"paper pool", 32, 0},            // 4 segments of 8
 		{"override above default", 4, 4}, // old formula: everyone on segment 0
 		{"uneven", 10, 4},
 		{"one per segment", 6, 6},

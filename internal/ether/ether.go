@@ -217,11 +217,11 @@ type uplink struct {
 // Network is the full pool interconnect: segments plus a switch, or — in
 // hierarchical mode — leaf switches over segment groups joined by uplinks.
 type Network struct {
-	sim      *sim.Sim
-	m        *model.CostModel
-	segments []*Segment
-	nics     []*NIC
-	rng      *sim.Rand
+	sim       *sim.Sim
+	m         *model.CostModel
+	segments  []*Segment
+	nics      []*NIC
+	rng       *sim.Rand
 	lossRate  float64
 	fault     FaultHook
 	faultEver bool // a hook was installed at some point (sticky)

@@ -253,7 +253,7 @@ func TestHistogramPercentileEdges(t *testing.T) {
 	}{
 		{math.Inf(-1), 3 * time.Microsecond},
 		{-5, 3 * time.Microsecond},
-		{0, 3 * time.Microsecond}, // exact min, not the 5µs bucket bound
+		{0, 3 * time.Microsecond},     // exact min, not the 5µs bucket bound
 		{100, 333 * time.Microsecond}, // exact max, not the 500µs bound
 		{250, 333 * time.Microsecond},
 		{math.Inf(1), 333 * time.Microsecond},

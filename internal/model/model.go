@@ -282,10 +282,10 @@ func Calibrated() *CostModel {
 		RetransTimeout:    100 * time.Millisecond,
 		RetransBackoffCap: 8,
 		AckDelay:          100 * time.Millisecond,
-		GroupHistory:    128,
-		BBThreshold:     1500,
-		GroupAckEvery:   16,
-		GroupSyncFanout: 32,
+		GroupHistory:      128,
+		BBThreshold:       1500,
+		GroupAckEvery:     16,
+		GroupSyncFanout:   32,
 	}
 }
 

@@ -44,22 +44,88 @@ func TestComputeDispatchInterruptZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkThreadHandoff times one activate → park round trip: the
-// event loop resumes a blocked thread's goroutine and waits until it
-// parks again, two unbuffered channel operations.
-func BenchmarkThreadHandoff(b *testing.B) {
-	s := sim.New()
-	p := New(s, model.Calibrated(), 0, "cpu0")
-	defer p.Shutdown()
-	th := p.NewThread("w", PrioNormal, func(th *Thread) {
+// pingPong starts two threads on two processors of s that take turns
+// forever: each unblocks the other and blocks, so every activation is one
+// dispatch event followed by a handoff of the event loop to the other
+// thread's goroutine. Each activation increments *n, and the thread that
+// brings *n to stopAt calls s.Stop.
+func pingPong(s *sim.Sim, n *int, stopAt *int) (pa, pb *Processor) {
+	m := model.Calibrated()
+	pa, pb = New(s, m, 0, "cpu0"), New(s, m, 1, "cpu1")
+	var a, b *Thread
+	turn := func(th, other *Thread) {
+		*n++
+		if *n == *stopAt {
+			s.Stop()
+		}
+		other.Unblock()
+		th.Block()
+	}
+	a = pa.NewThread("a", PrioNormal, func(th *Thread) {
 		for {
-			th.Block()
+			turn(th, b)
 		}
 	})
-	s.Run() // the thread blocks
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.activate(th)
+	b = pb.NewThread("b", PrioNormal, func(th *Thread) {
+		th.Block()
+		for {
+			turn(th, a)
+		}
+	})
+	return pa, pb
+}
+
+// handoffDrivers runs activations until n reaches target, with the event
+// loop driven by one Run call or by one Step call per event.
+var handoffDrivers = []struct {
+	name  string
+	drive func(s *sim.Sim, n, stopAt *int, target int)
+}{
+	{"Run", func(s *sim.Sim, n, stopAt *int, target int) {
+		*stopAt = target
+		s.Run()
+	}},
+	{"Step", func(s *sim.Sim, n, stopAt *int, target int) {
+		for *n < target {
+			s.Step()
+		}
+	}},
+}
+
+// TestThreadHandoffZeroAlloc: handing the event loop from thread to
+// thread allocates nothing, whether Run or Step drives the loop.
+func TestThreadHandoffZeroAlloc(t *testing.T) {
+	for _, d := range handoffDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			s := sim.New()
+			var n, stopAt int
+			pa, pb := pingPong(s, &n, &stopAt)
+			t.Cleanup(pa.Shutdown)
+			t.Cleanup(pb.Shutdown)
+			d.drive(s, &n, &stopAt, 10) // start both threads, size the queues
+			if avg := testing.AllocsPerRun(100, func() { d.drive(s, &n, &stopAt, n+100) }); avg != 0 {
+				t.Fatalf("100 thread handoffs allocate %.2f objects, budget is 0", avg)
+			}
+		})
+	}
+}
+
+// BenchmarkThreadHandoff times one thread activation (one op): a
+// dispatch event, then a handoff of the event loop to the thread's
+// goroutine. Under Run that is one goroutine switch; under Step, which
+// takes the loop back after every event, it is two.
+func BenchmarkThreadHandoff(b *testing.B) {
+	for _, d := range handoffDrivers {
+		b.Run(d.name, func(b *testing.B) {
+			s := sim.New()
+			var n, stopAt int
+			pa, pb := pingPong(s, &n, &stopAt)
+			defer pa.Shutdown()
+			defer pb.Shutdown()
+			d.drive(s, &n, &stopAt, 10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			d.drive(s, &n, &stopAt, n+b.N)
+		})
 	}
 }

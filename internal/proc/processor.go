@@ -4,9 +4,12 @@
 // behaviour that the paper's §4 analysis hinges on, and the mutex /
 // condition-variable primitives Amoeba provides to user processes.
 //
-// Threads are goroutines driven in strict handoff with the simulation
-// driver: at any instant at most one goroutine (the driver or one thread)
-// is runnable, so the simulation stays deterministic and lock-free.
+// Threads are goroutines that take turns holding the simulator's event
+// loop: activating a thread hands the loop to its goroutine, which runs
+// the thread's code and, once the thread parks, goes on running events
+// until one activates another thread. At any instant exactly one
+// goroutine is runnable, so the simulation stays deterministic and
+// lock-free.
 package proc
 
 import (
@@ -368,38 +371,17 @@ func (p *Processor) dispatch() {
 	p.activate(t)
 }
 
-// activate gives the CPU to t: resumes its goroutine and handles the park
-// reason it comes back with. Runs in driver context and returns only once
-// the thread goroutine has parked again.
+// activate gives the CPU to t and hands the event loop to t's goroutine,
+// which runs t's code until t parks and then keeps running events. It
+// must be the last thing its event does: the goroutine that ran the event
+// blocks until the loop is handed back to it, and then returns straight
+// out of its loop.
 func (p *Processor) activate(t *Thread) {
 	p.tracef("activate %s state=%d queued=%v", t.name, t.state, t.queued)
 	p.running = t
 	p.last = t
 	t.state = stateActive
-	t.resume <- struct{}{}
-	reason := <-t.parked
-	switch reason {
-	case parkCompute:
-		t.remaining = t.computeReq
-		t.computeReq = 0
-		t.state = stateComputing
-		t.computeStart = p.sim.Now()
-		t.computeEv = p.sim.Schedule(t.remaining, t.computeDoneFn)
-	case parkBlock:
-		p.running = nil
-		t.state = stateBlocked
-		p.scheduleDispatch(false)
-	case parkDone:
-		p.running = nil
-		t.state = stateDone
-		p.stats.ThreadsDone++
-		if p.mx != nil {
-			p.mx.threadsDone.Inc()
-		}
-		p.scheduleDispatch(false)
-	default:
-		panic(fmt.Sprintf("proc: thread %s parked with unknown reason %d", t.name, reason))
-	}
+	p.sim.Resume(&t.runner)
 }
 
 // makeReady puts a blocked or new thread on the ready queue and, if the CPU

@@ -19,14 +19,6 @@ const (
 	stateDone
 )
 
-type parkReason int
-
-const (
-	parkCompute parkReason = iota + 1
-	parkBlock
-	parkDone
-)
-
 // threadKilled is the panic payload used to unwind a killed thread.
 type threadKilled struct{}
 
@@ -45,14 +37,12 @@ type Thread struct {
 	name string
 	prio Priority
 
-	resume chan struct{}
-	parked chan parkReason
+	runner sim.Runner // wakes the goroutine when the event loop is handed to it
 	dead   chan struct{}
 	killed bool
 
-	// Driver-visible scheduling state.
+	// Scheduling state.
 	state        threadState
-	computeReq   time.Duration
 	remaining    time.Duration
 	computeEv    sim.Event
 	computeStart sim.Time
@@ -111,8 +101,7 @@ func (p *Processor) NewThread(name string, prio Priority, body func(t *Thread)) 
 		id:       p.nextTID,
 		name:     name,
 		prio:     prio,
-		resume:   make(chan struct{}),
-		parked:   make(chan parkReason),
+		runner:   sim.NewRunner(),
 		dead:     make(chan struct{}),
 		state:    stateNew,
 		depth:    1,
@@ -130,21 +119,37 @@ func (p *Processor) NewThread(name string, prio Priority, body func(t *Thread)) 
 	return t
 }
 
+// run is the thread's goroutine. It waits for the first activation, runs
+// body, and then runs events until it hands the event loop on, and exits.
+// A panic on it, raised by the thread's code or by an event it ran, is
+// handed to the goroutine that called Run, RunUntil or Step, which
+// re-raises it.
 func (t *Thread) run(body func(*Thread)) {
 	defer close(t.dead)
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(threadKilled); !ok {
-				panic(r)
+				if t.killed {
+					panic(r) // raised while a kill unwound, outside any run
+				}
+				t.p.sim.Abort(r)
 			}
 		}
 	}()
-	<-t.resume
+	t.runner.Wait()
 	if t.killed {
-		panic(threadKilled{})
+		return
 	}
 	body(t)
-	t.parked <- parkDone
+	p := t.p
+	p.running = nil
+	t.state = stateDone
+	p.stats.ThreadsDone++
+	if p.mx != nil {
+		p.mx.threadsDone.Inc()
+	}
+	p.scheduleDispatch(false)
+	p.sim.Exit(&t.runner)
 }
 
 // Proc returns the processor the thread runs on.
@@ -166,12 +171,23 @@ func (t *Thread) Done() <-chan struct{} { return t.dead }
 // Stats returns a copy of the thread's accounting counters.
 func (t *Thread) Stats() ThreadStats { return t.stats }
 
-func (t *Thread) park(r parkReason) {
-	t.parked <- r
-	<-t.resume
+// park runs the event loop on the thread's goroutine until an event
+// activates the thread again. The caller has already set the state the
+// thread parks in.
+func (t *Thread) park() {
+	t.p.sim.Park(&t.runner)
 	if t.killed {
 		panic(threadKilled{})
 	}
+}
+
+// block parks the thread off the CPU until another party makes it ready.
+func (t *Thread) block() {
+	p := t.p
+	p.running = nil
+	t.state = stateBlocked
+	p.scheduleDispatch(false)
+	t.park()
 }
 
 // Compute consumes d of CPU time (plus any pending charges). The thread
@@ -187,8 +203,12 @@ func (t *Thread) Compute(d time.Duration) {
 	if d == 0 {
 		return
 	}
-	t.computeReq = d
-	t.park(parkCompute)
+	p := t.p
+	t.remaining = d
+	t.state = stateComputing
+	t.computeStart = p.sim.Now()
+	t.computeEv = p.sim.Schedule(d, t.computeDoneFn)
+	t.park()
 }
 
 // Charge accumulates synchronous CPU cost that will elapse at the next
@@ -221,7 +241,7 @@ func (t *Thread) Block() {
 		t.wakeArmed = false
 		return
 	}
-	t.park(parkBlock)
+	t.block()
 }
 
 // Unblock makes a blocked thread runnable. It may be called from driver
@@ -263,7 +283,7 @@ func (t *Thread) Sleep(d time.Duration) {
 		return
 	}
 	t.p.sim.Schedule(d, t.wakeFn)
-	t.park(parkBlock)
+	t.block()
 }
 
 // sleepWake ends a Sleep: the thread is made runnable if it is still
@@ -340,16 +360,15 @@ func (t *Thread) CopyBytes(n int) {
 	t.stats.BytesCopied += int64(n)
 }
 
+// kill ends the goroutine of a thread that has not finished: it wakes the
+// goroutine wherever it is blocked, and the goroutine unwinds its stack
+// without running any simulation code.
 func (t *Thread) kill() {
 	if t.state == stateDone {
 		return
 	}
 	t.killed = true
-	select {
-	case t.resume <- struct{}{}:
-	case <-t.dead:
-		return
-	}
+	t.runner.Close()
 	<-t.dead
 	t.state = stateDone
 }

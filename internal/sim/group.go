@@ -27,10 +27,12 @@ package sim
 // Memory model: within a window each partition is touched by exactly one
 // worker; successive windows are separated by a WaitGroup barrier, and
 // the outbox row of a partition is written only by the worker currently
-// executing that partition, then read single-threaded at the merge. The
-// strict driver/thread goroutine handoff of internal/proc holds per
-// partition, so up to P driver workers plus P simulated threads may be
-// runnable at once — always on disjoint partition state.
+// executing that partition, then read single-threaded at the merge. A
+// partition's window is its own bounded event loop (loop.go): the worker
+// or one of the partition's simulated threads holds it, handing it on by
+// strict handoff, and the goroutine that reaches the window edge hands it
+// back to the worker. So at most one goroutine per partition being
+// executed is runnable at once, always on disjoint partition state.
 
 import (
 	"fmt"
@@ -145,20 +147,7 @@ func (g *Group) merge() {
 // runWindow executes this partition's events with at < w (half-open so
 // an event exactly at the window edge waits for the next merge), leaving
 // the clock at the last executed event.
-func (s *Sim) runWindow(w Time) {
-	for {
-		e := s.q.peekLive()
-		if e == nil || e.at >= w {
-			return
-		}
-		e = s.q.popLive()
-		s.now = e.at
-		fn := e.fn
-		s.q.release(e) // recycle before fn runs; fn's own Schedules may reuse it
-		s.events++
-		fn()
-	}
-}
+func (s *Sim) runWindow(w Time) { s.drive(w-1, noLimit) }
 
 // runParallel executes one window on every partition, fanning the
 // partitions over the worker goroutines. Partitions are claimed through
@@ -173,10 +162,21 @@ func (g *Group) runParallel(w Time) {
 	}
 	var next int64 = -1
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var failed any // the first panic of a worker, re-raised here
 	for i := 0; i < g.workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					mu.Lock()
+					if failed == nil {
+						failed = v
+					}
+					mu.Unlock()
+				}
+			}()
 			for {
 				k := atomic.AddInt64(&next, 1)
 				if k >= int64(len(g.parts)) {
@@ -187,6 +187,9 @@ func (g *Group) runParallel(w Time) {
 		}()
 	}
 	wg.Wait()
+	if failed != nil {
+		panic(failed)
+	}
 }
 
 // step runs one merge + one lookahead window. limit bounds the window

@@ -3,15 +3,20 @@
 // queue with deterministic tie-breaking, and a deterministic random number
 // generator.
 //
-// The simulation is single-threaded by construction. Events run in the
-// "driver" context (the goroutine that called Run). Simulated threads (see
-// internal/proc) are goroutines, but the driver and at most one thread
-// goroutine are ever runnable at the same time, with strict handoff, so no
-// locking is required anywhere in the simulation.
+// The simulation is single-threaded by construction. Events run on
+// whichever goroutine holds the event loop: the one that called Run,
+// RunUntil or Step, or a simulated thread's (see internal/proc), which
+// keeps running events after its thread parks. The loop passes from
+// goroutine to goroutine by strict handoff (loop.go), so exactly one of
+// them is runnable at a time and no locking is required anywhere in the
+// simulation. "Driver context", in this and the other packages, means
+// an event callback as opposed to a thread's code, whichever goroutine
+// runs it.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"amoebasim/internal/metrics"
@@ -106,7 +111,12 @@ type Sim struct {
 	seq      uint64
 	q        eventQueue
 	stopped  bool
-	events   uint64 // total events executed
+	events   uint64  // total events executed
+	last     Time    // the loop's bound: run events at or before last
+	limit    uint64  // while fewer than limit have run in total
+	holder   *Runner // goroutine that holds the event loop
+	driver   Runner  // the goroutine that called Run, RunUntil or Step
+	panicked any     // a thread goroutine's panic, for the driver to re-raise
 	tracer   Tracer
 	spans    SpanTracer // tracer, if it also handles spans
 	causal   CausalTracer
@@ -186,7 +196,7 @@ func (s *Sim) traceSpan(ph Phase, span uint64, source, kind, format string, args
 
 // New returns a fresh simulator with the clock at zero.
 func New() *Sim {
-	return &Sim{}
+	return &Sim{driver: NewRunner()}
 }
 
 // Now returns the current simulated time.
@@ -261,43 +271,27 @@ func (s *Sim) Cancel(h Event) bool {
 }
 
 // Step executes the next pending event, advancing the clock to its time.
-// It reports whether an event was executed.
+// It reports whether an event was executed. If the event activates a
+// simulated thread, Step returns once that thread parks.
 func (s *Sim) Step() bool {
-	e := s.q.popLive()
-	if e == nil {
-		return false
-	}
-	s.now = e.at
-	fn := e.fn
-	s.q.release(e) // recycle before fn runs; fn's own Schedules may reuse it
-	s.events++
-	fn()
-	return true
+	n := s.events
+	s.drive(math.MaxInt64, n+1)
+	return s.events != n
 }
 
 // Run executes events until the queue is empty or Stop is called.
-func (s *Sim) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-}
+func (s *Sim) Run() { s.drive(math.MaxInt64, noLimit) }
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 func (s *Sim) RunUntil(t Time) {
-	s.stopped = false
-	for !s.stopped {
-		e := s.q.peekLive()
-		if e == nil || e.at > t {
-			break
-		}
-		s.Step()
-	}
+	s.drive(t, noLimit)
 	if t > s.now {
 		s.now = t
 	}
 }
 
-// Stop makes Run or RunUntil return after the current event completes.
+// Stop makes Run or RunUntil return after the current event completes or,
+// when a simulated thread calls it, once that thread parks.
 func (s *Sim) Stop() { s.stopped = true }
 
 // Pending reports the number of events still queued (canceled events are
