@@ -46,8 +46,7 @@ import (
 type xevent struct {
 	at  Time
 	gat Time
-	seq uint64
-	src int32
+	key uint64
 	fn  func()
 }
 
@@ -67,7 +66,11 @@ type Group struct {
 // degenerates to running one timestamp per window — correct but slow).
 // workers is the number of window-execution goroutines; any value
 // produces identical results, and values above len(parts) are clamped.
+// A group holds at most 2^16 partitions, the width of src in an event key.
 func NewGroup(parts []*Sim, lookahead time.Duration, workers int) *Group {
+	if len(parts) > 1<<(64-seqBits) {
+		panic(fmt.Sprintf("sim: %d partitions, more than 2^%d", len(parts), 64-seqBits))
+	}
 	if lookahead < 1 {
 		lookahead = 1
 	}
@@ -105,14 +108,15 @@ func (g *Group) send(src, dst *Sim, t Time, fn func()) {
 	if fn == nil {
 		panic("sim: ScheduleOn with nil callback")
 	}
-	src.seq++
 	g.outbox[src.part][dst.part] = append(g.outbox[src.part][dst.part],
-		xevent{at: t, gat: src.now, seq: src.seq, src: src.part, fn: fn})
+		xevent{at: t, gat: src.now, key: src.nextKey(), fn: fn})
 }
 
 // merge drains every outbox into the destination queues. Insertion order
 // is irrelevant — the queue comparator is a strict total order — so no
-// sort is needed for determinism. Runs single-threaded between windows.
+// sort is needed for determinism. Each merged event is a heap node of its
+// own: only a partition's own consecutive schedules may share a chain.
+// Runs single-threaded between windows.
 func (g *Group) merge() {
 	for si := range g.outbox {
 		row := g.outbox[si]
@@ -133,8 +137,7 @@ func (g *Group) merge() {
 				e := dst.q.alloc()
 				e.at = x.at
 				e.gat = x.gat
-				e.src = x.src
-				e.seq = x.seq
+				e.key = x.key
 				e.fn = x.fn
 				dst.q.push(e)
 				*x = xevent{} // drop the fn reference

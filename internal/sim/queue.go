@@ -1,27 +1,47 @@
 package sim
 
-// This file is the scheduler's hot path: a specialized 4-ary min-heap over
-// pooled event slots, ordered by (at, gat, src, seq). It replaces container/heap,
-// whose interface-based Push/Pop box every *Event into an `any` and whose
-// Remove costs O(log n) sift work per cancellation. Here:
+// This file is the scheduler's hot path: a 4-ary min-heap of FIFO chains
+// of pooled event slots, ordered by (at, gat, src, seq). Each heap node is
+// the head of a chain of events that fire one after another:
 //
-//   - Push/pop sift inline on a []*event with no interface conversions.
-//   - A 4-ary layout halves the tree depth of a binary heap; the extra
-//     sibling comparisons are cache-local (the four children share at most
-//     two cache lines), which is the right trade for a pop-heavy queue.
+//   - A local schedule (Sim.ScheduleAt) goes behind the previous local
+//     schedule when that event is still queued and has the same (at, gat);
+//     otherwise it becomes a heap node of its own. Merged cross-partition
+//     events (group.go) are always nodes of their own.
+//   - Popping a head whose chain continues puts the successor in the root
+//     slot with no sift. A broadcast wave — one frame reaching every
+//     member of a group at the same instant, then each member's interrupt
+//     at the next — is one chain per instant, so it pops without sift
+//     work, however deep the queue.
+//   - Push and pop sift inline on a []*event with no interface
+//     conversions (no container/heap). A 4-ary layout halves the tree
+//     depth of a binary heap; the four children share at most two cache
+//     lines.
 //   - Fired and canceled events return to a free list and are recycled, so
 //     steady-state Schedule/Step allocates nothing. A generation counter
 //     on each slot makes a stale handle's Cancel a safe no-op.
 //   - Cancel is O(1) lazy deletion: the slot is tombstoned (fn = nil) and
-//     skipped when it surfaces at the top. When tombstones outnumber live
-//     events the heap is compacted in one O(n) pass.
+//     skipped when it surfaces at the root. When tombstones outnumber live
+//     events the chains are walked, the tombstones dropped and the heads
+//     re-heapified, in one O(n) pass.
 //   - The heap slice and the free list shrink after bursts, so a long
 //     soak does not hold its peak-burst memory for the rest of the run.
+//     Both the compaction trigger and the free-list trim count queued
+//     events, not heap nodes: one node may hold a whole burst.
 //
-// Determinism: pop order is exactly ascending (at, gat, src, seq) — the
+// Determinism: pop order is exactly ascending (at, gat, src, seq). The
 // comparator is a total order ((src, seq) is unique), so any heap shape
-// yields the same pop sequence, and lazy deletion/compaction never
-// reorder live events.
+// yields the same pop sequence, and lazy deletion and compaction never
+// reorder live events. Chains keep that order exactly. Two consecutive
+// local schedules share src, and their seqs are adjacent in this queue
+// (the seqs in between went to cross-partition sends, which are queued
+// elsewhere). Later local schedules carry larger seqs and a gat at least
+// as large. So when the two also share (at, gat), no event queued here,
+// then or later, can sort strictly between them, and each chain is a
+// contiguous run of the total order. Its successor is therefore the
+// minimum once its head pops. The gat comparison is what makes this hold
+// under partitioned execution: a merged event with the same at and a gat
+// between those of two local schedules sorts between them.
 //
 // gat (generation-at) is the clock value when the event was scheduled and
 // src is the scheduling partition. On a lone simulator they are inert:
@@ -35,25 +55,36 @@ package sim
 // event is one pooled scheduler slot. fn == nil marks a tombstone (the
 // slot was canceled but is still queued); gen increments every time the
 // slot is released to the free list, invalidating outstanding handles.
+// The slot is 48 bytes, one of the allocator's size classes; one more
+// word would put it in the 64-byte class. TestEventSlotBudget keeps it
+// there.
 type event struct {
-	at  Time
-	gat Time // scheduling-time clock of the source partition
-	seq uint64
-	gen uint64
-	fn  func()
-	src int32 // scheduling partition (0 on a lone simulator)
+	at   Time
+	gat  Time   // scheduling-time clock of the source partition
+	key  uint64 // src<<seqBits | seq: scheduling partition, then sequence
+	gen  uint64
+	fn   func()
+	next *event // successor in this event's chain; nil off the queue
 }
+
+// seqBits is the width of the sequence number in an event key. A
+// partition that schedules its 2^48th event panics (nextKey), and a group
+// holds at most 2^16 partitions (NewGroup).
+const seqBits = 48
 
 // minQueueCap is the capacity floor below which the heap and free list
 // are never shrunk, and the queue size below which tombstone compaction
 // is not worth a pass.
 const minQueueCap = 64
 
-// eventQueue is the pooled 4-ary min-heap. The zero value is ready to use.
+// eventQueue is the pooled 4-ary min-heap of chains. The zero value is
+// ready to use.
 type eventQueue struct {
-	heap []*event
-	free []*event
-	dead int // tombstoned events still in heap
+	heap   []*event // chain heads
+	free   []*event
+	tail   *event // the owner's last local schedule while it is queued
+	queued int    // events queued, tombstones included
+	dead   int    // tombstoned events still queued
 }
 
 // less orders events by (time, schedule-time clock, source partition,
@@ -67,14 +98,21 @@ func less(a, b *event) bool {
 	if a.gat != b.gat {
 		return a.gat < b.gat
 	}
-	if a.src != b.src {
-		return a.src < b.src
+	return a.key < b.key
+}
+
+// nextKey advances s's sequence counter and returns the key of the event
+// it numbers.
+func (s *Sim) nextKey() uint64 {
+	s.seq++
+	if s.seq == 1<<seqBits {
+		panic("sim: a partition scheduled 2^48 events, more than an event key holds")
 	}
-	return a.seq < b.seq
+	return uint64(s.part)<<seqBits | s.seq
 }
 
 // live reports the number of non-tombstoned events queued.
-func (q *eventQueue) live() int { return len(q.heap) - q.dead }
+func (q *eventQueue) live() int { return q.queued - q.dead }
 
 // alloc takes a slot from the free list, or mints one.
 func (q *eventQueue) alloc() *event {
@@ -95,8 +133,23 @@ func (q *eventQueue) release(e *event) {
 	q.free = append(q.free, e)
 }
 
-// push inserts e, sifting it up from the bottom.
+// pushLocal queues e, which the owning simulator has just scheduled:
+// behind its previous local schedule when that one is still queued at the
+// same (at, gat), else as a node of its own. The tail's src is always the
+// owner's, so it needs no comparison.
+func (q *eventQueue) pushLocal(e *event) {
+	if t := q.tail; t != nil && t.at == e.at && t.gat == e.gat {
+		t.next = e
+		q.queued++
+	} else {
+		q.push(e)
+	}
+	q.tail = e
+}
+
+// push queues e as a heap node of its own, sifting it up from the bottom.
 func (q *eventQueue) push(e *event) {
+	q.queued++
 	q.heap = append(q.heap, e)
 	h := q.heap
 	i := len(h) - 1
@@ -111,10 +164,21 @@ func (q *eventQueue) push(e *event) {
 	h[i] = e
 }
 
-// popMin removes and returns the (at, seq)-minimum event, tombstone or not.
+// popMin removes and returns the minimum event, tombstone or not. Its
+// successor in the chain, if any, is the new minimum and takes the root
+// slot without a sift.
 func (q *eventQueue) popMin() *event {
 	h := q.heap
 	e := h[0]
+	q.queued--
+	if nx := e.next; nx != nil {
+		e.next = nil
+		h[0] = nx
+		return e
+	}
+	if e == q.tail { // the tail always ends its chain
+		q.tail = nil
+	}
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
@@ -186,50 +250,61 @@ func (q *eventQueue) peekLive() *event {
 	return nil
 }
 
-// compact removes every tombstone in one pass and re-heapifies. Called
-// when tombstones outnumber live events, so the amortized cost per cancel
-// stays O(1). Heapify preserves the (at, seq) pop order because the
-// comparator is a total order.
+// compact drops every tombstone in one pass over the chains and
+// re-heapifies the surviving heads. Called when tombstones outnumber live
+// events, so the amortized cost per cancel stays O(1). Survivors keep
+// their chain order, and heapify preserves the pop order because the
+// comparator is a total order. The tail may have been released, so it is
+// cleared: the next local schedule starts a node of its own.
 func (q *eventQueue) compact() {
 	h := q.heap
 	w := 0
 	for _, e := range h {
-		if e.fn != nil {
-			h[w] = e
+		var head *event
+		link := &head // where the next survivor of this chain goes
+		for e != nil {
+			nx := e.next
+			e.next = nil
+			if e.fn == nil {
+				q.release(e)
+			} else {
+				*link = e
+				link = &e.next
+			}
+			e = nx
+		}
+		if head != nil {
+			h[w] = head
 			w++
-		} else {
-			q.release(e)
 		}
 	}
-	for i := w; i < len(h); i++ {
-		h[i] = nil
-	}
+	clear(h[w:])
 	q.heap = h[:w]
+	q.queued -= q.dead
 	q.dead = 0
+	q.tail = nil
 	for i := (w - 2) >> 2; i >= 0; i-- {
 		q.siftDown(i)
 	}
 }
 
-// maybeShrink gives memory back after a burst: when the heap occupies a
+// maybeShrink gives memory back after a burst. When the heap occupies a
 // quarter or less of its capacity the backing array is reallocated at
-// twice the live size, and the free list is trimmed to the same order of
-// magnitude so a drained 100k-event burst does not pin 100k dead slots.
-// The 4x hysteresis keeps steady-state traffic from thrashing between
-// grow and shrink.
+// twice its length. When the free list holds more than twice its limit —
+// twice the queued events plus the floor — it is cut back to that limit,
+// so a drained 100k-event burst does not pin 100k dead slots, even one
+// that sat at a single instant in a single heap node. The 2x and 4x
+// hysteresis keeps steady-state traffic from thrashing between grow and
+// shrink.
 func (q *eventQueue) maybeShrink() {
 	if c := cap(q.heap); c > minQueueCap && len(q.heap) <= c/4 {
-		newCap := len(q.heap) * 2
-		if newCap < minQueueCap {
-			newCap = minQueueCap
-		}
-		nh := make([]*event, len(q.heap), newCap)
+		nh := make([]*event, len(q.heap), max(2*len(q.heap), minQueueCap))
 		copy(nh, q.heap)
 		q.heap = nh
-		if limit := 2*len(q.heap) + minQueueCap; len(q.free) > limit {
-			nf := make([]*event, limit)
-			copy(nf, q.free[:limit])
-			q.free = nf
-		}
+	}
+	if limit := 2*q.queued + minQueueCap; len(q.free) > 2*limit {
+		nf := make([]*event, limit)
+		copy(nf, q.free[:limit])
+		q.free = nf
 	}
 }

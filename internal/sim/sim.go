@@ -225,14 +225,12 @@ func (s *Sim) ScheduleAt(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil callback")
 	}
-	s.seq++
 	e := s.q.alloc()
 	e.at = t
 	e.gat = s.now
-	e.src = s.part
-	e.seq = s.seq
+	e.key = s.nextKey()
 	e.fn = fn
-	s.q.push(e)
+	s.q.pushLocal(e)
 	return Event{e: e, gen: e.gen}
 }
 
@@ -252,7 +250,7 @@ func (s *Sim) ScheduleOn(dst *Sim, t Time, fn func()) {
 }
 
 // Cancel removes a pending event in O(1) by tombstoning its slot; the
-// tombstone is skipped when it reaches the top of the queue, and the heap
+// tombstone is skipped when it reaches the top of the queue, and the queue
 // is compacted when tombstones outnumber live events. Canceling an event
 // that already fired or was already canceled — including via a handle
 // whose slot has since been recycled for a newer event — is a safe no-op.
@@ -264,7 +262,7 @@ func (s *Sim) Cancel(h Event) bool {
 	}
 	e.fn = nil
 	s.q.dead++
-	if len(s.q.heap) >= minQueueCap && s.q.dead > len(s.q.heap)/2 {
+	if s.q.queued >= minQueueCap && s.q.dead > s.q.queued/2 {
 		s.q.compact()
 	}
 	return true

@@ -9,6 +9,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // benchDepth is the rolling queue depth the schedule/fire benchmarks hold:
@@ -110,7 +111,97 @@ func BenchmarkTimerChurnContainerHeap(b *testing.B) {
 	}
 }
 
+// waveWidth is the fan-out of one broadcast wave: a frame reaching every
+// member of a 256-process group at the same instant.
+const waveWidth = 256
+
+// waveEvents is the number of events one wave runs: the broadcast, one
+// delivery per member, and the interrupt each delivery schedules.
+const waveEvents = 1 + 2*waveWidth
+
+// wave returns a broadcast callback for the ether → interrupt cascade:
+// it schedules waveWidth deliveries at one instant, and each delivery
+// schedules one interrupt at a later instant.
+func wave(schedule func(time.Duration, func())) func() {
+	irq := func() {}
+	deliver := func() { schedule(time.Microsecond, irq) }
+	return func() {
+		for i := 0; i < waveWidth; i++ {
+			schedule(time.Microsecond, deliver)
+		}
+	}
+}
+
+// BenchmarkScheduleWave runs broadcast waves over a queue holding
+// benchDepth far-future timers, one wave per op; ns/event divides by the
+// wave's waveEvents events.
+func BenchmarkScheduleWave(b *testing.B) {
+	s := New()
+	fn := func() {}
+	for i := 0; i < benchDepth; i++ {
+		s.Schedule(time.Hour+time.Duration(i)*time.Microsecond, fn)
+	}
+	w := wave(func(d time.Duration, fn func()) { s.Schedule(d, fn) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(0, w)
+		for j := 0; j < waveEvents; j++ {
+			s.Step()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*waveEvents), "ns/event")
+}
+
+func BenchmarkScheduleWaveContainerHeap(b *testing.B) {
+	s := &refSim{}
+	fn := func() {}
+	for i := 0; i < benchDepth; i++ {
+		s.Schedule(time.Hour+time.Duration(i)*time.Microsecond, fn)
+	}
+	w := wave(func(d time.Duration, fn func()) { s.Schedule(d, fn) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(0, w)
+		for j := 0; j < waveEvents; j++ {
+			s.Step()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*waveEvents), "ns/event")
+}
+
 // ---- Zero-alloc budgets (enforced in CI) ----
+
+// TestEventSlotBudget pins the pooled event slot at 48 bytes. One word
+// more puts it in the 64-byte size class, which costs every event a
+// third more memory traffic.
+func TestEventSlotBudget(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 48 {
+		t.Fatalf("event slot is %d bytes, budget is 48", n)
+	}
+}
+
+// TestScheduleWaveZeroAlloc asserts a broadcast wave, one chain per
+// instant, runs without allocating once the free list covers it.
+func TestScheduleWaveZeroAlloc(t *testing.T) {
+	s := New()
+	fn := func() {}
+	for i := 0; i < benchDepth; i++ {
+		s.Schedule(time.Hour+time.Duration(i)*time.Microsecond, fn)
+	}
+	w := wave(func(d time.Duration, fn func()) { s.Schedule(d, fn) })
+	run := func() {
+		s.Schedule(0, w)
+		for j := 0; j < waveEvents; j++ {
+			s.Step()
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("broadcast wave allocates %.2f objects/wave, budget is 0", avg)
+	}
+}
 
 // TestScheduleFireZeroAlloc asserts the schedule→fire hot path allocates
 // nothing in steady state: slots come from the free list and the heap
