@@ -1,11 +1,15 @@
 package apps
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"amoebasim/internal/cluster"
+	"amoebasim/internal/orca"
 	"amoebasim/internal/panda"
+	"amoebasim/internal/proc"
 )
 
 // TestAnswersIdenticalAcrossModesAndProcs is the core correctness check:
@@ -18,7 +22,7 @@ func TestAnswersIdenticalAcrossModesAndProcs(t *testing.T) {
 		t.Run(app.Name(), func(t *testing.T) {
 			var want int64
 			first := true
-			for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+			for _, mode := range panda.AllModes() {
 				for _, procs := range []int{1, 2, 4} {
 					res, err := RunApp(app, cluster.Config{
 						Procs: procs, Mode: mode, Seed: 5,
@@ -159,5 +163,105 @@ func TestRegistry(t *testing.T) {
 	}
 	if ByName("nope") != nil {
 		t.Fatal("ByName should return nil for unknown apps")
+	}
+}
+
+// TestSORExchangeAllocBudget checks that the boundary exchange recycles
+// its rows: at 512-column rows, each extra SOR iteration must allocate
+// less than one row copy per exchange, the cost of copying every put
+// into a fresh row.
+func TestSORExchangeAllocBudget(t *testing.T) {
+	const rows, cols, procs = 64, 512, 4
+	for _, mode := range panda.AllModes() {
+		alloc := func(iters int) int64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := RunApp(&SOR{Rows: rows, Cols: cols, Iters: iters},
+				cluster.Config{Procs: procs, Mode: mode, Seed: 5})
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			runtime.ReadMemStats(&after)
+			return int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		const lo, hi = 4, 24
+		perIter := (alloc(hi) - alloc(lo)) / (hi - lo)
+		exchanges := 2 * procs // one per worker per color phase
+		budget := int64(exchanges * cols * 8)
+		t.Logf("%v: %d B per extra iteration, budget %d B", mode, perIter, budget)
+		if perIter >= budget {
+			t.Fatalf("%v: %d B per extra iteration, want < %d B (one %d-column row per exchange)",
+				mode, perIter, budget, cols)
+		}
+	}
+}
+
+// TestRowBufZeroAlloc checks that the bounded buffer's put and get move
+// rows without allocating.
+func TestRowBufZeroAlloc(t *testing.T) {
+	typ := rowBufType()
+	put, get := typ.Ops["put"], typ.Ops["get"]
+	q := make([]any, 0, bufCap)
+	var row any = make([]float64, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < bufCap; i++ {
+			put.Apply(nil, &q, row)
+		}
+		for i := 0; i < bufCap; i++ {
+			get.Apply(nil, &q, nil)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("put and get allocate %v times per round, want 0", allocs)
+	}
+}
+
+// TestStripExchangeCopiesRows checks the exchange's contract directly: a
+// ghost row keeps the values its neighbor sent until the reader's next
+// exchange, although the sender overwrites its own row at once and, being
+// faster, sends its next row meanwhile. RL and SOR read their ghost rows
+// as soon as the exchange returns, so their oracles pass even when the
+// live row is sent.
+func TestStripExchangeCopiesRows(t *testing.T) {
+	const rounds, cols = 3 * (bufCap + 2), 8
+	for _, mode := range panda.AllModes() {
+		c, err := cluster.New(cluster.Config{Procs: 2, Mode: mode, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewHarness(c)
+		sb := newStripBuffers(h, 2)
+		h.SpawnWorkers(func(rt *orca.Runtime, th *proc.Thread) error {
+			id := rt.ID()
+			row := make([]float64, cols)
+			for e := 0; e < rounds; e++ {
+				for j := range row {
+					row[j] = float64(e)
+				}
+				ghostTop, ghostBot, err := sb.exchange(rt, th, id, 2, row, row)
+				if err != nil {
+					return err
+				}
+				for j := range row {
+					row[j] = -1
+				}
+				th.Compute(time.Duration(1+10*id) * time.Millisecond)
+				ghost := ghostBot
+				if id == 1 {
+					ghost = ghostTop
+				}
+				for j, v := range ghost {
+					if v != float64(e) {
+						return fmt.Errorf("exchange %d: ghost cell %d = %v", e, j, v)
+					}
+				}
+			}
+			return nil
+		})
+		_, err = h.Wait()
+		c.Shutdown()
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
 	}
 }

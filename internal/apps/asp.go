@@ -63,23 +63,7 @@ func (a *ASP) Setup(h *Harness) func() int64 {
 	n := cfg.N
 	p := h.Procs
 
-	// Deterministic directed graph.
-	rng := sim.NewRand(cfg.Seed)
-	const inf = int32(1) << 29
-	dist := make([][]int32, n)
-	for i := range dist {
-		dist[i] = make([]int32, n)
-		for j := range dist[i] {
-			switch {
-			case i == j:
-				dist[i][j] = 0
-			case rng.Intn(100) < 12: // sparse edges
-				dist[i][j] = int32(rng.Intn(99) + 1)
-			default:
-				dist[i][j] = inf
-			}
-		}
-	}
+	dist := aspInstance(n, cfg.Seed)
 
 	boardType := orca.NewType("rowboard",
 		&orca.OpDef{
@@ -108,6 +92,8 @@ func (a *ASP) Setup(h *Harness) func() int64 {
 
 	lo := func(id int) int { return id * n / p }
 	hi := func(id int) int { return (id + 1) * n / p }
+	// owner inverts lo and hi only when p divides n; otherwise a worker
+	// can publish a row another worker owns.
 	owner := func(k int) int { return k * p / n }
 
 	h.SpawnWorkers(func(rt *orca.Runtime, t *proc.Thread) error {
@@ -138,15 +124,8 @@ func (a *ASP) Setup(h *Harness) func() int64 {
 				}
 			}
 			for i := myLo; i < myHi; i++ {
-				dik := dist[i][k]
-				if dik >= inf {
-					continue
-				}
-				ri := dist[i]
-				for j := 0; j < n; j++ {
-					if v := dik + rowk[j]; v < ri[j] {
-						ri[j] = v
-					}
+				if dik := dist[i][k]; dik < aspInf {
+					aspRelax(dist[i], rowk, dik)
 				}
 			}
 			t.Compute(time.Duration(myRows*n) * cfg.CellCost)
@@ -158,11 +137,65 @@ func (a *ASP) Setup(h *Harness) func() int64 {
 		var sum int64
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if dist[i][j] < inf {
+				if dist[i][j] < aspInf {
 					sum += int64(dist[i][j])
 				}
 			}
 		}
 		return sum
+	}
+}
+
+// aspInf marks a missing edge. Twice it still fits in an int32, so a
+// relaxation through a missing edge cannot overflow.
+const aspInf = int32(1) << 29
+
+// aspInstance builds a deterministic sparse directed graph as a distance
+// matrix.
+func aspInstance(n int, seed uint64) [][]int32 {
+	rng := sim.NewRand(seed)
+	dist := make([][]int32, n)
+	for i := range dist {
+		dist[i] = make([]int32, n)
+		for j := range dist[i] {
+			switch {
+			case i == j:
+				dist[i][j] = 0
+			case rng.Intn(100) < 12: // sparse edges
+				dist[i][j] = int32(rng.Intn(99) + 1)
+			default:
+				dist[i][j] = aspInf
+			}
+		}
+	}
+	return dist
+}
+
+// aspRelax is one row of the Floyd-Warshall step for pivot k: it lowers
+// ri[j] to dik+rowk[j] wherever that is shorter, with dik = ri[k]. The
+// loop is unrolled four wide and tests both lengths, and the tail runs on
+// rowk resliced to ri's length, so no cell pays a bounds check. Each
+// cell's comparison is the one-cell loop's.
+func aspRelax(ri, rowk []int32, dik int32) {
+	for len(ri) >= 4 && len(rowk) >= 4 {
+		if v := dik + rowk[0]; v < ri[0] {
+			ri[0] = v
+		}
+		if v := dik + rowk[1]; v < ri[1] {
+			ri[1] = v
+		}
+		if v := dik + rowk[2]; v < ri[2] {
+			ri[2] = v
+		}
+		if v := dik + rowk[3]; v < ri[3] {
+			ri[3] = v
+		}
+		ri, rowk = ri[4:], rowk[4:]
+	}
+	rowk = rowk[:len(ri)]
+	for j, r := range ri {
+		if v := dik + rowk[j]; v < r {
+			ri[j] = v
+		}
 	}
 }

@@ -44,35 +44,19 @@ func TestTSPOracle(t *testing.T) {
 	}
 }
 
+// TestASPOracle runs ASP at an N that is not a multiple of aspRelax's
+// unroll width, so its one-cell tail runs too. N is a multiple of the
+// processor count, which ASP's pivot-row owner assumes.
 func TestASPOracle(t *testing.T) {
-	app := &ASP{N: 40, Seed: 3}
-	res, err := RunApp(app, cluster.Config{Procs: 3, Mode: panda.KernelSpace, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Oracle: plain sequential Floyd-Warshall on the same instance.
+	app := &ASP{N: 39, Seed: 3}
 	cfg := app.defaults()
 	n := cfg.N
-	rng := sim.NewRand(cfg.Seed)
-	const inf = int32(1) << 29
-	dist := make([][]int32, n)
-	for i := range dist {
-		dist[i] = make([]int32, n)
-		for j := range dist[i] {
-			switch {
-			case i == j:
-				dist[i][j] = 0
-			case rng.Intn(100) < 12:
-				dist[i][j] = int32(rng.Intn(99) + 1)
-			default:
-				dist[i][j] = inf
-			}
-		}
-	}
+	// Oracle: plain sequential Floyd-Warshall on the same instance.
+	dist := aspInstance(n, cfg.Seed)
 	for k := 0; k < n; k++ {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if v := dist[i][k] + dist[k][j]; dist[i][k] < inf && v < dist[i][j] {
+				if v := dist[i][k] + dist[k][j]; dist[i][k] < aspInf && v < dist[i][j] {
 					dist[i][j] = v
 				}
 			}
@@ -81,13 +65,19 @@ func TestASPOracle(t *testing.T) {
 	var want int64
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if dist[i][j] < inf {
+			if dist[i][j] < aspInf {
 				want += int64(dist[i][j])
 			}
 		}
 	}
-	if res.Answer != want {
-		t.Fatalf("distributed ASP = %d, oracle = %d", res.Answer, want)
+	for _, mode := range panda.AllModes() {
+		res, err := RunApp(app, cluster.Config{Procs: 3, Mode: mode, Seed: 3})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Answer != want {
+			t.Fatalf("%v: distributed ASP = %d, oracle = %d", mode, res.Answer, want)
+		}
 	}
 }
 
@@ -223,5 +213,44 @@ func TestRLOracleSequential(t *testing.T) {
 	}
 	if res.Answer != want {
 		t.Fatalf("distributed RL = %d, oracle = %d", res.Answer, want)
+	}
+}
+
+// TestSOROracleSequential checks SOR against a plain red/black sweep of
+// one grid. With four strips of a small grid each sweep is short against
+// the network latency, so producers run ahead and fill their bounded
+// buffers, and 10 iterations make 20 puts per buffer: every slot of a
+// row ring is rewritten several times.
+func TestSOROracleSequential(t *testing.T) {
+	app := &SOR{Rows: 26, Cols: 24, Iters: 10, Seed: 3}
+	cfg := app.defaults()
+	rows, cols := cfg.Rows, cfg.Cols
+	grid := sorInstance(rows, cols, cfg.Seed)
+	for it := 0; it < cfg.Iters; it++ {
+		for phase := 0; phase < 2; phase++ {
+			for i := 1; i < rows-1; i++ {
+				up, row, down := grid[i-1], grid[i], grid[i+1]
+				for j := 1 + (i+phase)%2; j < cols-1; j += 2 {
+					gs := (up[j] + down[j] + row[j-1] + row[j+1]) / 4
+					row[j] = row[j] + cfg.Omega*(gs-row[j])
+				}
+			}
+		}
+	}
+	var sum float64
+	for _, row := range grid {
+		for _, v := range row {
+			sum += v
+		}
+	}
+	want := int64(sum * 1000)
+	for _, mode := range panda.AllModes() {
+		res, err := RunApp(app, cluster.Config{Procs: 4, Mode: mode, Seed: 3})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Answer != want {
+			t.Fatalf("%v: distributed SOR = %d, oracle = %d", mode, res.Answer, want)
+		}
 	}
 }
