@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,66 +45,92 @@ func TestComputeDispatchInterruptZeroAlloc(t *testing.T) {
 	}
 }
 
-// pingPong starts two threads on two processors of s that take turns
-// forever: each unblocks the other and blocks, so every activation is one
-// dispatch event followed by a handoff of the event loop to the other
-// thread's goroutine. Each activation increments *n, and the thread that
-// brings *n to stopAt calls s.Stop.
-func pingPong(s *sim.Sim, n *int, stopAt *int) (pa, pb *Processor) {
+// pingPong starts pairs of threads, each pair on two processors of s,
+// whose threads take turns forever: each charges charge, unblocks the
+// other and blocks, so every activation is one dispatch event followed by
+// a handoff of the event loop to the activated thread's goroutine. Pair i
+// starts i*stagger after pair 0. Each activation increments *n, and the
+// thread that brings *n to stopAt calls s.Stop.
+func pingPong(s *sim.Sim, n *int, stopAt *int, pairs int, charge, stagger time.Duration) []*Processor {
 	m := model.Calibrated()
-	pa, pb = New(s, m, 0, "cpu0"), New(s, m, 1, "cpu1")
-	var a, b *Thread
+	var procs []*Processor
 	turn := func(th, other *Thread) {
 		*n++
 		if *n == *stopAt {
 			s.Stop()
 		}
+		th.Charge(charge)
 		other.Unblock()
 		th.Block()
 	}
-	a = pa.NewThread("a", PrioNormal, func(th *Thread) {
-		for {
-			turn(th, b)
-		}
-	})
-	b = pb.NewThread("b", PrioNormal, func(th *Thread) {
-		th.Block()
-		for {
-			turn(th, a)
-		}
-	})
-	return pa, pb
+	for i := 0; i < pairs; i++ {
+		pa, pb := New(s, m, 2*i, fmt.Sprintf("cpu%d", 2*i)), New(s, m, 2*i+1, fmt.Sprintf("cpu%d", 2*i+1))
+		procs = append(procs, pa, pb)
+		// b is created first, so that it has blocked by the time a first
+		// unblocks it.
+		var a, b *Thread
+		b = pb.NewThread("b", PrioNormal, func(th *Thread) {
+			th.Block()
+			for {
+				turn(th, a)
+			}
+		})
+		start := time.Duration(i) * stagger
+		a = pa.NewThread("a", PrioNormal, func(th *Thread) {
+			th.Compute(start)
+			for {
+				turn(th, b)
+			}
+		})
+	}
+	return procs
 }
 
-// handoffDrivers runs activations until n reaches target, with the event
-// loop driven by one Run call or by one Step call per event.
-var handoffDrivers = []struct {
-	name  string
-	drive func(s *sim.Sim, n, stopAt *int, target int)
+// handoffCases are the set-ups of TestThreadHandoffZeroAlloc and
+// BenchmarkThreadHandoff. Run and Step ping-pong one pair with no
+// charges, with the event loop driven by one Run call or by one Step call
+// per event. RunCharged ping-pongs two pairs under Run; each thread
+// charges 50 µs before it blocks, and the pairs are offset by half a
+// context switch (35 µs), so the other pair's dispatch falls inside each
+// flush of charges and another goroutine holds the loop when it ends.
+var handoffCases = []struct {
+	name    string
+	pairs   int
+	charge  time.Duration
+	stagger time.Duration
+	step    bool
 }{
-	{"Run", func(s *sim.Sim, n, stopAt *int, target int) {
-		*stopAt = target
-		s.Run()
-	}},
-	{"Step", func(s *sim.Sim, n, stopAt *int, target int) {
+	{"Run", 1, 0, 0, false},
+	{"Step", 1, 0, 0, true},
+	{"RunCharged", 2, 50 * time.Microsecond, 35 * time.Microsecond, false},
+}
+
+// driveHandoff runs activations until *n reaches target, with one Run
+// call, or with one Step call per event if step is set.
+func driveHandoff(s *sim.Sim, n, stopAt *int, target int, step bool) {
+	if step {
 		for *n < target {
 			s.Step()
 		}
-	}},
+		return
+	}
+	*stopAt = target
+	s.Run()
 }
 
 // TestThreadHandoffZeroAlloc: handing the event loop from thread to
-// thread allocates nothing, whether Run or Step drives the loop.
+// thread allocates nothing, whether Run or Step drives the loop, and
+// neither does ending a flush of charges in Block.
 func TestThreadHandoffZeroAlloc(t *testing.T) {
-	for _, d := range handoffDrivers {
-		t.Run(d.name, func(t *testing.T) {
+	for _, c := range handoffCases {
+		t.Run(c.name, func(t *testing.T) {
 			s := sim.New()
 			var n, stopAt int
-			pa, pb := pingPong(s, &n, &stopAt)
-			t.Cleanup(pa.Shutdown)
-			t.Cleanup(pb.Shutdown)
-			d.drive(s, &n, &stopAt, 10) // start both threads, size the queues
-			if avg := testing.AllocsPerRun(100, func() { d.drive(s, &n, &stopAt, n+100) }); avg != 0 {
+			for _, p := range pingPong(s, &n, &stopAt, c.pairs, c.charge, c.stagger) {
+				t.Cleanup(p.Shutdown)
+			}
+			driveHandoff(s, &n, &stopAt, 10, c.step) // start the threads, size the queues
+			if avg := testing.AllocsPerRun(100, func() { driveHandoff(s, &n, &stopAt, n+100, c.step) }); avg != 0 {
 				t.Fatalf("100 thread handoffs allocate %.2f objects, budget is 0", avg)
 			}
 		})
@@ -113,19 +140,22 @@ func TestThreadHandoffZeroAlloc(t *testing.T) {
 // BenchmarkThreadHandoff times one thread activation (one op): a
 // dispatch event, then a handoff of the event loop to the thread's
 // goroutine. Under Run that is one goroutine switch; under Step, which
-// takes the loop back after every event, it is two.
+// takes the loop back after every event, it is two. Under RunCharged it
+// is one too: the flush that ends each turn blocks the thread in the
+// goroutine that holds the loop, where a park of its own would cost a
+// second switch.
 func BenchmarkThreadHandoff(b *testing.B) {
-	for _, d := range handoffDrivers {
-		b.Run(d.name, func(b *testing.B) {
+	for _, c := range handoffCases {
+		b.Run(c.name, func(b *testing.B) {
 			s := sim.New()
 			var n, stopAt int
-			pa, pb := pingPong(s, &n, &stopAt)
-			defer pa.Shutdown()
-			defer pb.Shutdown()
-			d.drive(s, &n, &stopAt, 10)
+			for _, p := range pingPong(s, &n, &stopAt, c.pairs, c.charge, c.stagger) {
+				defer p.Shutdown()
+			}
+			driveHandoff(s, &n, &stopAt, 10, c.step)
 			b.ReportAllocs()
 			b.ResetTimer()
-			d.drive(s, &n, &stopAt, n+b.N)
+			driveHandoff(s, &n, &stopAt, n+b.N, c.step)
 		})
 	}
 }
