@@ -92,9 +92,9 @@ func (a *ASP) Setup(h *Harness) func() int64 {
 
 	lo := func(id int) int { return id * n / p }
 	hi := func(id int) int { return (id + 1) * n / p }
-	// owner inverts lo and hi only when p divides n; otherwise a worker
-	// can publish a row another worker owns.
-	owner := func(k int) int { return k * p / n }
+	// owner inverts lo and hi: row k lies in [lo(owner(k)), hi(owner(k)))
+	// for every p <= n, whether or not p divides n.
+	owner := func(k int) int { return ((k+1)*p - 1) / n }
 
 	h.SpawnWorkers(func(rt *orca.Runtime, t *proc.Thread) error {
 		id := rt.ID()

@@ -44,39 +44,41 @@ func TestTSPOracle(t *testing.T) {
 	}
 }
 
-// TestASPOracle runs ASP at an N that is not a multiple of aspRelax's
-// unroll width, so its one-cell tail runs too. N is a multiple of the
-// processor count, which ASP's pivot-row owner assumes.
+// TestASPOracle runs ASP at Ns that are not a multiple of aspRelax's
+// unroll width, so its one-cell tail runs too: N=39, a multiple of the
+// processor count, and N=41, which is not, so strips differ in size and
+// the pivot-row owner must invert the uneven strip bounds.
 func TestASPOracle(t *testing.T) {
-	app := &ASP{N: 39, Seed: 3}
-	cfg := app.defaults()
-	n := cfg.N
-	// Oracle: plain sequential Floyd-Warshall on the same instance.
-	dist := aspInstance(n, cfg.Seed)
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if v := dist[i][k] + dist[k][j]; dist[i][k] < aspInf && v < dist[i][j] {
-					dist[i][j] = v
+	for _, n := range []int{39, 41} {
+		app := &ASP{N: n, Seed: 3}
+		cfg := app.defaults()
+		// Oracle: plain sequential Floyd-Warshall on the same instance.
+		dist := aspInstance(n, cfg.Seed)
+		for k := 0; k < n; k++ {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if v := dist[i][k] + dist[k][j]; dist[i][k] < aspInf && v < dist[i][j] {
+						dist[i][j] = v
+					}
 				}
 			}
 		}
-	}
-	var want int64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if dist[i][j] < aspInf {
-				want += int64(dist[i][j])
+		var want int64
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if dist[i][j] < aspInf {
+					want += int64(dist[i][j])
+				}
 			}
 		}
-	}
-	for _, mode := range panda.AllModes() {
-		res, err := RunApp(app, cluster.Config{Procs: 3, Mode: mode, Seed: 3})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if res.Answer != want {
-			t.Fatalf("%v: distributed ASP = %d, oracle = %d", mode, res.Answer, want)
+		for _, mode := range panda.AllModes() {
+			res, err := RunApp(app, cluster.Config{Procs: 3, Mode: mode, Seed: 3})
+			if err != nil {
+				t.Fatalf("N=%d, %v: %v", n, mode, err)
+			}
+			if res.Answer != want {
+				t.Fatalf("N=%d, %v: distributed ASP = %d, oracle = %d", n, mode, res.Answer, want)
+			}
 		}
 	}
 }
