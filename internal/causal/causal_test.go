@@ -12,18 +12,29 @@ import (
 
 func ms(d int) sim.Time { return sim.Time(time.Duration(d) * time.Millisecond) }
 
+// record feeds one operation through the collector's entry points and
+// returns its completed record.
+func record(c *Collector, id uint64, begin, end sim.Time, spans []span) *Op {
+	c.OpBegin(begin, id, "rpc")
+	rec := c.live[id]
+	for _, s := range spans {
+		c.OpSpan(id, s.ph, s.from, s.to)
+	}
+	c.OpEnd(end, id, false)
+	return rec
+}
+
 // TestDecomposeConservation: whatever the span soup looks like —
 // overlapping, out of order, sticking out past the operation window —
 // the phase durations partition the window exactly.
 func TestDecomposeConservation(t *testing.T) {
-	o := &Op{ID: 1, Kind: "rpc", Begin: ms(10), End: ms(30)}
-	o.spans = []span{
+	o := record(NewCollector(0), 1, ms(10), ms(30), []span{
 		{ph: sim.PhaseWire, from: ms(12), to: ms(18)},
 		{ph: sim.PhaseProtoRecv, from: ms(16), to: ms(20)}, // overlaps wire
 		{ph: sim.PhaseCrossing, from: ms(5), to: ms(11)},   // clipped at begin
 		{ph: sim.PhaseSched, from: ms(28), to: ms(40)},     // clipped at end
 		{ph: sim.PhaseFrag, from: ms(22), to: ms(22)},      // empty, ignored
-	}
+	})
 	d := o.Decompose()
 	var sum int64
 	for _, ns := range d {
@@ -45,21 +56,20 @@ func TestDecomposeConservation(t *testing.T) {
 	if want := int64(2 * time.Millisecond); d[sim.PhaseSched] != want {
 		t.Errorf("sched = %v, want %v", d[sim.PhaseSched], want)
 	}
-	// Uncovered instants [10,11+1=12? -> [11? ...] land in the client bucket.
-	if d[sim.PhaseClient] == 0 {
-		t.Error("no client residual attributed")
+	// The uncovered instants [11,12) and [20,28) land in the client bucket.
+	if want := int64(9 * time.Millisecond); d[sim.PhaseClient] != want {
+		t.Errorf("client = %v, want %v", d[sim.PhaseClient], want)
 	}
 }
 
 // TestDecomposeSequencerPriority: the sequencer's own service outranks
 // every passive phase covering the same instant.
 func TestDecomposeSequencerPriority(t *testing.T) {
-	o := &Op{ID: 2, Kind: "group", Begin: 0, End: ms(10)}
-	o.spans = []span{
+	o := record(NewCollector(0), 2, 0, ms(10), []span{
 		{ph: sim.PhaseWire, from: 0, to: ms(10)},
 		{ph: sim.PhaseSeqQueue, from: ms(2), to: ms(6)},
 		{ph: sim.PhaseSeqService, from: ms(4), to: ms(8)},
-	}
+	})
 	d := o.Decompose()
 	// Service [4,8) outranks both passive covers; queue wait [2,4) is
 	// passive and loses the overlap to wire occupancy (it only claims
@@ -94,8 +104,9 @@ func TestCollectorFlightRecorder(t *testing.T) {
 	}
 	// Recycled records must not leak spans from their previous life.
 	for _, o := range ops {
-		if len(o.spans) != 1 {
-			t.Fatalf("op %d has %d spans, want 1", o.ID, len(o.spans))
+		d := o.Decompose()
+		if ms1 := int64(time.Millisecond); d[sim.PhaseWire] != ms1 || d[sim.PhaseClient] != ms1 {
+			t.Fatalf("op %d: wire %d, client %d, want 1ms each", o.ID, d[sim.PhaseWire], d[sim.PhaseClient])
 		}
 	}
 	if c.Began() != 5 || c.Ended() != 5 || c.Live() != 0 {
@@ -117,8 +128,23 @@ func TestCollectorOrphansAndLateSpans(t *testing.T) {
 	if c.LateSpans() != 1 {
 		t.Fatalf("lateSpans = %d, want 1", c.LateSpans())
 	}
-	if ops := c.Completed(); len(ops) != 1 || len(ops[0].spans) != 0 {
+	ops := c.Completed()
+	if len(ops) != 1 || ops[0].Decompose()[sim.PhaseClient] != ops[0].Latency() {
 		t.Fatalf("late span leaked into completed op")
+	}
+}
+
+// TestCollectorReusedSpansStartEmpty: an operation's span slice goes back
+// to the collector when it ends, and the next operation starts with it
+// empty, so an operation with no spans is all client time even though the
+// previous operation's span reaches into its window.
+func TestCollectorReusedSpansStartEmpty(t *testing.T) {
+	c := NewCollector(0)
+	record(c, 1, 0, ms(4), []span{{ph: sim.PhaseWire, from: ms(1), to: ms(6)}})
+	o := record(c, 2, ms(4), ms(8), nil)
+	want := [sim.NumPhases]int64{sim.PhaseClient: int64(4 * time.Millisecond)}
+	if d := o.Decompose(); d != want {
+		t.Fatalf("op without spans decomposed to %v, want all client", d)
 	}
 }
 

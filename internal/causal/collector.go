@@ -7,15 +7,18 @@
 // Protocol layers emit phase intervals retroactively and independently:
 // they may overlap (a receive interrupt on one machine while a frame is
 // still serializing toward another), arrive out of order, and extend past
-// the operation window. The resolver clips every interval to the
-// operation's [begin, end] window and sweeps it once, giving each instant
-// to the highest-priority phase covering it; instants no interval claims
-// are the client's own think/queue time. The result is an exact partition:
-// the phase durations sum to the end-to-end latency by construction, which
-// the artifact gate asserts (conservation).
+// the operation window. When the operation ends, the resolver clips every
+// interval to the operation's [begin, end] window and sweeps it once,
+// giving each instant to the highest-priority phase covering it; instants
+// no interval claims are the client's own think/queue time. The result is
+// an exact partition: the phase durations sum to the end-to-end latency by
+// construction, which the artifact gate asserts (conservation). A
+// completed operation keeps only those phase totals, not its intervals.
 package causal
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"amoebasim/internal/sim"
@@ -27,15 +30,16 @@ type span struct {
 	from, to sim.Time
 }
 
-// Op is one stitched operation: its window, outcome, and the raw phase
-// intervals attributed to it.
+// Op is one stitched operation: its window, outcome, and the phase
+// intervals attributed to it, which OpEnd folds into phase totals.
 type Op struct {
 	ID     uint64
 	Kind   string // "rpc", "group", "orca.read", "orca.write"
 	Begin  sim.Time
 	End    sim.Time
 	Failed bool
-	spans  []span
+	phases [sim.NumPhases]int64 // set by OpEnd
+	spans  []span               // while live; returned to the collector at OpEnd
 }
 
 // Latency is the operation's end-to-end simulated latency.
@@ -52,6 +56,8 @@ type Collector struct {
 	done   []*Op
 	start  int // ring start when the flight recorder wrapped
 	free   []*Op
+	bufs   [][]span // span slices of ended operations, for the next OpBegin
+	edges  []int64  // decomposition scratch
 
 	began      int64 // operations begun
 	ended      int64 // operations ended
@@ -74,6 +80,10 @@ func (c *Collector) OpBegin(at sim.Time, op uint64, kind string) {
 	rec := c.alloc()
 	rec.ID, rec.Kind, rec.Begin = op, kind, at
 	rec.End, rec.Failed = at, false
+	if n := len(c.bufs); n > 0 {
+		rec.spans = c.bufs[n-1]
+		c.bufs = c.bufs[:n-1]
+	}
 	c.live[op] = rec
 }
 
@@ -87,6 +97,9 @@ func (c *Collector) OpEnd(at sim.Time, op uint64, failed bool) {
 	c.ended++
 	delete(c.live, op)
 	rec.End, rec.Failed = at, failed
+	c.decompose(rec)
+	c.bufs = append(c.bufs, rec.spans[:0])
+	rec.spans = nil
 	c.retire(rec)
 }
 
@@ -94,11 +107,21 @@ func (c *Collector) OpEnd(at sim.Time, op uint64, failed bool) {
 // already ended (or never began) are dropped and counted: the
 // decomposition window is closed at OpEnd, so a charge that elapses later
 // — e.g. protocol cost still pending on a thread when the operation
-// completed — is by definition off the critical path.
+// completed — is by definition off the critical path. A decomposition
+// depends only on the instants each phase covers, so an empty interval is
+// dropped and one that continues the previous interval's phase from its
+// end extends it.
 func (c *Collector) OpSpan(op uint64, ph sim.PhaseID, from, to sim.Time) {
 	rec := c.live[op]
 	if rec == nil {
 		c.lateSpans++
+		return
+	}
+	if to <= from {
+		return
+	}
+	if n := len(rec.spans); n > 0 && rec.spans[n-1].ph == ph && rec.spans[n-1].to == from {
+		rec.spans[n-1].to = to
 		return
 	}
 	rec.spans = append(rec.spans, span{ph: ph, from: from, to: to})
@@ -124,7 +147,6 @@ func (c *Collector) retire(rec *Op) {
 	c.done[c.start] = rec
 	c.start = (c.start + 1) % c.maxOps
 	c.dropped++
-	old.spans = old.spans[:0]
 	c.free = append(c.free, old)
 }
 
@@ -176,58 +198,70 @@ var phasePriority = [sim.NumPhases]int{
 	sim.PhaseClient:     1,
 }
 
-// Decompose partitions the operation's [begin, end] window over the phase
-// set: every instant goes to the highest-priority interval covering it,
-// and uncovered instants go to PhaseClient. The durations sum exactly to
-// the end-to-end latency (conservation by construction).
-func (o *Op) Decompose() [sim.NumPhases]int64 {
-	var out [sim.NumPhases]int64
-	total := o.Latency()
-	if total <= 0 {
-		return out
-	}
-	// Clip to the window, as offsets from begin.
-	type clipped struct {
-		from, to int64
-		ph       sim.PhaseID
-	}
-	spans := make([]clipped, 0, len(o.spans))
-	pts := make([]int64, 0, 2*len(o.spans)+2)
-	pts = append(pts, 0, total)
-	for _, s := range o.spans {
-		from, to := int64(s.from.Sub(o.Begin)), int64(s.to.Sub(o.Begin))
-		if from < 0 {
-			from = 0
-		}
-		if to > total {
-			to = total
-		}
-		if to <= from {
-			continue
-		}
-		spans = append(spans, clipped{from: from, to: to, ph: s.ph})
-		pts = append(pts, from, to)
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
-	// Sweep the elementary intervals between consecutive boundary points;
-	// each is covered wholly or not at all by every span.
-	for i := 0; i+1 < len(pts); i++ {
-		lo, hi := pts[i], pts[i+1]
-		if hi == lo {
-			continue
-		}
-		best, bestPrio := sim.PhaseClient, phasePriority[sim.PhaseClient]
-		for _, s := range spans {
-			if s.from <= lo && s.to >= hi {
-				if p := phasePriority[s.ph]; p > bestPrio {
-					best, bestPrio = s.ph, p
-				}
-			}
-		}
-		out[best] += hi - lo
+// byPriority inverts phasePriority.
+var byPriority = func() (out [sim.NumPhases]sim.PhaseID) {
+	for ph, p := range phasePriority {
+		out[p] = sim.PhaseID(ph)
 	}
 	return out
+}()
+
+// edgeShift packs a span edge into one int64 so that edges sort as plain
+// integers: the edge's offset from the operation's begin in the high bits,
+// then four bits of phase, then 1 for a start and 0 for an end. Offsets
+// below 2^58 ns (about nine years) fit.
+const edgeShift = 5
+
+var _ [16 - sim.NumPhases]struct{} // phases and priorities fit four bits
+
+// decompose partitions the operation's [begin, end] window over the phase
+// set: every instant goes to the highest-priority interval covering it,
+// and uncovered instants go to PhaseClient. It sorts the clipped
+// intervals' edges and sweeps them once, counting the open intervals of
+// each phase; the durations sum exactly to the end-to-end latency
+// (conservation by construction).
+func (c *Collector) decompose(o *Op) {
+	o.phases = [sim.NumPhases]int64{}
+	total := o.Latency()
+	if total <= 0 {
+		return
+	}
+	edges := c.edges[:0]
+	for _, s := range o.spans {
+		from := max(int64(s.from.Sub(o.Begin)), 0)
+		to := min(int64(s.to.Sub(o.Begin)), total)
+		if to > from {
+			ph := int64(s.ph) << 1
+			edges = append(edges, from<<edgeShift|ph|1, to<<edgeShift|ph)
+		}
+	}
+	slices.Sort(edges)
+	var open [sim.NumPhases]int32
+	var covered uint16 // bit p set while a phase of priority p is open
+	client := uint16(1) << phasePriority[sim.PhaseClient]
+	at := int64(0)
+	for _, e := range edges {
+		if x := e >> edgeShift; x > at {
+			o.phases[byPriority[bits.Len16(covered|client)-1]] += x - at
+			at = x
+		}
+		ph := e >> 1 & (1<<(edgeShift-1) - 1)
+		if e&1 == 1 {
+			if open[ph]++; open[ph] == 1 {
+				covered |= 1 << phasePriority[ph]
+			}
+		} else if open[ph]--; open[ph] == 0 {
+			covered &^= 1 << phasePriority[ph]
+		}
+	}
+	o.phases[sim.PhaseClient] += total - at
+	c.edges = edges
 }
+
+// Decompose returns the operation's phase totals, computed when it ended:
+// its [begin, end] window partitioned over the phase set, summing exactly
+// to its end-to-end latency.
+func (o *Op) Decompose() [sim.NumPhases]int64 { return o.phases }
 
 // Agg is one operation kind's aggregated decomposition: phase sums over
 // all successful operations of that kind, conserving totals.
