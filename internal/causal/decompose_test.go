@@ -160,11 +160,12 @@ func TestDecomposeMatchesScan(t *testing.T) {
 	}
 }
 
-// rpcSpans returns a 59-span operation window shaped like a user-space
-// RPC: protocol, wire and scheduling intervals in time order, each
-// followed by run contiguous 6 µs register-window traps. With run 1 no
-// two consecutive spans share a phase; with run 3 OpSpan merges about
-// half of them, as on the benchmark's observed-1000 workload.
+// rpcSpans returns the end of a window that starts at 0 and 59 spans
+// shaped like a user-space RPC's: protocol, wire and scheduling intervals
+// in time order, each followed by run contiguous 6 µs register-window
+// traps. With run 1 no two consecutive spans share a phase; with run 3
+// OpSpan merges about half of them, as on the benchmark's observed-1000
+// workload.
 func rpcSpans(run int) (end sim.Time, spans []span) {
 	phases := []sim.PhaseID{sim.PhaseProtoSend, sim.PhaseFrag, sim.PhaseWire, sim.PhaseProtoRecv, sim.PhaseSched}
 	var at sim.Time
@@ -183,15 +184,6 @@ func rpcSpans(run int) (end sim.Time, spans []span) {
 	return at.Add(10 * time.Microsecond), spans
 }
 
-// traceOp feeds one operation with the given window and spans through c.
-func traceOp(c *Collector, id uint64, end sim.Time, spans []span) {
-	c.OpBegin(0, id, "rpc")
-	for _, s := range spans {
-		c.OpSpan(id, s.ph, s.from, s.to)
-	}
-	c.OpEnd(end, id, false)
-}
-
 // TestCollectorAllocBudget: once its buffers are warm, a collector that
 // keeps every operation spends one allocation per 59-span operation, its
 // completed record; a flight recorder that has wrapped reuses the evicted
@@ -206,7 +198,7 @@ func TestCollectorAllocBudget(t *testing.T) {
 		var id uint64
 		op := func() {
 			id++
-			traceOp(c, id, end, spans)
+			record(c, id, 0, end, spans)
 		}
 		for i := 0; i < 128; i++ {
 			op()
@@ -230,7 +222,7 @@ func BenchmarkCollector(b *testing.B) {
 		if i%1024 == 0 {
 			c = NewCollector(0)
 		}
-		traceOp(c, uint64(i+1), end, spans)
+		record(c, uint64(i+1), 0, end, spans)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(spans)), "ns/span")
 }
