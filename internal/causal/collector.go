@@ -53,6 +53,7 @@ func (o *Op) Latency() int64 { return int64(o.End.Sub(o.Begin)) }
 type Collector struct {
 	maxOps int
 	live   map[uint64]*Op
+	last   *Op // the live operation begun or given a span last, if any
 	done   []*Op
 	start  int // ring start when the flight recorder wrapped
 	free   []*Op
@@ -85,6 +86,7 @@ func (c *Collector) OpBegin(at sim.Time, op uint64, kind string) {
 		c.bufs = c.bufs[:n-1]
 	}
 	c.live[op] = rec
+	c.last = rec
 }
 
 // OpEnd implements sim.CausalTracer.
@@ -96,6 +98,9 @@ func (c *Collector) OpEnd(at sim.Time, op uint64, failed bool) {
 	}
 	c.ended++
 	delete(c.live, op)
+	if c.last == rec {
+		c.last = nil
+	}
 	rec.End, rec.Failed = at, failed
 	c.decompose(rec)
 	c.bufs = append(c.bufs, rec.spans[:0])
@@ -110,12 +115,16 @@ func (c *Collector) OpEnd(at sim.Time, op uint64, failed bool) {
 // completed — is by definition off the critical path. A decomposition
 // depends only on the instants each phase covers, so an empty interval is
 // dropped and one that continues the previous interval's phase from its
-// end extends it.
+// end extends it. Runs of intervals belong to one operation, so the
+// operation of the last one is looked up only when the id changes.
 func (c *Collector) OpSpan(op uint64, ph sim.PhaseID, from, to sim.Time) {
-	rec := c.live[op]
-	if rec == nil {
-		c.lateSpans++
-		return
+	rec := c.last
+	if rec == nil || rec.ID != op {
+		if rec = c.live[op]; rec == nil {
+			c.lateSpans++
+			return
+		}
+		c.last = rec
 	}
 	if to <= from {
 		return

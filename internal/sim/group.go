@@ -28,11 +28,10 @@ package sim
 // worker; successive windows are separated by a WaitGroup barrier, and
 // the outbox row of a partition is written only by the worker currently
 // executing that partition, then read single-threaded at the merge. A
-// partition's window is its own bounded event loop (loop.go): the worker
-// or one of the partition's simulated threads holds it, handing it on by
-// strict handoff, and the goroutine that reaches the window edge hands it
-// back to the worker. So at most one goroutine per partition being
-// executed is runnable at once, always on disjoint partition state.
+// partition's window is its own bounded event loop (loop.go), run on the
+// worker; a simulated thread it activates is a coroutine that runs while
+// the worker waits. So at most one goroutine per partition being executed
+// is running at once, always on disjoint partition state.
 
 import (
 	"fmt"

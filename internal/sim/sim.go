@@ -3,15 +3,14 @@
 // queue with deterministic tie-breaking, and a deterministic random number
 // generator.
 //
-// The simulation is single-threaded by construction. Events run on
-// whichever goroutine holds the event loop: the one that called Run,
-// RunUntil or Step, or a simulated thread's (see internal/proc), which
-// keeps running events after its thread parks. The loop passes from
-// goroutine to goroutine by strict handoff (loop.go), so exactly one of
-// them is runnable at a time and no locking is required anywhere in the
-// simulation. "Driver context", in this and the other packages, means
-// an event callback as opposed to a thread's code, whichever goroutine
-// runs it.
+// The simulation is single-threaded by construction. Events run on the
+// goroutine that called Run, RunUntil or Step, or on the Group worker that
+// runs a partition's window (loop.go). Simulated threads (internal/proc)
+// are coroutines (coro.go) that run only while that goroutine waits for
+// them, so exactly one goroutine per simulator is running at a time and no
+// locking is required anywhere in the simulation. "Driver context", in
+// this and the other packages, means an event callback, which always runs
+// on that goroutine, as opposed to a thread's code.
 package sim
 
 import (
@@ -111,12 +110,7 @@ type Sim struct {
 	seq      uint64
 	q        eventQueue
 	stopped  bool
-	events   uint64  // total events executed
-	last     Time    // the loop's bound: run events at or before last
-	limit    uint64  // while fewer than limit have run in total
-	holder   *Runner // goroutine that holds the event loop
-	driver   Runner  // the goroutine that called Run, RunUntil or Step
-	panicked any     // a thread goroutine's panic, for the driver to re-raise
+	events   uint64 // total events executed
 	tracer   Tracer
 	spans    SpanTracer // tracer, if it also handles spans
 	causal   CausalTracer
@@ -196,7 +190,7 @@ func (s *Sim) traceSpan(ph Phase, span uint64, source, kind, format string, args
 
 // New returns a fresh simulator with the clock at zero.
 func New() *Sim {
-	return &Sim{driver: NewRunner()}
+	return &Sim{}
 }
 
 // Now returns the current simulated time.
@@ -269,7 +263,7 @@ func (s *Sim) Cancel(h Event) bool {
 }
 
 // Step executes the next pending event, advancing the clock to its time.
-// It reports whether an event was executed. If the event activates a
+// It reports whether an event was executed. If the event resumes a
 // simulated thread, Step returns once that thread parks.
 func (s *Sim) Step() bool {
 	n := s.events
