@@ -86,18 +86,26 @@ type grpSendState struct {
 type member struct {
 	k       *Kernel
 	gid     GroupID
-	members []int
+	members []int // the caller's list, shared by every member (read only)
 	seqID   int
 	kind    string // causal operation kind ("group", or a per-shard label)
 	reasm   *flip.Reassembler
+
+	// inbox holds the wires whose protocol interrupt items are queued on
+	// the processor, oldest first. The processor services its interrupt
+	// items in FIFO order, so handleFn, bound once, always finds its wire
+	// at the head and a received packet schedules no closure.
+	inbox    []*grpWire
+	handleFn func()
 
 	// Member state.
 	nextDeliver uint64 // next seqno to deliver; seqnos start at 1
 	holdback    map[uint64]*grpWire
 	bbData      map[bbKey]*grpWire
 	bbAccept    map[bbKey]*grpWire // accepts waiting for their data
-	queue       []*Delivery
+	queue       []Delivery
 	waiters     []*grpRecvWaiter
+	freeWaiters []*grpRecvWaiter // waiters whose GrpReceive has returned
 	sends       map[uint64]*grpSendState
 	tmpSeq      uint64
 	retrTimer   sim.Event
@@ -128,13 +136,15 @@ type grpMetrics struct {
 
 type grpRecvWaiter struct {
 	t   *proc.Thread
-	del *Delivery
+	del Delivery
 }
 
 // GroupConfigure statically sets up group membership on this kernel: the
 // member list, and which kernel runs the sequencer. Every member kernel
 // must be configured identically before traffic starts (the paper's
-// experiments all use static groups).
+// experiments all use static groups). The kernel keeps members itself,
+// without a copy, so one list can serve every member of a large group:
+// the caller must not modify it afterwards.
 func (k *Kernel) GroupConfigure(gid GroupID, members []int, sequencer int) error {
 	found := false
 	for _, m := range members {
@@ -148,7 +158,7 @@ func (k *Kernel) GroupConfigure(gid GroupID, members []int, sequencer int) error
 	mb := &member{
 		k:           k,
 		gid:         gid,
-		members:     append([]int(nil), members...),
+		members:     members,
 		seqID:       sequencer,
 		kind:        "group",
 		reasm:       flip.NewReassembler(k.sim, k.m.RetransTimeout),
@@ -158,6 +168,7 @@ func (k *Kernel) GroupConfigure(gid GroupID, members []int, sequencer int) error
 		bbAccept:    make(map[bbKey]*grpWire),
 		sends:       make(map[uint64]*grpSendState),
 	}
+	mb.handleFn = mb.handleNext
 	if reg := k.sim.Metrics(); reg != nil {
 		lp := metrics.L("proc", k.p.Name())
 		lg := metrics.L("gid", strconv.Itoa(int(gid)))
@@ -221,7 +232,9 @@ func (k *Kernel) GrpSend(t *proc.Thread, gid GroupID, payload any, size int) err
 	// needs no spontaneous acks (they would tax broadcast-heavy phases
 	// with pure overhead).
 	mb.sinceAck = 0
-	k.sim.SpanBeginWith(op, k.p.Name(), "grp.send", "tmp=%d size=%d", ss.tmpID, size)
+	if k.sim.Tracing() {
+		k.sim.SpanBeginWith(op, k.p.Name(), "grp.send", "tmp=%d size=%d", ss.tmpID, size)
+	}
 
 	if mb.seqID == k.id {
 		// The sender is the sequencer machine: sequence locally without
@@ -275,7 +288,9 @@ func (k *Kernel) GrpSend(t *proc.Thread, gid GroupID, payload any, size int) err
 	t.Block()
 
 	delete(mb.sends, ss.tmpID)
-	k.sim.SpanEnd(op, k.p.Name(), "grp.send", "tmp=%d err=%v", ss.tmpID, ss.err)
+	if k.sim.Tracing() {
+		k.sim.SpanEnd(op, k.p.Name(), "grp.send", "tmp=%d err=%v", ss.tmpID, ss.err)
+	}
 	k.leaveKernel(t)
 	if topLevel {
 		k.sim.CausalEnd(op, ss.err != nil)
@@ -286,10 +301,10 @@ func (k *Kernel) GrpSend(t *proc.Thread, gid GroupID, payload any, size int) err
 
 // GrpReceive blocks until the next totally-ordered message is delivered to
 // this member.
-func (k *Kernel) GrpReceive(t *proc.Thread, gid GroupID) (*Delivery, error) {
+func (k *Kernel) GrpReceive(t *proc.Thread, gid GroupID) (Delivery, error) {
 	mb := k.grp[gid]
 	if mb == nil {
-		return nil, fmt.Errorf("akernel: kernel %d is not a member of group %d", k.id, gid)
+		return Delivery{}, fmt.Errorf("akernel: kernel %d is not a member of group %d", k.id, gid)
 	}
 	k.enterKernel(t)
 	if len(mb.queue) > 0 {
@@ -298,11 +313,23 @@ func (k *Kernel) GrpReceive(t *proc.Thread, gid GroupID) (*Delivery, error) {
 		k.leaveKernel(t)
 		return d, nil
 	}
-	w := &grpRecvWaiter{t: t}
+	var w *grpRecvWaiter
+	if n := len(mb.freeWaiters); n > 0 {
+		w = mb.freeWaiters[n-1]
+		mb.freeWaiters = mb.freeWaiters[:n-1]
+	} else {
+		w = &grpRecvWaiter{}
+	}
+	w.t = t
 	mb.waiters = append(mb.waiters, w)
 	t.Block()
+	// Only deliver wakes a receive waiter, after taking it off the list:
+	// once Block returns nothing else holds w.
+	d := w.del
+	*w = grpRecvWaiter{}
+	mb.freeWaiters = append(mb.freeWaiters, w)
 	k.leaveKernel(t)
-	return w.del, nil
+	return d, nil
 }
 
 // GrpDelivered reports the member's delivered watermark.
@@ -357,7 +384,18 @@ func (mb *member) onPacket(pk *flip.Packet) {
 			ph = sim.PhaseSeqService
 		}
 	}
-	k.p.InterruptTagged(k.m.ProtoGroup, w.op, ph, func() { mb.handle(w) })
+	mb.inbox = append(mb.inbox, w)
+	k.p.InterruptTagged(k.m.ProtoGroup, w.op, ph, mb.handleFn)
+}
+
+// handleNext handles the oldest received wire once its protocol interrupt
+// item has been serviced.
+func (mb *member) handleNext() {
+	w := mb.inbox[0]
+	n := copy(mb.inbox, mb.inbox[1:])
+	mb.inbox[n] = nil
+	mb.inbox = mb.inbox[:n]
+	mb.handle(w)
 }
 
 func (mb *member) handle(w *grpWire) {
@@ -424,7 +462,9 @@ func (mb *member) seqHandleREQ(w *grpWire) {
 		kind: gDATA, gid: mb.gid, seqno: mb.seqno, sender: w.sender,
 		tmpID: w.tmpID, op: w.op, payload: w.payload, size: w.size,
 	}
-	mb.k.sim.Trace(mb.k.p.Name(), "grp.seq", "seqno=%d sender=%d size=%d (PB)", mb.seqno, w.sender, w.size)
+	if mb.k.sim.Tracing() {
+		mb.k.sim.Trace(mb.k.p.Name(), "grp.seq", "seqno=%d sender=%d size=%d (PB)", mb.seqno, w.sender, w.size)
+	}
 	mb.seen[key] = mb.seqno
 	mb.history[mb.seqno] = d
 	if mb.mx != nil {
@@ -650,12 +690,14 @@ func (mb *member) onData(w *grpWire) {
 }
 
 func (mb *member) deliver(w *grpWire) {
-	mb.k.sim.Trace(mb.k.p.Name(), "grp.dlv", "seqno=%d sender=%d", w.seqno, w.sender)
+	if mb.k.sim.Tracing() {
+		mb.k.sim.Trace(mb.k.p.Name(), "grp.dlv", "seqno=%d sender=%d", w.seqno, w.sender)
+	}
 	if mb.mx != nil {
 		mb.mx.deliveries.Inc()
 	}
 	mb.nextDeliver = w.seqno + 1
-	d := &Delivery{Sender: w.sender, Seqno: w.seqno, Payload: w.payload, Size: w.size}
+	d := Delivery{Sender: w.sender, Seqno: w.seqno, Payload: w.payload, Size: w.size}
 	if len(mb.waiters) > 0 {
 		rw := mb.waiters[0]
 		mb.waiters = mb.waiters[0:copy(mb.waiters, mb.waiters[1:])]

@@ -15,6 +15,7 @@ type rawModule struct {
 	k         *Kernel
 	queue     []rawEntry
 	waiters   []*rawWaiter
+	free      []*rawWaiter // waiters whose RawReceiveMatch has returned
 	discard   func(*flip.Packet) bool
 	waitPhase func(*flip.Packet) sim.PhaseID
 }
@@ -111,10 +112,21 @@ func (k *Kernel) RawReceiveMatch(t *proc.Thread, match func(*flip.Packet) bool) 
 		}
 	}
 	if pk == nil {
-		w := &rawWaiter{t: t, match: match}
+		var w *rawWaiter
+		if n := len(r.free); n > 0 {
+			w = r.free[n-1]
+			r.free = r.free[:n-1]
+		} else {
+			w = &rawWaiter{}
+		}
+		w.t, w.match = t, match
 		r.waiters = append(r.waiters, w)
 		t.Block()
+		// Only onPacket wakes a raw waiter, after taking it off the list:
+		// once Block returns nothing else holds w.
 		pk = w.pk
+		*w = rawWaiter{}
+		r.free = append(r.free, w)
 	}
 	t.SetOp(pk.Op)
 	t.ChargeP(sim.PhaseCrossing, k.m.RawPathOverhead)

@@ -99,6 +99,7 @@ type rpcModule struct {
 type portState struct {
 	queue   []*rpcWire
 	waiters []*serverWaiter
+	free    []*serverWaiter // waiters whose GetRequest has returned
 }
 
 type serverWaiter struct {
@@ -158,10 +159,12 @@ func (k *Kernel) Trans(t *proc.Thread, port Port, req any, reqSize int) (any, in
 	}
 	start := k.sim.Now()
 	span := op
-	if span != 0 {
-		k.sim.SpanBeginWith(span, k.p.Name(), "rpc.req", "trans seq=%d port=%d size=%d", cs.seq, port, reqSize)
-	} else {
-		span = k.sim.SpanBegin(k.p.Name(), "rpc.req", "trans seq=%d port=%d size=%d", cs.seq, port, reqSize)
+	if k.sim.Tracing() {
+		if span != 0 {
+			k.sim.SpanBeginWith(span, k.p.Name(), "rpc.req", "trans seq=%d port=%d size=%d", cs.seq, port, reqSize)
+		} else {
+			span = k.sim.SpanBegin(k.p.Name(), "rpc.req", "trans seq=%d port=%d size=%d", cs.seq, port, reqSize)
+		}
 	}
 	k.flip.SendFromThread(t, cs.msg)
 	cs.timer = k.sim.Schedule(k.m.RetransTimeout, func() { r.clientTimeout(ch) })
@@ -175,7 +178,9 @@ func (k *Kernel) Trans(t *proc.Thread, port Port, req any, reqSize int) (any, in
 		k.mx.rpcLatency.Observe(k.sim.Now().Sub(start))
 	}
 	if cs.err != nil {
-		k.sim.SpanEnd(span, k.p.Name(), "rpc.fail", "seq=%d err=%v", cs.seq, cs.err)
+		if k.sim.Tracing() {
+			k.sim.SpanEnd(span, k.p.Name(), "rpc.fail", "seq=%d err=%v", cs.seq, cs.err)
+		}
 		if k.mx != nil {
 			k.mx.rpcFailures.Inc()
 		}
@@ -186,7 +191,9 @@ func (k *Kernel) Trans(t *proc.Thread, port Port, req any, reqSize int) (any, in
 		}
 		return nil, 0, cs.err
 	}
-	k.sim.SpanEnd(span, k.p.Name(), "rpc.done", "seq=%d size=%d", cs.seq, cs.repSize)
+	if k.sim.Tracing() {
+		k.sim.SpanEnd(span, k.p.Name(), "rpc.done", "seq=%d size=%d", cs.seq, cs.repSize)
+	}
 	k.leaveKernel(t)
 	if topLevel {
 		k.sim.CausalEnd(op, false)
@@ -241,10 +248,21 @@ func (k *Kernel) GetRequest(t *proc.Thread, port Port) *Request {
 		k.leaveKernel(t)
 		return req
 	}
-	sw := &serverWaiter{t: t}
+	var sw *serverWaiter
+	if n := len(ps.free); n > 0 {
+		sw = ps.free[n-1]
+		ps.free = ps.free[:n-1]
+	} else {
+		sw = &serverWaiter{}
+	}
+	sw.t = t
 	ps.waiters = append(ps.waiters, sw)
 	t.Block()
+	// Only handleREQ wakes a server waiter, after taking it off the list:
+	// once Block returns nothing else holds sw.
 	req := sw.req
+	*sw = serverWaiter{}
+	ps.free = append(ps.free, sw)
 	k.leaveKernel(t)
 	return req
 }
@@ -276,7 +294,9 @@ func (k *Kernel) PutReply(t *proc.Thread, req *Request, reply any, size int) {
 	sc.cachedRep = &msg
 	t.ChargeP(sim.PhaseProtoSend, k.m.ProtoRPC)
 	k.flip.SendFromThread(t, msg)
-	k.sim.SpanEnd(req.op, k.p.Name(), "rpc.served", "seq=%d size=%d", req.seq, size)
+	if k.sim.Tracing() {
+		k.sim.SpanEnd(req.op, k.p.Name(), "rpc.served", "seq=%d size=%d", req.seq, size)
+	}
 	k.leaveKernel(t)
 	if t.Op() == req.op {
 		t.SetOp(0)
@@ -342,8 +362,10 @@ func (r *rpcModule) handleREQ(w *rpcWire) {
 	case w.seq == sc.inFlight:
 		return // duplicate of an in-progress call
 	}
-	k.sim.Trace(k.p.Name(), "rpc.serve", "seq=%d from=%d size=%d", w.seq, w.ch.kernel, w.size)
-	k.sim.SpanBeginWith(w.op, k.p.Name(), "rpc.serve", "seq=%d from=%d size=%d", w.seq, w.ch.kernel, w.size)
+	if k.sim.Tracing() {
+		k.sim.Trace(k.p.Name(), "rpc.serve", "seq=%d from=%d size=%d", w.seq, w.ch.kernel, w.size)
+		k.sim.SpanBeginWith(w.op, k.p.Name(), "rpc.serve", "seq=%d from=%d size=%d", w.seq, w.ch.kernel, w.size)
+	}
 	if k.mx != nil {
 		k.mx.rpcServes.Inc()
 	}
@@ -386,7 +408,9 @@ func (r *rpcModule) handleREP(w *rpcWire) {
 	}
 	cs.done = true
 	k.sim.Cancel(cs.timer)
-	k.sim.Trace(k.p.Name(), "rpc.rep", "seq=%d size=%d (direct delivery)", w.seq, w.size)
+	if k.sim.Tracing() {
+		k.sim.Trace(k.p.Name(), "rpc.rep", "seq=%d size=%d (direct delivery)", w.seq, w.size)
+	}
 	cs.reply = w.payload
 	cs.repSize = w.size
 	// Amoeba delivers the reply directly to the blocked client thread:

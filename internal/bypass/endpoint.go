@@ -65,6 +65,7 @@ type Endpoint struct {
 	reasm   *reassembler
 	rxq     []rxEntry
 	waiters []*waiter
+	free    []*waiter // waiters whose receive has returned
 	discard func(*bfrag) bool
 	msgSeq  uint64
 
@@ -366,11 +367,24 @@ func (e *Endpoint) receive(t *proc.Thread, match func(*bfrag) bool, ph sim.Phase
 		}
 	}
 	if f == nil {
-		w := &waiter{t: t, match: match, ph: ph, at: e.sim.Now()}
+		var w *waiter
+		if n := len(e.free); n > 0 {
+			w = e.free[n-1]
+			e.free = e.free[:n-1]
+		} else {
+			w = &waiter{}
+		}
+		w.t, w.match, w.ph, w.at = t, match, ph, e.sim.Now()
 		e.waiters = append(e.waiters, w)
 		t.Block()
+		// Only deliver wakes a waiter, after taking it off the list (on the
+		// interrupt path its handler unblocks t, so it has run): once Block
+		// returns nothing else holds w.
 		f = w.f
-		if w.polled {
+		polled := w.polled
+		*w = waiter{}
+		e.free = append(e.free, w)
+		if polled {
 			t.ChargeP(sim.PhasePollSpin, e.m.PollCheck)
 		}
 	} else {

@@ -127,7 +127,7 @@ func (g *group) send(t *proc.Thread, payload any, size int) error {
 	ss := &bgsend{t: t, tmpID: g.tmpSeq, msgID: e.nextMsgID(), op: op, wire: w}
 	g.sends[ss.tmpID] = ss
 
-	if op != 0 {
+	if op != 0 && e.sim.Tracing() {
 		e.sim.SpanBeginWith(op, e.p.Name(), "bgrp.send", "tmp=%d size=%d", ss.tmpID, size)
 	}
 	t.Call(bypassDepth)
@@ -138,7 +138,7 @@ func (g *group) send(t *proc.Thread, payload any, size int) error {
 	ss.armedAt = e.sim.Now()
 
 	t.Block()
-	if op != 0 {
+	if op != 0 && e.sim.Tracing() {
 		e.sim.SpanEnd(op, e.p.Name(), "bgrp.send", "tmp=%d err=%v", ss.tmpID, ss.err)
 	}
 	if topLevel {
@@ -217,7 +217,9 @@ func (g *group) onData(t *proc.Thread, w *bwire) {
 
 func (g *group) deliver(t *proc.Thread, w *bwire) {
 	e := g.e
-	e.sim.Trace(e.p.Name(), "bgrp.dlv", "seqno=%d sender=%d", w.seq, w.from)
+	if e.sim.Tracing() {
+		e.sim.Trace(e.p.Name(), "bgrp.dlv", "seqno=%d sender=%d", w.seq, w.from)
+	}
 	g.nextDeliver = w.seq + 1
 	if g.isMember() && g.handler != nil {
 		g.handler(t, w.from, w.seq, w.payload, w.size)
@@ -326,7 +328,9 @@ func (g *group) seqHandle(t *proc.Thread, w *bwire) {
 		}
 		g.seqno++
 		d := &bwire{kind: bgDATA, gid: g.gid, from: w.from, seq: g.seqno, tmpID: w.tmpID, payload: w.payload, size: w.size}
-		e.sim.Trace(e.p.Name(), "bgrp.seq", "seqno=%d sender=%d size=%d (PB)", g.seqno, w.from, w.size)
+		if e.sim.Tracing() {
+			e.sim.Trace(e.p.Name(), "bgrp.seq", "seqno=%d sender=%d size=%d (PB)", g.seqno, w.from, w.size)
+		}
 		g.seen[key] = g.seqno
 		g.history[g.seqno] = d
 		e.post(t, -1, e.m.GroupHeaderUser, d, e.nextMsgID(), true)

@@ -120,10 +120,12 @@ func (e *Endpoint) Call(t *proc.Thread, dest int, req any, size int) (any, int, 
 	c.inflight = cs
 
 	span := op
-	if span != 0 {
-		e.sim.SpanBeginWith(span, e.p.Name(), "brpc.req", "seq=%d dest=%d size=%d ack=%d", c.seq, dest, size, ack)
-	} else {
-		span = e.sim.SpanBegin(e.p.Name(), "brpc.req", "seq=%d dest=%d size=%d ack=%d", c.seq, dest, size, ack)
+	if e.sim.Tracing() {
+		if span != 0 {
+			e.sim.SpanBeginWith(span, e.p.Name(), "brpc.req", "seq=%d dest=%d size=%d ack=%d", c.seq, dest, size, ack)
+		} else {
+			span = e.sim.SpanBegin(e.p.Name(), "brpc.req", "seq=%d dest=%d size=%d ack=%d", c.seq, dest, size, ack)
+		}
 	}
 	t.Call(bypassDepth)
 	t.ChargeP(sim.PhaseProtoSend, e.m.ProtoRPC)
@@ -135,10 +137,12 @@ func (e *Endpoint) Call(t *proc.Thread, dest int, req any, size int) (any, int, 
 
 	// Woken by the queue-pair consumer with the reply filled in.
 	c.inflight = nil
-	if cs.err != nil {
-		e.sim.SpanEnd(span, e.p.Name(), "brpc.fail", "seq=%d err=%v", cs.seq, cs.err)
-	} else {
-		e.sim.SpanEnd(span, e.p.Name(), "brpc.done", "seq=%d size=%d", cs.seq, cs.repSize)
+	if e.sim.Tracing() {
+		if cs.err != nil {
+			e.sim.SpanEnd(span, e.p.Name(), "brpc.fail", "seq=%d err=%v", cs.seq, cs.err)
+		} else {
+			e.sim.SpanEnd(span, e.p.Name(), "brpc.done", "seq=%d size=%d", cs.seq, cs.repSize)
+		}
 	}
 	if topLevel {
 		e.sim.CausalEnd(op, cs.err != nil)
@@ -208,7 +212,9 @@ func (r *bypassRPC) clientTimeout(c *bchan, cs *bcall) {
 
 func (r *bypassRPC) sendExplicitAck(t *proc.Thread, dest int, seq uint64) {
 	e := r.e
-	e.sim.Trace(e.p.Name(), "brpc.ack", "explicit ack seq=%d dest=%d", seq, dest)
+	if e.sim.Tracing() {
+		e.sim.Trace(e.p.Name(), "brpc.ack", "explicit ack seq=%d dest=%d", seq, dest)
+	}
 	w := &bwire{kind: bACK, from: e.id, ackSeq: seq}
 	t.Call(bypassDepth)
 	t.Charge(e.m.ProtoRPC)
@@ -235,11 +241,15 @@ func (r *bypassRPC) handleREQ(t *proc.Thread, w *bwire) {
 	}
 	s.inFlight = w.seq
 	t.ChargeP(sim.PhaseProtoRecv, e.m.ProtoRPC)
-	e.sim.Trace(e.p.Name(), "brpc.upcall", "seq=%d from=%d size=%d", w.seq, w.from, w.size)
+	if e.sim.Tracing() {
+		e.sim.Trace(e.p.Name(), "brpc.upcall", "seq=%d from=%d size=%d", w.seq, w.from, w.size)
+	}
 	if r.handler == nil {
 		return
 	}
-	e.sim.SpanBeginWith(t.Op(), e.p.Name(), "brpc.serve", "seq=%d from=%d", w.seq, w.from)
+	if e.sim.Tracing() {
+		e.sim.SpanBeginWith(t.Op(), e.p.Name(), "brpc.serve", "seq=%d from=%d", w.seq, w.from)
+	}
 	ctx := panda.NewRPCContext(w.from, &bypCtx{seq: w.seq, from: w.from, op: t.Op()})
 	r.handler(t, ctx, w.payload, w.size)
 }
@@ -272,7 +282,7 @@ func (e *Endpoint) Reply(t *proc.Thread, ctx *panda.RPCContext, payload any, siz
 	t.ChargeP(sim.PhaseProtoSend, e.m.ProtoRPC)
 	e.post(t, c.from, e.m.RPCHeaderUser, w, s.cachedMsgID, false)
 	t.Return(bypassDepth)
-	if c.op != 0 {
+	if c.op != 0 && e.sim.Tracing() {
 		e.sim.SpanEnd(c.op, e.p.Name(), "brpc.serve", "seq=%d", c.seq)
 	}
 	t.SetOp(prevOp)
@@ -302,7 +312,9 @@ func (r *bypassRPC) handleREP(t *proc.Thread, w *bwire) {
 	cs.reply = w.payload
 	cs.repSize = w.size
 	t.ChargeP(sim.PhaseProtoRecv, r.e.m.ProtoRPC)
-	r.e.sim.Trace(r.e.p.Name(), "brpc.rep", "seq=%d size=%d (consumer resumes client)", w.seq, w.size)
+	if r.e.sim.Tracing() {
+		r.e.sim.Trace(r.e.p.Name(), "brpc.rep", "seq=%d size=%d (consumer resumes client)", w.seq, w.size)
+	}
 	t.Flush()
 	cs.t.UnblockDirect()
 }

@@ -4,6 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"amoebasim/internal/ether"
+	"amoebasim/internal/model"
+	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
 )
 
@@ -43,5 +46,35 @@ func TestSeqTrafficClassifierZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("seqTraffic allocates %.2f objects/op, budget is 0", avg)
+	}
+}
+
+// TestBlockingReceiveZeroAlloc: a warm completion-queue consumer that
+// blocks in receive until its fragment arrives reuses its waiter, so a
+// polled pickup allocates nothing per fragment.
+func TestBlockingReceiveZeroAlloc(t *testing.T) {
+	s := sim.New()
+	m := model.Calibrated()
+	net := ether.New(s, m, 1, 1)
+	p := proc.New(s, m, 0, "cpu0")
+	t.Cleanup(p.Shutdown)
+	e, err := New(p, net, 0, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var received int
+	e.HandleRaw(func(*proc.Thread, int, any, int) { received++ })
+	s.Run() // the consumer blocks on the empty completion queue
+	f := &bfrag{w: &bwire{kind: bRAW, from: 1, size: 64}, src: 1, dst: 0, msgID: 7, nfrags: 1, length: 64}
+	deliver := func() {
+		e.deliver(f)
+		s.Run()
+	}
+	deliver() // warm the waiter list and free list
+	if avg := testing.AllocsPerRun(200, deliver); avg != 0 {
+		t.Fatalf("a blocking receive allocates %.2f objects/fragment, budget is 0", avg)
+	}
+	if received != 202 {
+		t.Fatalf("consumer picked up %d fragments, want 202", received)
 	}
 }

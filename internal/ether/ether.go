@@ -95,9 +95,9 @@ type Segment struct {
 	frames int64
 	bytes  int64
 
-	// hops is the free list of delivery records (see hop) returned by
-	// events that fired on this segment.
-	hops []*hop
+	// hops is the free list of delivery records (see hop) shared by the
+	// segments of this segment's partition.
+	hops *hopPool
 
 	mxFrames *metrics.Counter // ether.segment_frames{seg=N}
 	mxBusyUS *metrics.Counter // ether.segment_busy_us{seg=N}
@@ -108,10 +108,12 @@ type Segment struct {
 // pool's switch forward onto segment on, the delivery to one NIC, or the
 // coalesced fault-free broadcast delivery to every NIC of on. Its
 // callback is bound once, so scheduling a step allocates nothing once
-// the pools are warm. A record is taken from the pool of the segment
-// whose event schedules the step and returned to the pool of the segment
-// it fires on; each pool is therefore touched only by events of its own
-// partition, and partitioned execution needs no locks.
+// the pool is warm. A record is taken from the pool of the partition
+// whose event schedules the step and returned to the pool of the
+// partition it fires on; each pool is therefore touched only by events of
+// its own partition, and partitioned execution needs no locks. All the
+// segments of one partition share its pool, so a broadcast's forwards
+// return their records to the pool they came from.
 type hop struct {
 	n    *Network
 	kind hopKind
@@ -131,19 +133,25 @@ const (
 	hopFlood
 )
 
-// maxPooledHops bounds a segment's free list. Records drift from
-// segments that send more forwards than they receive to the others, so
+// hopPool is the free list of one partition's hop records.
+type hopPool struct {
+	free []*hop
+}
+
+// maxPooledHops bounds a partition's free list. Records drift from
+// partitions that send more forwards than they receive to the others, so
 // without a bound a one-way stream would grow its receiver's pool
 // forever; past it, a returned record is left to the garbage collector.
+// Within one partition records never drift.
 const maxPooledHops = 256
 
 // schedule fires a step of the given kind on segment on at instant at,
 // from an event running on segment from's partition.
 func (n *Network) schedule(kind hopKind, from, on *Segment, at sim.Time, fr Frame, nic *NIC) {
 	var h *hop
-	if k := len(from.hops); k > 0 {
-		h = from.hops[k-1]
-		from.hops = from.hops[:k-1]
+	if p := from.hops; len(p.free) > 0 {
+		h = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
 	} else {
 		h = &hop{n: n}
 		h.fire = h.run
@@ -153,12 +161,12 @@ func (n *Network) schedule(kind hopKind, from, on *Segment, at sim.Time, fr Fram
 }
 
 // run performs the step, recycling the record into the pool of the
-// segment it fired on first, so the step's own sends can reuse it.
+// partition it fired on first, so the step's own sends can reuse it.
 func (h *hop) run() {
 	x := *h
 	h.fr, h.from, h.nic = Frame{}, nil, nil
-	if len(x.on.hops) < maxPooledHops {
-		x.on.hops = append(x.on.hops, h)
+	if p := x.on.hops; len(p.free) < maxPooledHops {
+		p.free = append(p.free, h)
 	}
 	switch x.kind {
 	case hopForward:
@@ -257,6 +265,7 @@ func New(s *sim.Sim, m *model.CostModel, segments int, seed uint64) *Network {
 		segments = 1
 	}
 	n := &Network{sim: s, m: m, rng: sim.NewRand(seed)}
+	pool := &hopPool{}
 	if reg := s.Metrics(); reg != nil {
 		n.mx = &netMetrics{
 			framesSent:   reg.Counter("ether.frames_sent"),
@@ -268,7 +277,7 @@ func New(s *sim.Sim, m *model.CostModel, segments int, seed uint64) *Network {
 		}
 	}
 	for i := 0; i < segments; i++ {
-		seg := &Segment{id: i, sm: s}
+		seg := &Segment{id: i, sm: s, hops: pool}
 		if reg := s.Metrics(); reg != nil {
 			l := metrics.L("seg", strconv.Itoa(i))
 			seg.mxFrames = reg.Counter("ether.segment_frames", l)
@@ -321,13 +330,19 @@ func (n *Network) Hierarchical() bool { return n.uplinks != nil }
 // cross-partition ScheduleOn sends. segSim must have one entry per
 // segment; upSim one per switch group (ignored when flat). In a
 // hierarchy every segment of one switch group must map to that group's
-// uplink simulator — the group is the unit of parallelism.
+// uplink simulator — the group is the unit of parallelism. The segments
+// of one simulator share one pool of hop records.
 func (n *Network) Partition(segSim, upSim []*sim.Sim) {
 	if len(segSim) != len(n.segments) {
 		panic(fmt.Sprintf("ether: Partition with %d segment sims for %d segments", len(segSim), len(n.segments)))
 	}
+	pools := make(map[*sim.Sim]*hopPool)
 	for i, seg := range n.segments {
 		seg.sm = segSim[i]
+		if pools[seg.sm] == nil {
+			pools[seg.sm] = &hopPool{}
+		}
+		seg.hops = pools[seg.sm]
 	}
 	if n.uplinks == nil {
 		return

@@ -73,6 +73,35 @@ func TestUnicastForwardZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFlatBroadcastForwardZeroAlloc: a broadcast from one segment of a
+// flat 8-segment pool, forwarded by the switch onto the 7 others and
+// flooded on each, allocates nothing once warm. The segments share one
+// partition's record pool, so the 7 forwards the source segment takes
+// return to the pool it takes them from; with a pool per segment each
+// forward's record and its bound callback were left to the collector.
+func TestFlatBroadcastForwardZeroAlloc(t *testing.T) {
+	s := sim.New()
+	n := New(s, model.Calibrated(), 8, 1)
+	for seg := 0; seg < 8; seg++ {
+		for i := 0; i < 4; i++ {
+			if _, err := n.AddNIC(seg, func(fr Frame) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send := func() {
+		n.NIC(0).Send(Frame{Dst: Broadcast, Size: 128})
+		s.Run()
+	}
+	send() // warm the pool
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("a broadcast across 8 segments allocates %.2f objects/frame, budget is 0", avg)
+	}
+	if _, _, rx, _ := n.NIC(31).Stats(); rx != 202 {
+		t.Fatalf("station 31 received %d frames, want 202", rx)
+	}
+}
+
 // BenchmarkSegmentBatchDelivery measures one broadcast frame delivered
 // to a 32-station segment end to end.
 func BenchmarkSegmentBatchDelivery(b *testing.B) {

@@ -111,7 +111,9 @@ type GroupHandler func(t *proc.Thread, sender int, seqno uint64, payload any, si
 type GroupSpec struct {
 	// GID is the group id (0 is the default group GroupSend uses).
 	GID int
-	// Members are the processor ids belonging to the group.
+	// Members are the processor ids belonging to the group. Every
+	// transport keeps the slice itself, so the specs of one pool can share
+	// one list; it must not be modified after set-up.
 	Members []int
 	// Sequencer is the processor id sequencing this group's traffic.
 	Sequencer int

@@ -181,7 +181,7 @@ func (g *userGroup) send(t *proc.Thread, payload any, size int, blocking bool) e
 			u.mx.grpPBSends.Inc()
 		}
 	}
-	if op != 0 && blocking {
+	if op != 0 && blocking && u.sim.Tracing() {
 		u.sim.SpanBeginWith(op, u.p.Name(), "pgrp.send", "tmp=%d size=%d", ss.tmpID, size)
 	}
 	t.Call(pandaDepth)
@@ -201,7 +201,7 @@ func (g *userGroup) send(t *proc.Thread, payload any, size int, blocking bool) e
 		return nil
 	}
 	t.Block()
-	if op != 0 {
+	if op != 0 && u.sim.Tracing() {
 		u.sim.SpanEnd(op, u.p.Name(), "pgrp.send", "tmp=%d err=%v", ss.tmpID, ss.err)
 	}
 	if topLevel {
@@ -328,7 +328,9 @@ func (g *userGroup) onData(t *proc.Thread, w *uwire) {
 
 func (g *userGroup) deliver(t *proc.Thread, w *uwire) {
 	u := g.u
-	u.sim.Trace(u.p.Name(), "pgrp.dlv", "seqno=%d sender=%d", w.seq, w.from)
+	if u.sim.Tracing() {
+		u.sim.Trace(u.p.Name(), "pgrp.dlv", "seqno=%d sender=%d", w.seq, w.from)
+	}
 	if u.mx != nil {
 		u.mx.grpDeliveries.Inc()
 	}
@@ -461,7 +463,9 @@ func (g *userGroup) seqHandle(t *proc.Thread, w *uwire) {
 		}
 		g.seqno++
 		d := &uwire{kind: ugDATA, gid: g.gid, from: w.from, seq: g.seqno, tmpID: w.tmpID, payload: w.payload, size: w.size}
-		u.sim.Trace(u.p.Name(), "pgrp.seq", "seqno=%d sender=%d size=%d (PB)", g.seqno, w.from, w.size)
+		if u.sim.Tracing() {
+			u.sim.Trace(u.p.Name(), "pgrp.seq", "seqno=%d sender=%d size=%d (PB)", g.seqno, w.from, w.size)
+		}
 		g.seen[key] = g.seqno
 		g.history[g.seqno] = d
 		if g.seqHistory != nil {

@@ -126,10 +126,12 @@ func (u *User) Call(t *proc.Thread, dest int, req any, size int) (any, int, erro
 	}
 	start := u.sim.Now()
 	span := op
-	if span != 0 {
-		u.sim.SpanBeginWith(span, u.p.Name(), "prpc.req", "seq=%d dest=%d size=%d ack=%d", c.seq, dest, size, ack)
-	} else {
-		span = u.sim.SpanBegin(u.p.Name(), "prpc.req", "seq=%d dest=%d size=%d ack=%d", c.seq, dest, size, ack)
+	if u.sim.Tracing() {
+		if span != 0 {
+			u.sim.SpanBeginWith(span, u.p.Name(), "prpc.req", "seq=%d dest=%d size=%d ack=%d", c.seq, dest, size, ack)
+		} else {
+			span = u.sim.SpanBegin(u.p.Name(), "prpc.req", "seq=%d dest=%d size=%d ack=%d", c.seq, dest, size, ack)
+		}
 	}
 	t.Call(pandaDepth)
 	t.ChargeP(sim.PhaseProtoSend, u.m.ProtoRPC)
@@ -148,10 +150,12 @@ func (u *User) Call(t *proc.Thread, dest int, req any, size int) (any, int, erro
 			u.mx.rpcFailures.Inc()
 		}
 	}
-	if cs.err != nil {
-		u.sim.SpanEnd(span, u.p.Name(), "prpc.fail", "seq=%d err=%v", cs.seq, cs.err)
-	} else {
-		u.sim.SpanEnd(span, u.p.Name(), "prpc.done", "seq=%d size=%d", cs.seq, cs.repSize)
+	if u.sim.Tracing() {
+		if cs.err != nil {
+			u.sim.SpanEnd(span, u.p.Name(), "prpc.fail", "seq=%d err=%v", cs.seq, cs.err)
+		} else {
+			u.sim.SpanEnd(span, u.p.Name(), "prpc.done", "seq=%d size=%d", cs.seq, cs.repSize)
+		}
 	}
 	if topLevel {
 		u.sim.CausalEnd(op, cs.err != nil)
@@ -235,7 +239,9 @@ func (r *userRPC) clientTimeout(c *uchan, cs *ucall) {
 
 func (r *userRPC) sendExplicitAck(t *proc.Thread, dest int, seq uint64) {
 	u := r.u
-	u.sim.Trace(u.p.Name(), "prpc.ack", "explicit ack seq=%d dest=%d", seq, dest)
+	if u.sim.Tracing() {
+		u.sim.Trace(u.p.Name(), "prpc.ack", "explicit ack seq=%d dest=%d", seq, dest)
+	}
 	if u.mx != nil {
 		u.mx.acksExplicit.Inc()
 	}
@@ -266,14 +272,18 @@ func (r *userRPC) handleREQ(t *proc.Thread, w *uwire) {
 	}
 	s.inFlight = w.seq
 	t.ChargeP(sim.PhaseProtoRecv, u.m.ProtoRPC)
-	u.sim.Trace(u.p.Name(), "prpc.upcall", "seq=%d from=%d size=%d", w.seq, w.from, w.size)
+	if u.sim.Tracing() {
+		u.sim.Trace(u.p.Name(), "prpc.upcall", "seq=%d from=%d size=%d", w.seq, w.from, w.size)
+	}
 	if u.mx != nil {
 		u.mx.rpcUpcalls.Inc()
 	}
 	if r.handler == nil {
 		return
 	}
-	u.sim.SpanBeginWith(t.Op(), u.p.Name(), "prpc.serve", "seq=%d from=%d", w.seq, w.from)
+	if u.sim.Tracing() {
+		u.sim.SpanBeginWith(t.Op(), u.p.Name(), "prpc.serve", "seq=%d from=%d", w.seq, w.from)
+	}
 	ctx := &RPCContext{From: w.from, impl: &usrCtx{seq: w.seq, from: w.from, op: t.Op()}}
 	r.handler(t, ctx, w.payload, w.size)
 }
@@ -309,7 +319,7 @@ func (u *User) Reply(t *proc.Thread, ctx *RPCContext, payload any, size int) {
 	t.ChargeP(sim.PhaseFrag, u.m.FragLayer)
 	u.k.RawSend(t, akernel.RawAddress(c.from), s.cachedMsgID, u.m.RPCHeaderUser, size, w, false)
 	t.Return(pandaDepth)
-	if c.op != 0 {
+	if c.op != 0 && u.sim.Tracing() {
 		u.sim.SpanEnd(c.op, u.p.Name(), "prpc.serve", "seq=%d", c.seq)
 	}
 	t.SetOp(prevOp)
@@ -340,7 +350,9 @@ func (r *userRPC) handleREP(t *proc.Thread, w *uwire) {
 	cs.reply = w.payload
 	cs.repSize = w.size
 	t.ChargeP(sim.PhaseProtoRecv, r.u.m.ProtoRPC)
-	r.u.sim.Trace(r.u.p.Name(), "prpc.rep", "seq=%d size=%d (daemon signals client)", w.seq, w.size)
+	if r.u.sim.Tracing() {
+		r.u.sim.Trace(r.u.p.Name(), "prpc.rep", "seq=%d size=%d (daemon signals client)", w.seq, w.size)
+	}
 	t.Syscall()
 	t.Flush()
 	cs.t.Unblock()

@@ -157,6 +157,37 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestFinishedThreadsAreDropped: a processor keeps only its unfinished
+// threads. 20,000 threads run to completion on one processor leave none
+// behind, while the ones still blocked stay until Shutdown ends them.
+func TestFinishedThreadsAreDropped(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := sim.New()
+	p := New(s, model.Calibrated(), 0, "cpu0")
+	var blocked []*Thread
+	for i := 0; i < 20000; i++ {
+		p.NewThread("request", PrioNormal, func(th *Thread) { th.Compute(time.Microsecond) })
+		if i%5000 == 0 {
+			blocked = append(blocked, p.NewThread("blocked", PrioNormal, func(th *Thread) { th.Block() }))
+		}
+	}
+	s.Run()
+	if got := p.Stats().ThreadsDone; got != 20000 {
+		t.Fatalf("%d threads finished, want 20000", got)
+	}
+	if len(p.threads) != len(blocked) {
+		t.Fatalf("processor keeps %d threads after 20000 finished, want the %d blocked ones", len(p.threads), len(blocked))
+	}
+	for i, th := range p.threads {
+		if th.Finished() || th.slot != i {
+			t.Fatalf("thread %q at slot %d: finished %v, slot field %d", th.name, i, th.Finished(), th.slot)
+		}
+	}
+	p.Shutdown()
+	waitDone(t, blocked...)
+	waitGoroutines(t, base)
+}
+
 // TestEventPanicWhileThreadComputesReachesRun: while a thread computes,
 // its goroutine runs the event loop, so an event that panics panics on
 // that goroutine. The panic reaches the goroutine that called Run, and

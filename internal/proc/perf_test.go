@@ -236,24 +236,17 @@ func TestNewThreadAllocBudget(t *testing.T) {
 
 // BenchmarkNewThread times a thread's whole life (one op): NewThread, the
 // first dispatch, which makes the thread's coroutine and resumes it, and
-// the end of a body that returns at once. A processor keeps every thread
-// it made, so a fresh one takes over every 1024 threads.
+// the end of a body that returns at once.
 func BenchmarkNewThread(b *testing.B) {
 	m := model.Calibrated()
 	for _, ctor := range coroCtors {
 		b.Run("Life"+ctor.suffix, func(b *testing.B) {
 			withCoro(ctor.new, func() {
-				var s *sim.Sim
-				var p *Processor
+				s := sim.New()
+				p := New(s, m, 0, "cpu0")
 				body := func(*Thread) {}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if i%1024 == 0 {
-						b.StopTimer()
-						s = sim.New()
-						p = New(s, m, 0, "cpu0")
-						b.StartTimer()
-					}
 					p.NewThread("t", PrioNormal, body)
 					s.Run()
 				}

@@ -62,7 +62,7 @@ type Processor struct {
 	serviceFn  func()
 	dispatchFn func()
 
-	threads []*Thread
+	threads []*Thread // unfinished threads, each at its slot
 	nextTID int
 
 	trace []string
@@ -375,8 +375,8 @@ func (p *Processor) dispatch() {
 
 // activate gives the CPU to t and resumes t's coroutine, made here at
 // t's first dispatch, which runs t's code until t parks or finishes. A
-// finished thread drops its coroutine and body: the processor keeps the
-// thread, and the open-loop workload engine makes one per request.
+// finished thread drops its coroutine and body, and the processor drops
+// the thread: the open-loop workload engine makes one per request.
 //
 // If t's compute was Block's flush, t's code has nothing left to do but
 // block, so activate blocks it here, in driver context, which saves two
@@ -403,7 +403,19 @@ func (p *Processor) activate(t *Thread) {
 	}
 	if !t.co.Resume() {
 		t.co, t.body = nil, nil
+		p.forget(t)
 	}
+}
+
+// forget removes the finished thread t from p.threads, moving the last
+// thread into its slot.
+func (p *Processor) forget(t *Thread) {
+	last := len(p.threads) - 1
+	moved := p.threads[last]
+	p.threads[t.slot] = moved
+	moved.slot = t.slot
+	p.threads[last] = nil
+	p.threads = p.threads[:last]
 }
 
 // release takes the CPU from t, which blocks, and arranges the next

@@ -39,6 +39,7 @@ type Thread struct {
 
 	body   func(*Thread)
 	co     *sim.Coro // runs body; nil until the first dispatch and once done
+	slot   int       // index in p.threads until the thread finishes
 	dead   chan struct{}
 	killed bool
 
@@ -118,6 +119,7 @@ func (p *Processor) NewThread(name string, prio Priority, body func(t *Thread)) 
 	}
 	t.computeDoneFn = func() { p.computeDone(t) }
 	t.wakeFn = t.sleepWake
+	t.slot = len(p.threads)
 	p.threads = append(p.threads, t)
 	p.stats.ThreadsCreated++
 	if p.mx != nil {
