@@ -48,7 +48,8 @@ func TestRPCBasicRoundTrip(t *testing.T) {
 	server, client := r.kernels[0], r.kernels[1]
 
 	server.Processor().NewThread("server", proc.PrioDaemon, func(th *proc.Thread) {
-		req := server.GetRequest(th, port)
+		req := new(Request)
+		server.GetRequest(th, port, req)
 		if req.Payload != "ping" || req.Size != 100 {
 			t.Errorf("bad request: %+v", req)
 		}
@@ -76,7 +77,8 @@ func TestRPCNullLatencyBand(t *testing.T) {
 	server, client := r.kernels[0], r.kernels[1]
 	server.Processor().NewThread("server", proc.PrioDaemon, func(th *proc.Thread) {
 		for {
-			req := server.GetRequest(th, port)
+			req := new(Request)
+			server.GetRequest(th, port, req)
 			server.PutReply(th, req, nil, 0)
 		}
 	})
@@ -114,7 +116,8 @@ func TestRPCServerThreadBinding(t *testing.T) {
 
 	reqCh := make(chan *Request, 1)
 	server.Processor().NewThread("accepter", proc.PrioDaemon, func(th *proc.Thread) {
-		req := server.GetRequest(th, port)
+		req := new(Request)
+		server.GetRequest(th, port, req)
 		reqCh <- req
 		th.Block() // keep the accepter alive but idle
 	})
@@ -147,7 +150,8 @@ func TestRPCSurvivesPacketLoss(t *testing.T) {
 	served := 0
 	server.Processor().NewThread("server", proc.PrioDaemon, func(th *proc.Thread) {
 		for {
-			req := server.GetRequest(th, port)
+			req := new(Request)
+			server.GetRequest(th, port, req)
 			served++
 			server.PutReply(th, req, req.Payload, req.Size)
 		}
@@ -185,7 +189,8 @@ func TestRPCAtMostOnceUnderLoss(t *testing.T) {
 	executions := make(map[int]int)
 	server.Processor().NewThread("server", proc.PrioDaemon, func(th *proc.Thread) {
 		for {
-			req := server.GetRequest(th, port)
+			req := new(Request)
+			server.GetRequest(th, port, req)
 			if id, ok := req.Payload.(int); ok {
 				executions[id]++
 			}

@@ -33,7 +33,8 @@ func TestRPCRouteFailover(t *testing.T) {
 			serve := func(k *Kernel, name string) func(*proc.Thread) {
 				return func(th *proc.Thread) {
 					for {
-						req := k.GetRequest(th, port)
+						req := new(Request)
+						k.GetRequest(th, port, req)
 						k.PutReply(th, req, name, 8)
 					}
 				}

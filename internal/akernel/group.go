@@ -70,7 +70,10 @@ type grpWire struct {
 	upTo    uint64 // highest missing seqno (gRETR)
 }
 
+// grpSendState tracks one outstanding send. The records are pooled on
+// the kernel; each keeps its timeout callback, bound once.
 type grpSendState struct {
+	mb      *member
 	t       *proc.Thread
 	tmpID   uint64
 	msg     flip.Message
@@ -79,6 +82,8 @@ type grpSendState struct {
 	retries int
 	err     error
 	done    bool
+
+	fire func() // sendTimeout, bound to the record
 }
 
 // member is the per-kernel state of one group; the sequencer member also
@@ -118,6 +123,7 @@ type member struct {
 	acked      map[int]uint64
 	lastStatus map[int]uint64 // ack seen at the previous status probe
 	watchdog   sim.Event
+	watchdogFn func() // watchdogTick, bound once
 
 	mx *grpMetrics // nil when metrics are disabled
 }
@@ -182,6 +188,7 @@ func (k *Kernel) GroupConfigure(gid GroupID, members []int, sequencer int) error
 		}
 	}
 	if sequencer == k.id {
+		mb.watchdogFn = mb.watchdogTick
 		mb.history = make(map[uint64]*grpWire)
 		mb.seen = make(map[bbKey]uint64)
 		mb.acked = make(map[int]uint64)
@@ -226,7 +233,8 @@ func (k *Kernel) GrpSend(t *proc.Thread, gid GroupID, payload any, size int) err
 	t.ChargeP(sim.PhaseProtoSend, k.m.ProtoGroup)
 
 	mb.tmpSeq++
-	ss := &grpSendState{t: t, tmpID: mb.tmpSeq}
+	ss := k.newGrpSend()
+	ss.mb, ss.t, ss.tmpID = mb, t, mb.tmpSeq
 	mb.sends[ss.tmpID] = ss
 	// The request piggybacks this member's watermark: an active sender
 	// needs no spontaneous acks (they would tax broadcast-heavy phases
@@ -282,21 +290,38 @@ func (k *Kernel) GrpSend(t *proc.Thread, gid GroupID, payload any, size int) err
 		k.flip.SendFromThread(t, ss.msg)
 	}
 	if mb.seqID != k.id {
-		ss.timer = k.sim.Schedule(k.m.RetransTimeout, func() { mb.sendTimeout(ss) })
+		ss.timer = k.sim.Schedule(k.m.RetransTimeout, ss.fire)
 		ss.armedAt = k.sim.Now()
 	}
 	t.Block()
 
-	delete(mb.sends, ss.tmpID)
+	// Only the handler that set done held the record, and the timer is
+	// off: the record goes back to the pool.
+	tmpID, err := ss.tmpID, ss.err
+	delete(mb.sends, tmpID)
+	*ss = grpSendState{fire: ss.fire}
+	k.grpSends = append(k.grpSends, ss)
 	if k.sim.Tracing() {
-		k.sim.SpanEnd(op, k.p.Name(), "grp.send", "tmp=%d err=%v", ss.tmpID, ss.err)
+		k.sim.SpanEnd(op, k.p.Name(), "grp.send", "tmp=%d err=%v", tmpID, err)
 	}
 	k.leaveKernel(t)
 	if topLevel {
-		k.sim.CausalEnd(op, ss.err != nil)
+		k.sim.CausalEnd(op, err != nil)
 		t.SetOp(0)
 	}
-	return ss.err
+	return err
+}
+
+// newGrpSend takes a send record from the pool, or mints one.
+func (k *Kernel) newGrpSend() *grpSendState {
+	if n := len(k.grpSends); n > 0 {
+		ss := k.grpSends[n-1]
+		k.grpSends = k.grpSends[:n-1]
+		return ss
+	}
+	ss := &grpSendState{}
+	ss.fire = func() { ss.mb.sendTimeout(ss) }
+	return ss
 }
 
 // GrpReceive blocks until the next totally-ordered message is delivered to
@@ -357,7 +382,7 @@ func (mb *member) sendTimeout(ss *grpSendState) {
 		mb.mx.sendRetrans.Inc()
 	}
 	mb.k.flip.SendFromInterrupt(ss.msg)
-	ss.timer = mb.k.sim.Schedule(mb.k.m.RetransTimeout, func() { mb.sendTimeout(ss) })
+	ss.timer = mb.k.sim.Schedule(mb.k.m.RetransTimeout, ss.fire)
 	ss.armedAt = mb.k.sim.Now()
 }
 
@@ -597,23 +622,26 @@ func (mb *member) armWatchdog() {
 	if mb.watchdog.Pending() || mb.minAck() >= mb.seqno {
 		return
 	}
+	mb.watchdog = mb.k.sim.Schedule(mb.k.m.RetransTimeout, mb.watchdogFn)
+}
+
+// watchdogTick probes the stragglers when the watchdog expires.
+func (mb *member) watchdogTick() {
 	k := mb.k
-	mb.watchdog = k.sim.Schedule(k.m.RetransTimeout, func() {
-		mb.watchdog = sim.Event{}
-		min := mb.minAck()
-		if min >= mb.seqno {
-			return
-		}
-		for _, id := range mb.stragglers(min) {
-			sync := &grpWire{kind: gSYNC, gid: mb.gid}
-			k.flip.SendFromInterrupt(flip.Message{
-				Src: seqAddress(mb.gid), Dst: kernAddress(id), Proto: flip.ProtoGroup,
-				MsgID: k.flip.NextMsgID(), Hdr: k.m.GroupHeaderKernel, Size: 0,
-				Payload: sync,
-			})
-		}
-		mb.armWatchdog()
-	})
+	mb.watchdog = sim.Event{}
+	min := mb.minAck()
+	if min >= mb.seqno {
+		return
+	}
+	for _, id := range mb.stragglers(min) {
+		sync := &grpWire{kind: gSYNC, gid: mb.gid}
+		k.flip.SendFromInterrupt(flip.Message{
+			Src: seqAddress(mb.gid), Dst: kernAddress(id), Proto: flip.ProtoGroup,
+			MsgID: k.flip.NextMsgID(), Hdr: k.m.GroupHeaderKernel, Size: 0,
+			Payload: sync,
+		})
+	}
+	mb.armWatchdog()
 }
 
 // stragglers lists the members whose acknowledged watermark equals min,

@@ -51,9 +51,10 @@ type Kernel struct {
 	sim  *sim.Sim
 	flip *flip.Stack
 
-	rpc *rpcModule
-	grp map[GroupID]*member
-	raw *rawModule
+	rpc      *rpcModule
+	grp      map[GroupID]*member
+	grpSends []*grpSendState // send records whose GrpSend has returned
+	raw      *rawModule
 
 	mx *kernMetrics // nil when metrics are disabled
 }

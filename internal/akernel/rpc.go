@@ -15,7 +15,9 @@ var ErrRPCFailed = errors.New("akernel: rpc failed after retries")
 const rpcMaxRetries = 16
 
 // Request is an accepted RPC request held by a server thread between
-// GetRequest and PutReply.
+// GetRequest and PutReply. The server thread owns it: GetRequest fills
+// the thread's record in, so a thread serving requests one after another
+// reuses one record.
 type Request struct {
 	Payload any
 	Size    int
@@ -61,7 +63,9 @@ type rpcWire struct {
 	queuedAt sim.Time // server-side: when the request entered the port queue
 }
 
-// callState tracks one outstanding client call.
+// callState tracks one outstanding client call. Channels are per client
+// thread, so the records are pooled on the module, not on a channel; each
+// keeps its timeout callback, bound once.
 type callState struct {
 	t       *proc.Thread
 	seq     uint64
@@ -73,23 +77,41 @@ type callState struct {
 	repSize int
 	err     error
 	done    bool
+
+	fire func() // clientTimeout, bound to the record
+	// reqWire is the last request's wire, kept once the request was
+	// provably consumed (see reusable), else nil.
+	reqWire *rpcWire
 }
 
 // serverChan is the per-client-channel duplicate filter and reply cache.
 type serverChan struct {
 	lastSeq   uint64 // highest seq completed
 	inFlight  uint64 // seq currently being served (0 = none)
-	cachedRep *flip.Message
+	cached    bool   // cachedRep holds the reply to lastSeq
+	cachedRep flip.Message
+	resent    bool // the cached reply went out more than once
+	// repWire is an acknowledged reply's wire, kept once the reply was
+	// provably consumed (see reusable), else nil.
+	repWire *rpcWire
 }
 
 type rpcModule struct {
 	k     *Kernel
 	reasm *flip.Reassembler
 
+	// inbox holds the wires whose protocol interrupt items are queued on
+	// the processor, oldest first. The processor services its interrupt
+	// items in FIFO order, so handleFn, bound once, always finds its wire
+	// at the head and a received packet schedules no closure.
+	inbox    []*rpcWire
+	handleFn func()
+
 	// Client side.
-	calls   map[chanKey]*callState
-	seqs    map[int]uint64 // per-thread seq counters
-	replyTo flip.Address
+	calls     map[chanKey]*callState
+	freeCalls []*callState   // records whose Trans has returned
+	seqs      map[int]uint64 // per-thread seq counters
+	replyTo   flip.Address
 
 	// Server side.
 	ports    map[Port]*portState
@@ -104,7 +126,7 @@ type portState struct {
 
 type serverWaiter struct {
 	t   *proc.Thread
-	req *Request // filled in by the interrupt handler before unblocking
+	req *Request // the thread's record, filled in by the interrupt handler
 }
 
 func newRPCModule(k *Kernel) *rpcModule {
@@ -117,11 +139,31 @@ func newRPCModule(k *Kernel) *rpcModule {
 		channels: make(map[chanKey]*serverChan),
 		replyTo:  rawBase | 0x2000_0000 | flip.Address(k.id),
 	}
+	r.handleFn = r.handleNext
 	if k.mx != nil {
 		r.reasm.SetTimeoutCounter(k.mx.reasmTimeouts)
 	}
 	k.flip.Register(r.replyTo)
 	return r
+}
+
+// reusable reports whether a wire that exactly one message carried, and
+// whose receiver has consumed that message, may carry the next one. A
+// fault hook, once armed, may have delivered the message twice, so no
+// wire is reused on such a network: the second delivery would read the
+// next message.
+func (r *rpcModule) reusable() bool { return !r.k.flip.Network().FaultEverArmed() }
+
+// newCall takes a call record from the pool, or mints one.
+func (r *rpcModule) newCall() *callState {
+	if n := len(r.freeCalls); n > 0 {
+		cs := r.freeCalls[n-1]
+		r.freeCalls = r.freeCalls[:n-1]
+		return cs
+	}
+	cs := &callState{}
+	cs.fire = func() { r.clientTimeout(cs) }
+	return cs
 }
 
 // Trans performs one Amoeba RPC: send the request to the port, block until
@@ -142,8 +184,13 @@ func (k *Kernel) Trans(t *proc.Thread, port Port, req any, reqSize int) (any, in
 
 	r.seqs[t.ID()]++
 	ch := chanKey{kernel: k.id, thread: t.ID()}
-	cs := &callState{t: t, seq: r.seqs[t.ID()]}
-	wire := &rpcWire{
+	cs := r.newCall()
+	cs.t, cs.seq = t, r.seqs[t.ID()]
+	wire := cs.reqWire
+	if wire == nil {
+		wire = &rpcWire{}
+	}
+	*wire = rpcWire{
 		kind: rpcREQ, ch: ch, seq: cs.seq, op: op, port: port,
 		payload: req, size: reqSize, retAddr: r.replyTo,
 	}
@@ -167,19 +214,27 @@ func (k *Kernel) Trans(t *proc.Thread, port Port, req any, reqSize int) (any, in
 		}
 	}
 	k.flip.SendFromThread(t, cs.msg)
-	cs.timer = k.sim.Schedule(k.m.RetransTimeout, func() { r.clientTimeout(ch) })
+	cs.timer = k.sim.Schedule(k.m.RetransTimeout, cs.fire)
 	cs.armedAt = k.sim.Now()
 	t.Block()
 
 	// Woken by the interrupt handler with the reply in place (the data
-	// was copied to the posted buffer as fragments arrived).
+	// was copied to the posted buffer as fragments arrived). Only the
+	// handler that set done held the record, and the timer is off: the
+	// record goes back to the pool.
 	delete(r.calls, ch)
+	seq, reply, repSize, err := cs.seq, cs.reply, cs.repSize, cs.err
+	if err != nil || cs.retries > 0 || !r.reusable() {
+		wire = nil
+	} // else the one copy of the request was served: the server has read it
+	*cs = callState{fire: cs.fire, reqWire: wire}
+	r.freeCalls = append(r.freeCalls, cs)
 	if k.mx != nil {
 		k.mx.rpcLatency.Observe(k.sim.Now().Sub(start))
 	}
-	if cs.err != nil {
+	if err != nil {
 		if k.sim.Tracing() {
-			k.sim.SpanEnd(span, k.p.Name(), "rpc.fail", "seq=%d err=%v", cs.seq, cs.err)
+			k.sim.SpanEnd(span, k.p.Name(), "rpc.fail", "seq=%d err=%v", seq, err)
 		}
 		if k.mx != nil {
 			k.mx.rpcFailures.Inc()
@@ -189,22 +244,24 @@ func (k *Kernel) Trans(t *proc.Thread, port Port, req any, reqSize int) (any, in
 			k.sim.CausalEnd(op, true)
 			t.SetOp(0)
 		}
-		return nil, 0, cs.err
+		return nil, 0, err
 	}
 	if k.sim.Tracing() {
-		k.sim.SpanEnd(span, k.p.Name(), "rpc.done", "seq=%d size=%d", cs.seq, cs.repSize)
+		k.sim.SpanEnd(span, k.p.Name(), "rpc.done", "seq=%d size=%d", seq, repSize)
 	}
 	k.leaveKernel(t)
 	if topLevel {
 		k.sim.CausalEnd(op, false)
 		t.SetOp(0)
 	}
-	return cs.reply, cs.repSize, nil
+	return reply, repSize, nil
 }
 
-func (r *rpcModule) clientTimeout(ch chanKey) {
-	cs := r.calls[ch]
-	if cs == nil || cs.done {
+// clientTimeout runs when a call's retransmission timer expires. The
+// timer is cancelled when the reply arrives and not re-armed when the
+// call gives up, so it never fires for a record back in the pool.
+func (r *rpcModule) clientTimeout(cs *callState) {
+	if cs.done {
 		return
 	}
 	// The whole armed window was spent waiting for a reply that never
@@ -227,13 +284,14 @@ func (r *rpcModule) clientTimeout(ch chanKey) {
 	// before retransmitting.
 	r.k.flip.InvalidateRoute(cs.msg.Dst)
 	r.k.flip.SendFromInterrupt(cs.msg)
-	cs.timer = r.k.sim.Schedule(r.k.m.RetransBackoff(cs.retries), func() { r.clientTimeout(ch) })
+	cs.timer = r.k.sim.Schedule(r.k.m.RetransBackoff(cs.retries), cs.fire)
 	cs.armedAt = r.k.sim.Now()
 }
 
-// GetRequest blocks the calling thread until a request arrives on port.
-// The same thread must later call PutReply for that request.
-func (k *Kernel) GetRequest(t *proc.Thread, port Port) *Request {
+// GetRequest blocks the calling thread until a request arrives on port
+// and fills req in with it. The same thread must later call PutReply for
+// that request before it passes req to GetRequest again.
+func (k *Kernel) GetRequest(t *proc.Thread, port Port, req *Request) {
 	r := k.rpc
 	k.enterKernel(t)
 	ps := r.port(port)
@@ -244,9 +302,9 @@ func (k *Kernel) GetRequest(t *proc.Thread, port Port) *Request {
 		ps.queue = ps.queue[:n]
 		k.sim.CausalSpan(w.op, sim.PhaseRecvQueue, w.queuedAt, k.sim.Now())
 		t.SetOp(w.op)
-		req := r.acceptRequest(w, t)
+		r.bindRequest(w, t, req)
 		k.leaveKernel(t)
-		return req
+		return
 	}
 	var sw *serverWaiter
 	if n := len(ps.free); n > 0 {
@@ -255,16 +313,14 @@ func (k *Kernel) GetRequest(t *proc.Thread, port Port) *Request {
 	} else {
 		sw = &serverWaiter{}
 	}
-	sw.t = t
+	sw.t, sw.req = t, req
 	ps.waiters = append(ps.waiters, sw)
 	t.Block()
 	// Only handleREQ wakes a server waiter, after taking it off the list:
 	// once Block returns nothing else holds sw.
-	req := sw.req
 	*sw = serverWaiter{}
 	ps.free = append(ps.free, sw)
 	k.leaveKernel(t)
-	return req
 }
 
 // PutReply sends the reply for req and completes the server side of the
@@ -283,17 +339,23 @@ func (k *Kernel) PutReply(t *proc.Thread, req *Request, reply any, size int) {
 	req.done = true
 	r := k.rpc
 	k.enterKernel(t)
-	wire := &rpcWire{kind: rpcREP, ch: req.ch, seq: req.seq, op: req.op, port: req.Port, payload: reply, size: size}
-	msg := flip.Message{
+	sc := r.channel(req.ch)
+	wire := sc.repWire
+	sc.repWire = nil
+	if wire == nil {
+		wire = &rpcWire{}
+	}
+	*wire = rpcWire{kind: rpcREP, ch: req.ch, seq: req.seq, op: req.op, port: req.Port, payload: reply, size: size}
+	sc.lastSeq = req.seq
+	sc.inFlight = 0
+	sc.cached = true
+	sc.cachedRep = flip.Message{
 		Src: PortAddress(req.Port), Dst: req.retAddr, Proto: flip.ProtoRPC,
 		MsgID: k.flip.NextMsgID(), Hdr: k.m.RPCHeaderKernel, Size: size, Payload: wire, Op: req.op,
 	}
-	sc := r.channel(req.ch)
-	sc.lastSeq = req.seq
-	sc.inFlight = 0
-	sc.cachedRep = &msg
+	sc.resent = false
 	t.ChargeP(sim.PhaseProtoSend, k.m.ProtoRPC)
-	k.flip.SendFromThread(t, msg)
+	k.flip.SendFromThread(t, sc.cachedRep)
 	if k.sim.Tracing() {
 		k.sim.SpanEnd(req.op, k.p.Name(), "rpc.served", "seq=%d size=%d", req.seq, size)
 	}
@@ -336,17 +398,25 @@ func (r *rpcModule) onPacket(pk *flip.Packet) {
 	if !ok {
 		return
 	}
-	k := r.k
-	k.p.InterruptTagged(k.m.ProtoRPC, w.op, sim.PhaseProtoRecv, func() {
-		switch w.kind {
-		case rpcREQ:
-			r.handleREQ(w)
-		case rpcREP:
-			r.handleREP(w)
-		case rpcACK:
-			r.handleACK(w)
-		}
-	})
+	r.inbox = append(r.inbox, w)
+	r.k.p.InterruptTagged(r.k.m.ProtoRPC, w.op, sim.PhaseProtoRecv, r.handleFn)
+}
+
+// handleNext runs the protocol action of the oldest received wire once
+// its protocol interrupt item has been serviced.
+func (r *rpcModule) handleNext() {
+	w := r.inbox[0]
+	n := copy(r.inbox, r.inbox[1:])
+	r.inbox[n] = nil
+	r.inbox = r.inbox[:n]
+	switch w.kind {
+	case rpcREQ:
+		r.handleREQ(w)
+	case rpcREP:
+		r.handleREP(w)
+	case rpcACK:
+		r.handleACK(w)
+	}
 }
 
 func (r *rpcModule) handleREQ(w *rpcWire) {
@@ -355,8 +425,9 @@ func (r *rpcModule) handleREQ(w *rpcWire) {
 	switch {
 	case w.seq <= sc.lastSeq:
 		// Duplicate of a completed call: resend the cached reply.
-		if sc.cachedRep != nil && w.seq == sc.lastSeq {
-			k.flip.SendFromInterrupt(*sc.cachedRep)
+		if sc.cached && w.seq == sc.lastSeq {
+			sc.resent = true
+			k.flip.SendFromInterrupt(sc.cachedRep)
 		}
 		return
 	case w.seq == sc.inFlight:
@@ -370,14 +441,14 @@ func (r *rpcModule) handleREQ(w *rpcWire) {
 		k.mx.rpcServes.Inc()
 	}
 	sc.inFlight = w.seq
-	sc.cachedRep = nil
+	sc.cached, sc.cachedRep = false, flip.Message{}
 	ps := r.port(w.port)
 	if len(ps.waiters) > 0 {
 		sw := ps.waiters[0]
 		n := copy(ps.waiters, ps.waiters[1:])
 		ps.waiters[n] = nil // clear the vacated slot (it pins thread + request)
 		ps.waiters = ps.waiters[:n]
-		sw.req = r.bindRequest(w, sw.t)
+		r.bindRequest(w, sw.t, sw.req)
 		// One context switch at the server: dispatch the server thread.
 		sw.t.SetOp(w.op)
 		sw.t.Unblock()
@@ -387,12 +458,9 @@ func (r *rpcModule) handleREQ(w *rpcWire) {
 	ps.queue = append(ps.queue, w)
 }
 
-func (r *rpcModule) acceptRequest(w *rpcWire, t *proc.Thread) *Request {
-	return r.bindRequest(w, t)
-}
-
-func (r *rpcModule) bindRequest(w *rpcWire, t *proc.Thread) *Request {
-	return &Request{
+// bindRequest fills server thread t's record req in with request w.
+func (r *rpcModule) bindRequest(w *rpcWire, t *proc.Thread, req *Request) {
+	*req = Request{
 		Payload: w.payload, Size: w.size, Port: w.port,
 		ch: w.ch, seq: w.seq, op: w.op, thread: t, kern: r.k, retAddr: w.retAddr,
 	}
@@ -433,9 +501,15 @@ func (r *rpcModule) sendACK(w *rpcWire) {
 	})
 }
 
+// handleACK drops the reply the client acknowledged, keeping its wire
+// for the channel's next reply when the reply went out only once.
 func (r *rpcModule) handleACK(w *rpcWire) {
 	sc := r.channels[w.ch]
-	if sc != nil && sc.lastSeq == w.seq {
-		sc.cachedRep = nil
+	if sc == nil || sc.lastSeq != w.seq {
+		return
 	}
+	if sc.cached && !sc.resent && r.reusable() {
+		sc.repWire = sc.cachedRep.Payload.(*rpcWire)
+	}
+	sc.cached, sc.cachedRep = false, flip.Message{}
 }

@@ -17,7 +17,8 @@ func TestRPCWireBudget(t *testing.T) {
 	server, client := r.kernels[0], r.kernels[1]
 	server.Processor().NewThread("server", proc.PrioDaemon, func(th *proc.Thread) {
 		for {
-			req := server.GetRequest(th, port)
+			req := new(Request)
+			server.GetRequest(th, port, req)
 			server.PutReply(th, req, nil, 0)
 		}
 	})

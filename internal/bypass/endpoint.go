@@ -60,6 +60,7 @@ type Endpoint struct {
 	m   *model.CostModel
 	sim *sim.Sim
 	nic *ether.NIC
+	net *ether.Network
 	cfg Config
 
 	reasm   *reassembler
@@ -73,7 +74,8 @@ type Endpoint struct {
 	helper   *helper
 
 	rpc        bypassRPC
-	grps       []*group // indexed by gid; nil entries for groups not held
+	grps       []*group  // indexed by gid; nil entries for groups not held
+	grpSends   []*bgsend // group send records whose send has returned
 	rawHandler panda.RawHandler
 }
 
@@ -114,6 +116,7 @@ func New(p *proc.Processor, net *ether.Network, segment int, cfg Config) (*Endpo
 		return nil, err
 	}
 	e.nic = nic
+	e.net = net
 	e.reasm = newReassembler(e.sim, e.m.RetransTimeout)
 	e.rpc.init(e)
 	for _, gs := range cfg.Groups {

@@ -20,6 +20,7 @@ type gkey struct {
 }
 
 type bgsend struct {
+	g       *group
 	t       *proc.Thread
 	tmpID   uint64
 	msgID   uint64
@@ -30,6 +31,8 @@ type bgsend struct {
 	retries int
 	err     error
 	done    bool
+
+	fire func() // sendTimeout, bound to the record
 }
 
 // group is Panda's sequencer-based totally-ordered group protocol over
@@ -63,6 +66,7 @@ type group struct {
 	acked      map[int]uint64
 	lastStatus map[int]uint64 // ack seen at the previous status probe
 	watchdog   sim.Event
+	watchdogFn func() // watchdogTick, bound once
 }
 
 func (g *group) init(e *Endpoint, spec panda.GroupSpec) {
@@ -91,6 +95,21 @@ func (g *group) initSequencer() {
 	g.seen = make(map[gkey]uint64)
 	g.acked = make(map[int]uint64)
 	g.lastStatus = make(map[int]uint64)
+	g.watchdogFn = g.watchdogTick
+}
+
+// newSend takes a send record from the endpoint's pool, or mints one.
+func (g *group) newSend() *bgsend {
+	var ss *bgsend
+	if n := len(g.e.grpSends); n > 0 {
+		ss = g.e.grpSends[n-1]
+		g.e.grpSends = g.e.grpSends[:n-1]
+	} else {
+		ss = &bgsend{}
+		ss.fire = func() { ss.g.sendTimeout(ss) }
+	}
+	ss.g = g
+	return ss
 }
 
 // GroupSend implements panda.Transport.GroupSend on the default group.
@@ -124,7 +143,8 @@ func (g *group) send(t *proc.Thread, payload any, size int) error {
 	// The request piggybacks this member's watermark: an active sender
 	// needs no spontaneous acks.
 	g.sinceAck = 0
-	ss := &bgsend{t: t, tmpID: g.tmpSeq, msgID: e.nextMsgID(), op: op, wire: w}
+	ss := g.newSend()
+	ss.t, ss.tmpID, ss.msgID, ss.op, ss.wire = t, g.tmpSeq, e.nextMsgID(), op, w
 	g.sends[ss.tmpID] = ss
 
 	if op != 0 && e.sim.Tracing() {
@@ -134,18 +154,23 @@ func (g *group) send(t *proc.Thread, payload any, size int) error {
 	t.ChargeP(sim.PhaseProtoSend, e.m.ProtoGroup)
 	e.post(t, g.spec.Sequencer, e.m.GroupHeaderUser, w, ss.msgID, false)
 	t.Return(bypassDepth)
-	ss.timer = e.sim.Schedule(e.m.RetransTimeout, func() { g.sendTimeout(ss) })
+	ss.timer = e.sim.Schedule(e.m.RetransTimeout, ss.fire)
 	ss.armedAt = e.sim.Now()
 
 	t.Block()
+	// The timer is off; a retransmission still queued on the helper
+	// thread checks the record's group and tmpID before it acts.
+	tmpID, err := ss.tmpID, ss.err
+	*ss = bgsend{fire: ss.fire}
+	g.e.grpSends = append(g.e.grpSends, ss)
 	if op != 0 && e.sim.Tracing() {
-		e.sim.SpanEnd(op, e.p.Name(), "bgrp.send", "tmp=%d err=%v", ss.tmpID, ss.err)
+		e.sim.SpanEnd(op, e.p.Name(), "bgrp.send", "tmp=%d err=%v", tmpID, err)
 	}
 	if topLevel {
-		e.sim.CausalEnd(op, ss.err != nil)
+		e.sim.CausalEnd(op, err != nil)
 		t.SetOp(0)
 	}
-	return ss.err
+	return err
 }
 
 func (g *group) sendTimeout(ss *bgsend) {
@@ -163,8 +188,10 @@ func (g *group) sendTimeout(ss *bgsend) {
 		ss.t.Unblock()
 		return
 	}
+	tmpID := ss.tmpID
 	e.helper.post(func(ht *proc.Thread) {
-		if ss.done {
+		// The record is pooled: a later send may have taken it.
+		if ss.done || ss.g != g || ss.tmpID != tmpID {
 			return
 		}
 		ht.SetOp(ss.op)
@@ -174,7 +201,7 @@ func (g *group) sendTimeout(ss *bgsend) {
 		ht.Return(bypassDepth)
 		ht.SetOp(0)
 	})
-	ss.timer = e.sim.Schedule(e.m.RetransTimeout, func() { g.sendTimeout(ss) })
+	ss.timer = e.sim.Schedule(e.m.RetransTimeout, ss.fire)
 	ss.armedAt = e.sim.Now()
 }
 
@@ -403,22 +430,26 @@ func (g *group) armWatchdog() {
 	if g.watchdog.Pending() || g.minAck() >= g.seqno {
 		return
 	}
+	g.watchdog = g.e.sim.Schedule(g.e.m.RetransTimeout, g.watchdogFn)
+}
+
+// watchdogTick has the helper thread probe the stragglers when the
+// watchdog expires.
+func (g *group) watchdogTick() {
 	e := g.e
-	g.watchdog = e.sim.Schedule(e.m.RetransTimeout, func() {
-		g.watchdog = sim.Event{}
-		min := g.minAck()
-		if min >= g.seqno {
-			return
+	g.watchdog = sim.Event{}
+	min := g.minAck()
+	if min >= g.seqno {
+		return
+	}
+	targets := g.stragglers(min)
+	e.helper.post(func(ht *proc.Thread) {
+		for _, id := range targets {
+			w := &bwire{kind: bgSYNC, gid: g.gid}
+			e.post(ht, id, e.m.GroupHeaderUser, w, e.nextMsgID(), false)
 		}
-		targets := g.stragglers(min)
-		e.helper.post(func(ht *proc.Thread) {
-			for _, id := range targets {
-				w := &bwire{kind: bgSYNC, gid: g.gid}
-				e.post(ht, id, e.m.GroupHeaderUser, w, e.nextMsgID(), false)
-			}
-		})
-		g.armWatchdog()
 	})
+	g.armWatchdog()
 }
 
 // stragglers lists the members whose acknowledged watermark equals min,

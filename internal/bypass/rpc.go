@@ -28,16 +28,24 @@ type bypassRPC struct {
 }
 
 // bchan is the client side of one (this process → server) channel:
-// stop-and-wait, so callers serialize on it.
+// stop-and-wait, so callers serialize on it, and one call record, two
+// bound timer callbacks and one request wire serve all its calls (see
+// panda's uchan).
 type bchan struct {
 	dest       int
 	mu         proc.Mutex
 	cond       *proc.Cond
 	busy       bool
 	seq        uint64
-	inflight   *bcall
+	call       bcall
+	inflight   *bcall // &call while a call waits for its reply
 	pendingAck uint64
+	ackSeq     uint64 // the reply the armed ack timer acknowledges
 	ackTimer   sim.Event
+	reqWire    *bwire // the last request's wire, once provably consumed
+
+	timeoutFn func() // clientTimeout, bound to the channel
+	ackFn     func() // ackTimeout, bound to the channel
 }
 
 type bcall struct {
@@ -56,12 +64,19 @@ type bcall struct {
 }
 
 // bsrvChan is the server side of one (client → this process) channel:
-// duplicate filter plus the cached reply for retransmission.
+// duplicate filter plus the cached reply for retransmission, and the
+// context and reply wire its requests reuse (see panda's srvChan).
 type bsrvChan struct {
 	lastSeq     uint64
 	inFlight    uint64
 	cached      *bwire
 	cachedMsgID uint64
+	resent      bool // the cached reply went out more than once
+
+	ctx     *panda.RPCContext // lent out while ctxBusy
+	bctx    bypCtx
+	ctxBusy bool
+	repWire *bwire // an acknowledged reply's wire, once provably consumed
 }
 
 func (r *bypassRPC) init(e *Endpoint) {
@@ -75,6 +90,8 @@ func (r *bypassRPC) chanTo(dest int) *bchan {
 	if c == nil {
 		c = &bchan{dest: dest}
 		c.cond = proc.NewCond(&c.mu)
+		c.timeoutFn = func() { r.clientTimeout(c) }
+		c.ackFn = func() { r.ackTimeout(c) }
 		r.chans[dest] = c
 	}
 	return c
@@ -84,10 +101,16 @@ func (r *bypassRPC) srvFor(client int) *bsrvChan {
 	s := r.srv[client]
 	if s == nil {
 		s = &bsrvChan{}
+		s.ctx = panda.NewRPCContext(client, &s.bctx)
 		r.srv[client] = s
 	}
 	return s
 }
+
+// reusable reports whether a wire that exactly one message carried, and
+// whose receiver has consumed that message, may carry the next one: not
+// once a fault hook, which may deliver a frame twice, was ever armed.
+func (r *bypassRPC) reusable() bool { return !r.e.net.FaultEverArmed() }
 
 // Call implements panda.Transport.Call for the bypass implementation.
 func (e *Endpoint) Call(t *proc.Thread, dest int, req any, size int) (any, int, error) {
@@ -115,8 +138,14 @@ func (e *Endpoint) Call(t *proc.Thread, dest int, req any, size int) (any, int, 
 		op = e.sim.CausalBegin("rpc")
 		t.SetOp(op)
 	}
-	w := &bwire{kind: bREQ, from: e.id, seq: c.seq, ackSeq: ack, payload: req, size: size}
-	cs := &bcall{t: t, seq: c.seq, op: op, wire: w, msgID: e.nextMsgID()}
+	w := c.reqWire
+	if w == nil {
+		w = new(bwire)
+	}
+	c.reqWire = nil
+	*w = bwire{kind: bREQ, from: e.id, seq: c.seq, ackSeq: ack, payload: req, size: size}
+	cs := &c.call
+	*cs = bcall{t: t, seq: c.seq, op: op, wire: w, msgID: e.nextMsgID()}
 	c.inflight = cs
 
 	span := op
@@ -131,12 +160,16 @@ func (e *Endpoint) Call(t *proc.Thread, dest int, req any, size int) (any, int, 
 	t.ChargeP(sim.PhaseProtoSend, e.m.ProtoRPC)
 	e.post(t, dest, e.m.RPCHeaderUser, w, cs.msgID, false)
 	t.Return(bypassDepth)
-	cs.timer = e.sim.Schedule(e.m.RetransTimeout, func() { r.clientTimeout(c, cs) })
+	cs.timer = e.sim.Schedule(e.m.RetransTimeout, c.timeoutFn)
 	cs.armedAt = e.sim.Now()
 	t.Block()
 
 	// Woken by the queue-pair consumer with the reply filled in.
 	c.inflight = nil
+	if cs.err == nil && cs.retries == 0 && r.reusable() {
+		// The one copy of the request was served: the server has read it.
+		c.reqWire = w
+	}
 	if e.sim.Tracing() {
 		if cs.err != nil {
 			e.sim.SpanEnd(span, e.p.Name(), "brpc.fail", "seq=%d err=%v", cs.seq, cs.err)
@@ -158,29 +191,38 @@ func (e *Endpoint) Call(t *proc.Thread, dest int, req any, size int) (any, int, 
 		r.armLazyAck(c, ack)
 	}
 
+	reply, repSize, err := cs.reply, cs.repSize, cs.err
+	cs.reply = nil
 	c.mu.Lock(t)
 	c.busy = false
 	c.cond.Signal(t)
 	c.mu.Unlock(t)
-	return cs.reply, cs.repSize, cs.err
+	return reply, repSize, err
 }
 
 // armLazyAck records seq as the channel's pending reply acknowledgement
-// and arms the explicit-ack fallback timer.
+// and arms the explicit-ack fallback timer. A call cancels the timer
+// before its own call to armLazyAck, so at most one is pending.
 func (r *bypassRPC) armLazyAck(c *bchan, seq uint64) {
-	e := r.e
 	c.pendingAck = seq
-	c.ackTimer = e.sim.Schedule(e.m.AckDelay, func() {
-		c.ackTimer = sim.Event{}
-		if c.pendingAck != seq {
-			return
-		}
-		c.pendingAck = 0
-		e.helper.post(func(ht *proc.Thread) { r.sendExplicitAck(ht, c.dest, seq) })
-	})
+	c.ackSeq = seq
+	c.ackTimer = r.e.sim.Schedule(r.e.m.AckDelay, c.ackFn)
 }
 
-func (r *bypassRPC) clientTimeout(c *bchan, cs *bcall) {
+// ackTimeout sends the explicit acknowledgement of a reply no request
+// piggybacked within AckDelay.
+func (r *bypassRPC) ackTimeout(c *bchan) {
+	c.ackTimer = sim.Event{}
+	seq := c.ackSeq
+	if c.pendingAck != seq {
+		return
+	}
+	c.pendingAck = 0
+	r.e.helper.post(func(ht *proc.Thread) { r.sendExplicitAck(ht, c.dest, seq) })
+}
+
+func (r *bypassRPC) clientTimeout(c *bchan) {
+	cs := &c.call
 	if cs.done {
 		return
 	}
@@ -195,8 +237,10 @@ func (r *bypassRPC) clientTimeout(c *bchan, cs *bcall) {
 		return
 	}
 	// Queue pairs are pre-established: retransmit directly, no re-locate.
+	seq := cs.seq
 	e.helper.post(func(ht *proc.Thread) {
-		if cs.done {
+		// The record is the channel's: a later call may have taken it.
+		if cs.done || cs.seq != seq {
 			return
 		}
 		ht.SetOp(cs.op)
@@ -206,7 +250,7 @@ func (r *bypassRPC) clientTimeout(c *bchan, cs *bcall) {
 		ht.Return(bypassDepth)
 		ht.SetOp(0)
 	})
-	cs.timer = e.sim.Schedule(e.m.RetransBackoff(cs.retries), func() { r.clientTimeout(c, cs) })
+	cs.timer = e.sim.Schedule(e.m.RetransBackoff(cs.retries), c.timeoutFn)
 	cs.armedAt = e.sim.Now()
 }
 
@@ -228,7 +272,7 @@ func (r *bypassRPC) handleREQ(t *proc.Thread, w *bwire) {
 	e := r.e
 	s := r.srvFor(w.from)
 	if w.ackSeq > 0 && s.cached != nil && s.cached.seq == w.ackSeq {
-		s.cached = nil // piggybacked ack of the previous reply
+		r.acked(s) // piggybacked ack of the previous reply
 	}
 	switch {
 	case w.seq <= s.lastSeq:
@@ -250,8 +294,26 @@ func (r *bypassRPC) handleREQ(t *proc.Thread, w *bwire) {
 	if e.sim.Tracing() {
 		e.sim.SpanBeginWith(t.Op(), e.p.Name(), "brpc.serve", "seq=%d from=%d", w.seq, w.from)
 	}
-	ctx := panda.NewRPCContext(w.from, &bypCtx{seq: w.seq, from: w.from, op: t.Op()})
+	ctx := s.ctx
+	if s.ctxBusy {
+		// The previous request is still in service, after its client gave
+		// up on it: its handler still holds the channel's context.
+		ctx = panda.NewRPCContext(w.from, &bypCtx{})
+	} else {
+		s.ctxBusy = true
+	}
+	*ctx.Impl().(*bypCtx) = bypCtx{seq: w.seq, from: w.from, op: t.Op()}
 	r.handler(t, ctx, w.payload, w.size)
+}
+
+// acked drops the channel's cached reply, which its client has
+// acknowledged, keeping its wire for the next reply when the reply went
+// out only once.
+func (r *bypassRPC) acked(s *bsrvChan) {
+	if !s.resent && r.reusable() {
+		s.repWire = s.cached
+	}
+	s.cached = nil
 }
 
 type bypCtx struct {
@@ -269,10 +331,16 @@ func (e *Endpoint) Reply(t *proc.Thread, ctx *panda.RPCContext, payload any, siz
 	}
 	r := &e.rpc
 	s := r.srvFor(c.from)
-	w := &bwire{kind: bREP, from: e.id, seq: c.seq, payload: payload, size: size}
+	w := s.repWire
+	if w == nil {
+		w = new(bwire)
+	}
+	s.repWire = nil
+	*w = bwire{kind: bREP, from: e.id, seq: c.seq, payload: payload, size: size}
 	s.lastSeq = c.seq
 	s.inFlight = 0
 	s.cached = w
+	s.resent = false
 	s.cachedMsgID = e.nextMsgID()
 	// The reply may be sent by a thread other than the one that served the
 	// request (a continuation); attribute the send to the call's operation.
@@ -286,10 +354,14 @@ func (e *Endpoint) Reply(t *proc.Thread, ctx *panda.RPCContext, payload any, siz
 		e.sim.SpanEnd(c.op, e.p.Name(), "brpc.serve", "seq=%d", c.seq)
 	}
 	t.SetOp(prevOp)
+	if c == &s.bctx {
+		s.ctxBusy = false // done with c
+	}
 }
 
 func (r *bypassRPC) resendCached(t *proc.Thread, client int, s *bsrvChan) {
 	e := r.e
+	s.resent = true
 	t.ChargeP(sim.PhaseProtoSend, e.m.ProtoRPC)
 	e.post(t, client, e.m.RPCHeaderUser, s.cached, s.cachedMsgID, false)
 }
@@ -322,6 +394,6 @@ func (r *bypassRPC) handleREP(t *proc.Thread, w *bwire) {
 func (r *bypassRPC) handleACK(t *proc.Thread, w *bwire) {
 	s := r.srv[w.from]
 	if s != nil && s.cached != nil && s.cached.seq == w.ackSeq {
-		s.cached = nil
+		r.acked(s)
 	}
 }

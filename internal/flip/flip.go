@@ -113,6 +113,17 @@ func (msg Message) sendPhase() sim.PhaseID {
 	return sim.PhaseProtoSend
 }
 
+// pendingTx is a packet whose send interrupt item is queued, with the
+// message it belongs to.
+type pendingTx struct {
+	pk  *Packet
+	msg Message
+}
+
+// maxPooledPackets bounds a stack's packet free list, as ether's
+// maxPooledHops bounds its hop records.
+const maxPooledPackets = 256
+
 // Handler receives packets for a protocol. It runs in driver context at
 // interrupt level, after the per-packet FLIP receive cost has been charged.
 type Handler func(pkt *Packet)
@@ -137,7 +148,9 @@ type Stack struct {
 	net  *ether.Network
 	name string
 
-	local  map[Address]bool
+	local map[Address]bool
+	// groups, pending and locating are made on first use: most stacks of
+	// a warmed pool never join a group or locate an address.
 	groups map[Address]bool
 	// routes holds what this stack learned itself: routes from HERE
 	// replies, and unrouted tombstones where it invalidated a dir route.
@@ -151,10 +164,14 @@ type Stack struct {
 
 	msgSeq uint64
 
-	// pool is the free list for unicast data packets; a packet released
-	// on this stack (the consuming side) is recycled by this stack's next
-	// sends, so under partitioned execution each free list stays
-	// partition-local. noPool disables pooling when a fault hook may
+	// pool is the free list for unicast data packets. A packet goes back
+	// to the free list of the stack that consumed it, and a stack takes
+	// from its own list when it sends, so under partitioned execution each
+	// free list stays partition-local. A one-way stream therefore moves
+	// one packet per message from the sender's list to the receiver's: the
+	// sender mints a packet each time once its list is empty, and the
+	// receiver keeps at most maxPooledPackets and leaves the rest to the
+	// garbage collector. noPool disables pooling when a fault hook may
 	// duplicate deliveries (two deliveries of one pointer would
 	// double-release).
 	pool   []*Packet
@@ -163,9 +180,12 @@ type Stack struct {
 	// rxq holds the received packets whose interrupt items are queued on
 	// the processor, oldest first. The processor services its interrupt
 	// items in FIFO order, so receiveFn, bound once, always finds its
-	// packet at the head and a receive schedules no closure.
-	rxq       []*Packet
-	receiveFn func()
+	// packet at the head and a receive schedules no closure. txq and
+	// transmitFn do the same for the packets SendFromInterrupt queued.
+	rxq        []*Packet
+	receiveFn  func()
+	txq        []pendingTx
+	transmitFn func()
 
 	// Stats
 	SentPackets int64
@@ -202,13 +222,11 @@ func NewStack(p *proc.Processor, net *ether.Network, segment int) (*Stack, error
 		net:      net,
 		name:     p.Name(),
 		local:    make(map[Address]bool),
-		groups:   make(map[Address]bool),
 		routes:   make(map[Address]int),
-		pending:  make(map[Address][]Message),
-		locating: make(map[Address]*locateState),
 		handlers: make(map[Protocol]Handler),
 	}
 	st.receiveFn = st.receiveNext
+	st.transmitFn = st.transmitNext
 	nic, err := net.AddNIC(segment, st.onFrame)
 	if err != nil {
 		return nil, fmt.Errorf("flip: attach nic: %w", err)
@@ -251,7 +269,8 @@ func (st *Stack) allocPacket() *Packet {
 }
 
 // ReleasePacket drops one reference to a pooled packet, recycling it
-// into this stack's free list when the last reference goes. The final
+// into this stack's free list when the last reference goes and the list
+// holds fewer than maxPooledPackets. The final
 // consumer of a packet calls it: the dispatch upcall after the handler
 // returns, or — when the handler queued the packet with Retain — the
 // thread that eventually dequeues it. No-op on unpooled packets, so
@@ -262,12 +281,15 @@ func (st *Stack) ReleasePacket(pk *Packet) {
 		return
 	}
 	pk.refs--
-	if pk.refs > 0 {
+	if pk.refs > 0 || len(st.pool) >= maxPooledPackets {
 		return
 	}
 	*pk = Packet{}
 	st.pool = append(st.pool, pk)
 }
+
+// Network returns the network the stack's NIC is attached to.
+func (st *Stack) Network() *ether.Network { return st.net }
 
 // NICID returns the station address of the stack's NIC.
 func (st *Stack) NICID() int { return st.nic.ID() }
@@ -286,7 +308,12 @@ func (st *Stack) Register(a Address) { st.local[a] = true }
 func (st *Stack) Unregister(a Address) { delete(st.local, a) }
 
 // JoinGroup subscribes this kernel to a multicast group address.
-func (st *Stack) JoinGroup(a Address) { st.groups[a] = true }
+func (st *Stack) JoinGroup(a Address) {
+	if st.groups == nil {
+		st.groups = make(map[Address]bool)
+	}
+	st.groups[a] = true
+}
 
 // LeaveGroup unsubscribes from a group address.
 func (st *Stack) LeaveGroup(a Address) { delete(st.groups, a) }
@@ -437,17 +464,30 @@ func (st *Stack) SendFromThread(t *proc.Thread, msg Message) {
 // charging the send costs at interrupt level on the owning processor.
 func (st *Stack) SendFromInterrupt(msg Message) {
 	if st.m.FragmentsFor(msg.Size) == 1 {
-		pk := st.fragmentOne(msg)
-		cost := st.m.FLIPSend + st.m.Copy(pk.Length)
-		st.p.InterruptTagged(cost, msg.Op, msg.sendPhase(), func() { st.transmit(pk, msg) })
+		st.queueTransmit(st.fragmentOne(msg), msg)
 		return
 	}
-	frags := st.fragment(msg)
-	for _, fr := range frags {
-		fr := fr
-		cost := st.m.FLIPSend + st.m.Copy(fr.Length)
-		st.p.InterruptTagged(cost, msg.Op, msg.sendPhase(), func() { st.transmit(fr, msg) })
+	for _, fr := range st.fragment(msg) {
+		st.queueTransmit(fr, msg)
 	}
+}
+
+// queueTransmit queues one packet's send interrupt item; the packet goes
+// out when the item has been serviced.
+func (st *Stack) queueTransmit(pk *Packet, msg Message) {
+	st.txq = append(st.txq, pendingTx{pk: pk, msg: msg})
+	cost := st.m.FLIPSend + st.m.Copy(pk.Length)
+	st.p.InterruptTagged(cost, msg.Op, msg.sendPhase(), st.transmitFn)
+}
+
+// transmitNext transmits the oldest queued packet once its send interrupt
+// item has been serviced.
+func (st *Stack) transmitNext() {
+	tx := st.txq[0]
+	n := copy(st.txq, st.txq[1:])
+	st.txq[n] = pendingTx{}
+	st.txq = st.txq[:n]
+	st.transmit(tx.pk, tx.msg)
 }
 
 // newPacket builds fragment i of n, drawing unicast data packets from
@@ -591,6 +631,10 @@ func (st *Stack) enqueueForLocate(a Address, msg Message, pk *Packet) {
 		copy(q, q[1:])
 		q[len(q)-1] = Message{}
 		q = q[:len(q)-1]
+	}
+	if st.pending == nil {
+		st.pending = make(map[Address][]Message)
+		st.locating = make(map[Address]*locateState)
 	}
 	st.pending[a] = append(q, msg)
 	if st.locating[a] == nil {

@@ -88,11 +88,11 @@ func TestReassemblerStateReuseZeroAlloc(t *testing.T) {
 
 // unicastSteadyStateBudget is the allocation budget for one complete
 // warm-routed unicast send+receive, at its measured value. The ether
-// hops, the interrupt items and the receive are allocation-free; the two
-// objects left are the SendFromInterrupt closure and the packet itself,
-// because in this one-way stream the receiving stack's free list gets
-// every packet back and the sender's never does.
-const unicastSteadyStateBudget = 2
+// hops, the interrupt items, the queued transmit and the receive are
+// allocation-free; the object left is the packet itself, because in
+// this one-way stream the receiving stack's free list gets every packet
+// back and the sender's never does.
+const unicastSteadyStateBudget = 1
 
 // TestUnicastSteadyStateBudget: a warm-routed single-fragment unicast
 // from send to delivered handler stays within the allocation budget —
@@ -115,6 +115,30 @@ func TestUnicastSteadyStateBudget(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, send); avg > unicastSteadyStateBudget {
 		t.Fatalf("warm unicast allocates %.2f objects/msg, budget is %d",
 			avg, unicastSteadyStateBudget)
+	}
+}
+
+// TestOneWayStreamPoolBudget: a one-way unicast stream moves one packet
+// per message from the sender's free list to the receiver's, and the
+// receiver keeps at most maxPooledPackets of them.
+func TestOneWayStreamPoolBudget(t *testing.T) {
+	r := newRig(t, 2)
+	const addr Address = 9
+	r.stacks[1].Register(addr)
+	r.stacks[1].Handle(ProtoSystem, func(pk *Packet) {})
+	WarmRoutes(r.stacks)
+	for i := 0; i < 10+1001; i++ { // 10 to warm up
+		r.stacks[0].SendFromInterrupt(Message{
+			Src: 1, Dst: addr, Proto: ProtoSystem,
+			MsgID: r.stacks[0].NextMsgID(), Size: 128,
+		})
+		r.sim.Run()
+	}
+	if n := len(r.stacks[1].pool); n > maxPooledPackets {
+		t.Fatalf("receiver pools %d packets after 1011 one-way messages, cap is %d", n, maxPooledPackets)
+	}
+	if r.stacks[1].RecvPackets != 1011 {
+		t.Fatalf("receiver got %d packets, want 1011", r.stacks[1].RecvPackets)
 	}
 }
 

@@ -143,9 +143,10 @@ func (w *Kernel) GroupSendTo(t *proc.Thread, group int, payload any, size int) e
 
 // kernCtx binds a request to the daemon thread that accepted it, because
 // Amoeba demands that get_request and put_reply are issued by the same
-// thread.
+// thread. The daemon owns its context and request record and reuses them
+// for every request it serves.
 type kernCtx struct {
-	req     *akernel.Request
+	req     akernel.Request
 	daemon  *proc.Thread
 	payload any
 	size    int
@@ -169,14 +170,17 @@ func (w *Kernel) spawnRPCDaemon() {
 // Orca operations.
 func (w *Kernel) rpcDaemon(t *proc.Thread) {
 	port := rpcPortBase + akernel.Port(w.id)
+	kc := &kernCtx{daemon: t}
+	ctx := &RPCContext{impl: kc}
+	req := &kc.req
 	for {
-		req := w.k.GetRequest(t, port)
+		w.k.GetRequest(t, port, req)
 		w.available--
 		if w.available == 0 && w.daemons < maxRPCDaemons {
 			w.spawnRPCDaemon()
 		}
-		kc := &kernCtx{req: req, daemon: t}
-		ctx := &RPCContext{From: req.ClientKernel(), impl: kc}
+		kc.payload, kc.size, kc.replied, kc.waiting = nil, 0, false, false
+		ctx.From = req.ClientKernel()
 		if w.rpcHandler != nil {
 			w.rpcHandler(t, ctx, req.Payload, req.Size)
 		}
@@ -200,7 +204,7 @@ func (w *Kernel) Reply(t *proc.Thread, ctx *RPCContext, payload any, size int) {
 	}
 	if t == kc.daemon && !kc.waiting {
 		kc.replied = true
-		w.k.PutReply(t, kc.req, payload, size)
+		w.k.PutReply(t, &kc.req, payload, size)
 		return
 	}
 	kc.payload = payload

@@ -107,6 +107,7 @@ type User struct {
 	iface      *helper // interface-layer daemon (ablation), nil normally
 	rpc        userRPC
 	grps       []*userGroup // indexed by gid; nil entries for groups not held
+	grpSends   []*gsend     // group send records whose send is over
 	rawHandler RawHandler
 
 	mx *userMetrics // nil when metrics are disabled

@@ -27,6 +27,7 @@ type gkey struct {
 }
 
 type gsend struct {
+	g       *userGroup
 	t       *proc.Thread // nil for nonblocking sends
 	tmpID   uint64
 	msgID   uint64
@@ -38,6 +39,8 @@ type gsend struct {
 	retries int
 	err     error
 	done    bool
+
+	fire func() // sendTimeout, bound to the record
 }
 
 // userGroup is Panda's user-space totally-ordered group protocol: a
@@ -78,6 +81,7 @@ type userGroup struct {
 	acked      map[int]uint64
 	lastStatus map[int]uint64 // ack seen at the previous status probe
 	watchdog   sim.Event
+	watchdogFn func()         // watchdogTick, bound once
 	seqHistory *metrics.Gauge // nil when metrics are disabled
 }
 
@@ -110,6 +114,29 @@ func (g *userGroup) initSequencer() {
 	g.seen = make(map[gkey]uint64)
 	g.acked = make(map[int]uint64)
 	g.lastStatus = make(map[int]uint64)
+	g.watchdogFn = g.watchdogTick
+}
+
+// newSend takes a send record from the instance's pool, or mints one.
+func (g *userGroup) newSend() *gsend {
+	var ss *gsend
+	if n := len(g.u.grpSends); n > 0 {
+		ss = g.u.grpSends[n-1]
+		g.u.grpSends = g.u.grpSends[:n-1]
+	} else {
+		ss = &gsend{}
+		ss.fire = func() { ss.g.sendTimeout(ss) }
+	}
+	ss.g = g
+	return ss
+}
+
+// freeSend returns a record whose send is over to the pool. Its timer is
+// off; a retransmission still queued on the helper thread checks the
+// record's group and tmpID before it acts.
+func (g *userGroup) freeSend(ss *gsend) {
+	*ss = gsend{fire: ss.fire}
+	g.u.grpSends = append(g.u.grpSends, ss)
 }
 
 // GroupSend implements Transport.GroupSend: broadcast on the default
@@ -168,7 +195,8 @@ func (g *userGroup) send(t *proc.Thread, payload any, size int, blocking bool) e
 	// needs no spontaneous acks (they would tax broadcast-heavy phases
 	// with pure overhead).
 	g.sinceAck = 0
-	ss := &gsend{tmpID: g.tmpSeq, msgID: u.k.RawNextMsgID(), op: op, wire: w, big: big}
+	ss := g.newSend()
+	ss.tmpID, ss.msgID, ss.op, ss.wire, ss.big = g.tmpSeq, u.k.RawNextMsgID(), op, w, big
 	if blocking {
 		ss.t = t
 	}
@@ -194,21 +222,23 @@ func (g *userGroup) send(t *proc.Thread, payload any, size int, blocking bool) e
 		u.k.RawSend(t, akernel.RawAddress(g.spec.Sequencer), ss.msgID, u.m.GroupHeaderUser, size, w, false)
 	}
 	t.Return(pandaDepth)
-	ss.timer = u.sim.Schedule(u.m.RetransTimeout, func() { g.sendTimeout(ss) })
+	ss.timer = u.sim.Schedule(u.m.RetransTimeout, ss.fire)
 	ss.armedAt = u.sim.Now()
 
 	if !blocking {
 		return nil
 	}
 	t.Block()
+	tmpID, err := ss.tmpID, ss.err
+	g.freeSend(ss)
 	if op != 0 && u.sim.Tracing() {
-		u.sim.SpanEnd(op, u.p.Name(), "pgrp.send", "tmp=%d err=%v", ss.tmpID, ss.err)
+		u.sim.SpanEnd(op, u.p.Name(), "pgrp.send", "tmp=%d err=%v", tmpID, err)
 	}
 	if topLevel {
-		u.sim.CausalEnd(op, ss.err != nil)
+		u.sim.CausalEnd(op, err != nil)
 		t.SetOp(0)
 	}
-	return ss.err
+	return err
 }
 
 func (g *userGroup) sendTimeout(ss *gsend) {
@@ -225,6 +255,7 @@ func (g *userGroup) sendTimeout(ss *gsend) {
 		if ss.t != nil {
 			ss.t.Unblock()
 		} else {
+			g.freeSend(ss)
 			g.nbDone(nil)
 		}
 		return
@@ -233,8 +264,10 @@ func (g *userGroup) sendTimeout(ss *gsend) {
 	if u.mx != nil {
 		u.mx.grpSendRetrans.Inc()
 	}
+	tmpID := ss.tmpID
 	u.helper.post(func(ht *proc.Thread) {
-		if ss.done {
+		// The record is pooled: a later send may have taken it.
+		if ss.done || ss.g != g || ss.tmpID != tmpID {
 			return
 		}
 		ht.SetOp(ss.op)
@@ -249,7 +282,7 @@ func (g *userGroup) sendTimeout(ss *gsend) {
 		ht.Return(pandaDepth)
 		ht.SetOp(0)
 	})
-	ss.timer = u.sim.Schedule(u.m.RetransTimeout, func() { g.sendTimeout(ss) })
+	ss.timer = u.sim.Schedule(u.m.RetransTimeout, ss.fire)
 	ss.armedAt = u.sim.Now()
 }
 
@@ -362,6 +395,7 @@ func (g *userGroup) deliver(t *proc.Thread, w *uwire) {
 		t.Flush()
 		ss.t.Unblock()
 	} else {
+		g.freeSend(ss)
 		g.nbDone(t)
 	}
 }
@@ -575,22 +609,26 @@ func (g *userGroup) armWatchdog() {
 	if g.watchdog.Pending() || g.minAck() >= g.seqno {
 		return
 	}
+	g.watchdog = g.u.sim.Schedule(g.u.m.RetransTimeout, g.watchdogFn)
+}
+
+// watchdogTick has the helper thread probe the stragglers when the
+// watchdog expires.
+func (g *userGroup) watchdogTick() {
 	u := g.u
-	g.watchdog = u.sim.Schedule(u.m.RetransTimeout, func() {
-		g.watchdog = sim.Event{}
-		min := g.minAck()
-		if min >= g.seqno {
-			return
+	g.watchdog = sim.Event{}
+	min := g.minAck()
+	if min >= g.seqno {
+		return
+	}
+	targets := g.stragglers(min)
+	u.helper.post(func(ht *proc.Thread) {
+		for _, id := range targets {
+			w := &uwire{kind: ugSYNC, gid: g.gid}
+			u.k.RawSend(ht, akernel.RawAddress(id), u.k.RawNextMsgID(), u.m.GroupHeaderUser, 0, w, false)
 		}
-		targets := g.stragglers(min)
-		u.helper.post(func(ht *proc.Thread) {
-			for _, id := range targets {
-				w := &uwire{kind: ugSYNC, gid: g.gid}
-				u.k.RawSend(ht, akernel.RawAddress(id), u.k.RawNextMsgID(), u.m.GroupHeaderUser, 0, w, false)
-			}
-		})
-		g.armWatchdog()
 	})
+	g.armWatchdog()
 }
 
 // stragglers lists the members whose acknowledged watermark equals min,

@@ -27,16 +27,25 @@ type userRPC struct {
 }
 
 // uchan is the client side of one (this process → server) channel:
-// stop-and-wait, so callers serialize on it.
+// stop-and-wait, so callers serialize on it, and one call record, two
+// bound timer callbacks and one request wire serve all its calls.
 type uchan struct {
 	dest       int
 	mu         proc.Mutex
 	cond       *proc.Cond
 	busy       bool
 	seq        uint64
-	inflight   *ucall
+	call       ucall
+	inflight   *ucall // &call while a call waits for its reply
 	pendingAck uint64
+	ackSeq     uint64 // the reply the armed ack timer acknowledges
 	ackTimer   sim.Event
+	// reqWire is the last request's wire, kept once the request was
+	// provably consumed (see reusable), else nil.
+	reqWire *uwire
+
+	timeoutFn func() // clientTimeout, bound to the channel
+	ackFn     func() // ackTimeout, bound to the channel
 }
 
 type ucall struct {
@@ -55,12 +64,23 @@ type ucall struct {
 }
 
 // srvChan is the server side of one (client → this process) channel:
-// duplicate filter plus the cached reply for retransmission.
+// duplicate filter plus the cached reply for retransmission, and the
+// context and reply wire its requests reuse.
 type srvChan struct {
 	lastSeq     uint64
 	inFlight    uint64
 	cached      *uwire
 	cachedMsgID uint64
+	resent      bool // the cached reply went out more than once
+
+	// ctx is the context of the request being served, lent out while
+	// ctxBusy; a request that finds it lent gets a fresh one.
+	ctx     RPCContext
+	uctx    usrCtx
+	ctxBusy bool
+	// repWire is an acknowledged reply's wire, kept once the reply was
+	// provably consumed (see reusable), else nil.
+	repWire *uwire
 }
 
 func (r *userRPC) init(u *User) {
@@ -74,6 +94,8 @@ func (r *userRPC) chanTo(dest int) *uchan {
 	if c == nil {
 		c = &uchan{dest: dest}
 		c.cond = proc.NewCond(&c.mu)
+		c.timeoutFn = func() { r.clientTimeout(c) }
+		c.ackFn = func() { r.ackTimeout(c) }
 		r.chans[dest] = c
 	}
 	return c
@@ -83,9 +105,19 @@ func (r *userRPC) srvFor(client int) *srvChan {
 	s := r.srv[client]
 	if s == nil {
 		s = &srvChan{}
+		s.ctx.impl = &s.uctx
 		r.srv[client] = s
 	}
 	return s
+}
+
+// reusable reports whether a wire that exactly one message carried, and
+// whose receiver has consumed that message, may carry the next one. A
+// fault hook, once armed, may have delivered the message twice, so no
+// wire is reused on such a network: the second delivery would read the
+// next message.
+func (r *userRPC) reusable() bool {
+	return !r.u.k.FLIP().Network().FaultEverArmed()
 }
 
 // Call implements Transport.Call for the user-space implementation.
@@ -114,8 +146,14 @@ func (u *User) Call(t *proc.Thread, dest int, req any, size int) (any, int, erro
 		op = u.sim.CausalBegin("rpc")
 		t.SetOp(op)
 	}
-	w := &uwire{kind: uREQ, from: u.id, seq: c.seq, ackSeq: ack, payload: req, size: size}
-	cs := &ucall{t: t, seq: c.seq, op: op, wire: w, msgID: u.k.RawNextMsgID()}
+	w := c.reqWire
+	if w == nil {
+		w = new(uwire)
+	}
+	c.reqWire = nil
+	*w = uwire{kind: uREQ, from: u.id, seq: c.seq, ackSeq: ack, payload: req, size: size}
+	cs := &c.call
+	*cs = ucall{t: t, seq: c.seq, op: op, wire: w, msgID: u.k.RawNextMsgID()}
 	c.inflight = cs
 
 	if u.mx != nil {
@@ -138,12 +176,16 @@ func (u *User) Call(t *proc.Thread, dest int, req any, size int) (any, int, erro
 	t.ChargeP(sim.PhaseFrag, u.m.FragLayer)
 	u.k.RawSend(t, akernel.RawAddress(dest), cs.msgID, u.m.RPCHeaderUser, size, w, false)
 	t.Return(pandaDepth)
-	cs.timer = u.sim.Schedule(u.m.RetransTimeout, func() { r.clientTimeout(c, cs) })
+	cs.timer = u.sim.Schedule(u.m.RetransTimeout, c.timeoutFn)
 	cs.armedAt = u.sim.Now()
 	t.Block()
 
 	// Woken by the receive daemon with the reply filled in.
 	c.inflight = nil
+	if cs.err == nil && cs.retries == 0 && r.reusable() {
+		// The one copy of the request was served: the server has read it.
+		c.reqWire = w
+	}
 	if u.mx != nil {
 		u.mx.rpcLatency.Observe(u.sim.Now().Sub(start))
 		if cs.err != nil {
@@ -179,29 +221,38 @@ func (u *User) Call(t *proc.Thread, dest int, req any, size int) (any, int, erro
 		r.armLazyAck(c, ack)
 	}
 
+	reply, repSize, err := cs.reply, cs.repSize, cs.err
+	cs.reply = nil
 	c.mu.Lock(t)
 	c.busy = false
 	c.cond.Signal(t)
 	c.mu.Unlock(t)
-	return cs.reply, cs.repSize, cs.err
+	return reply, repSize, err
 }
 
 // armLazyAck records seq as the channel's pending reply acknowledgement
-// and arms the explicit-ack fallback timer.
+// and arms the explicit-ack fallback timer. A call cancels the timer
+// before its own call to armLazyAck, so at most one is pending.
 func (r *userRPC) armLazyAck(c *uchan, seq uint64) {
-	u := r.u
 	c.pendingAck = seq
-	c.ackTimer = u.sim.Schedule(u.m.AckDelay, func() {
-		c.ackTimer = sim.Event{}
-		if c.pendingAck != seq {
-			return
-		}
-		c.pendingAck = 0
-		u.helper.post(func(ht *proc.Thread) { r.sendExplicitAck(ht, c.dest, seq) })
-	})
+	c.ackSeq = seq
+	c.ackTimer = r.u.sim.Schedule(r.u.m.AckDelay, c.ackFn)
 }
 
-func (r *userRPC) clientTimeout(c *uchan, cs *ucall) {
+// ackTimeout sends the explicit acknowledgement of a reply no request
+// piggybacked within AckDelay.
+func (r *userRPC) ackTimeout(c *uchan) {
+	c.ackTimer = sim.Event{}
+	seq := c.ackSeq
+	if c.pendingAck != seq {
+		return
+	}
+	c.pendingAck = 0
+	r.u.helper.post(func(ht *proc.Thread) { r.sendExplicitAck(ht, c.dest, seq) })
+}
+
+func (r *userRPC) clientTimeout(c *uchan) {
+	cs := &c.call
 	if cs.done {
 		return
 	}
@@ -221,8 +272,10 @@ func (r *userRPC) clientTimeout(c *uchan, cs *ucall) {
 	// Unanswered request: the kernel's cached route to the server may be
 	// stale, so force a re-locate before retransmitting.
 	u.k.RawInvalidateRoute(akernel.RawAddress(c.dest))
+	seq := cs.seq
 	u.helper.post(func(ht *proc.Thread) {
-		if cs.done {
+		// The record is the channel's: a later call may have taken it.
+		if cs.done || cs.seq != seq {
 			return
 		}
 		ht.SetOp(cs.op)
@@ -233,7 +286,7 @@ func (r *userRPC) clientTimeout(c *uchan, cs *ucall) {
 		ht.Return(pandaDepth)
 		ht.SetOp(0)
 	})
-	cs.timer = u.sim.Schedule(u.m.RetransBackoff(cs.retries), func() { r.clientTimeout(c, cs) })
+	cs.timer = u.sim.Schedule(u.m.RetransBackoff(cs.retries), c.timeoutFn)
 	cs.armedAt = u.sim.Now()
 }
 
@@ -259,7 +312,7 @@ func (r *userRPC) handleREQ(t *proc.Thread, w *uwire) {
 	u := r.u
 	s := r.srvFor(w.from)
 	if w.ackSeq > 0 && s.cached != nil && s.cached.seq == w.ackSeq {
-		s.cached = nil // piggybacked ack of the previous reply
+		r.acked(s) // piggybacked ack of the previous reply
 	}
 	switch {
 	case w.seq <= s.lastSeq:
@@ -284,8 +337,27 @@ func (r *userRPC) handleREQ(t *proc.Thread, w *uwire) {
 	if u.sim.Tracing() {
 		u.sim.SpanBeginWith(t.Op(), u.p.Name(), "prpc.serve", "seq=%d from=%d", w.seq, w.from)
 	}
-	ctx := &RPCContext{From: w.from, impl: &usrCtx{seq: w.seq, from: w.from, op: t.Op()}}
+	ctx := &s.ctx
+	if s.ctxBusy {
+		// The previous request is still in service, after its client gave
+		// up on it: its handler still holds the channel's context.
+		ctx = &RPCContext{impl: &usrCtx{}}
+	} else {
+		s.ctxBusy = true
+	}
+	ctx.From = w.from
+	*ctx.impl.(*usrCtx) = usrCtx{seq: w.seq, from: w.from, op: t.Op()}
 	r.handler(t, ctx, w.payload, w.size)
+}
+
+// acked drops the channel's cached reply, which its client has
+// acknowledged, keeping its wire for the next reply when the reply went
+// out only once.
+func (r *userRPC) acked(s *srvChan) {
+	if !s.resent && r.reusable() {
+		s.repWire = s.cached
+	}
+	s.cached = nil
 }
 
 type usrCtx struct {
@@ -305,10 +377,16 @@ func (u *User) Reply(t *proc.Thread, ctx *RPCContext, payload any, size int) {
 	}
 	r := &u.rpc
 	s := r.srvFor(c.from)
-	w := &uwire{kind: uREP, from: u.id, seq: c.seq, payload: payload, size: size}
+	w := s.repWire
+	if w == nil {
+		w = new(uwire)
+	}
+	s.repWire = nil
+	*w = uwire{kind: uREP, from: u.id, seq: c.seq, payload: payload, size: size}
 	s.lastSeq = c.seq
 	s.inFlight = 0
 	s.cached = w
+	s.resent = false
 	s.cachedMsgID = u.k.RawNextMsgID()
 	// The reply may be sent by a thread other than the one that served the
 	// request (a continuation); attribute the send to the call's operation.
@@ -323,10 +401,14 @@ func (u *User) Reply(t *proc.Thread, ctx *RPCContext, payload any, size int) {
 		u.sim.SpanEnd(c.op, u.p.Name(), "prpc.serve", "seq=%d", c.seq)
 	}
 	t.SetOp(prevOp)
+	if c == &s.uctx {
+		s.ctxBusy = false // done with c
+	}
 }
 
 func (r *userRPC) resendCached(t *proc.Thread, client int, s *srvChan) {
 	u := r.u
+	s.resent = true
 	t.ChargeP(sim.PhaseProtoSend, u.m.ProtoRPC)
 	t.ChargeP(sim.PhaseFrag, u.m.FragLayer)
 	u.k.RawSend(t, akernel.RawAddress(client), s.cachedMsgID, u.m.RPCHeaderUser, s.cached.size, s.cached, false)
@@ -361,6 +443,6 @@ func (r *userRPC) handleREP(t *proc.Thread, w *uwire) {
 func (r *userRPC) handleACK(t *proc.Thread, w *uwire) {
 	s := r.srv[w.from]
 	if s != nil && s.cached != nil && s.cached.seq == w.ackSeq {
-		s.cached = nil
+		r.acked(s)
 	}
 }
