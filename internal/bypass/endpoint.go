@@ -19,6 +19,7 @@ import (
 	"strconv"
 
 	"amoebasim/internal/ether"
+	"amoebasim/internal/flip"
 	"amoebasim/internal/model"
 	"amoebasim/internal/panda"
 	"amoebasim/internal/proc"
@@ -63,12 +64,16 @@ type Endpoint struct {
 	net *ether.Network
 	cfg Config
 
-	reasm   *reassembler
+	reasm   *flip.Reassembler
 	rxq     []rxEntry
 	waiters []*waiter
 	free    []*waiter // waiters whose receive has returned
 	discard func(*bfrag) bool
 	msgSeq  uint64
+
+	// frags is the free list of unicast descriptors: the consumer of a
+	// descriptor returns it here once reassembly has read it (freeFrag).
+	frags []*bfrag
 
 	consumer *proc.Thread
 	helper   *helper
@@ -117,7 +122,7 @@ func New(p *proc.Processor, net *ether.Network, segment int, cfg Config) (*Endpo
 	}
 	e.nic = nic
 	e.net = net
-	e.reasm = newReassembler(e.sim, e.m.RetransTimeout)
+	e.reasm = flip.NewReassembler(e.sim, e.m.RetransTimeout)
 	e.rpc.init(e)
 	for _, gs := range cfg.Groups {
 		g := &group{}
@@ -214,6 +219,23 @@ func (e *Endpoint) nextMsgID() uint64 {
 	return e.msgSeq
 }
 
+// maxPooledFrags bounds an endpoint's descriptor free list, as flip's
+// maxPooledPackets bounds its packet lists.
+const maxPooledFrags = 256
+
+// freeFrag recycles a pooled descriptor. Its consumer calls it once
+// reassembly has read it: a unicast frame reaches one endpoint once, so
+// nothing else holds the descriptor. A multicast or loopback descriptor
+// is shared by reference and never pooled, and no descriptor is once a
+// fault hook, which may deliver a frame twice, was ever armed.
+func (e *Endpoint) freeFrag(f *bfrag) {
+	if !f.pooled || len(e.frags) >= maxPooledFrags || e.net.FaultEverArmed() {
+		return
+	}
+	*f = bfrag{}
+	e.frags = append(e.frags, f)
+}
+
 // ---- Send path ----
 
 // post transmits a message: per fragment, build a descriptor pointing at
@@ -225,15 +247,22 @@ func (e *Endpoint) post(t *proc.Thread, dst int, hdr int, w *bwire, msgID uint64
 	if w.size > 0 {
 		n = (w.size + cap0 - 1) / cap0
 	}
+	pooled := !multicast && dst != e.id && !e.net.FaultEverArmed()
 	off := 0
 	for i := 0; i < n; i++ {
 		length := w.size - off
 		if length > cap0 {
 			length = cap0
 		}
-		f := &bfrag{
+		var f *bfrag
+		if k := len(e.frags); pooled && k > 0 {
+			f, e.frags = e.frags[k-1], e.frags[:k-1]
+		} else {
+			f = new(bfrag)
+		}
+		*f = bfrag{
 			w: w, src: e.id, dst: dst, msgID: msgID,
-			frag: i, nfrags: n, length: length, op: t.Op(),
+			frag: i, nfrags: n, length: length, op: t.Op(), pooled: pooled,
 		}
 		if i == 0 {
 			f.hdr = hdr
@@ -290,6 +319,7 @@ func (e *Endpoint) onFrame(fr ether.Frame) {
 // Runs in driver context.
 func (e *Endpoint) deliver(f *bfrag) {
 	if e.discard != nil && e.discard(f) {
+		e.freeFrag(f)
 		return
 	}
 	if f.dst < 0 {
@@ -434,8 +464,10 @@ func (e *Endpoint) consumerLoop(t *proc.Thread) {
 	for {
 		f := e.receive(t, filter, sim.PhaseProtoRecv)
 		t.Call(bypassDepth)
-		if e.reasm.add(f) {
-			e.dispatchMsg(t, f.w)
+		w, done := f.w, reassemble(e.reasm, f)
+		e.freeFrag(f)
+		if done {
+			e.dispatchMsg(t, w)
 		}
 		t.Return(bypassDepth)
 		// Drop the per-packet operation before blocking for the next one.

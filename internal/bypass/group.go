@@ -3,6 +3,7 @@ package bypass
 import (
 	"errors"
 
+	"amoebasim/internal/flip"
 	"amoebasim/internal/panda"
 	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
@@ -59,7 +60,7 @@ type group struct {
 	sinceAck    int // deliveries since the last watermark report
 
 	// Sequencer state (only on the sequencer's instance).
-	seqReasm   *reassembler
+	seqReasm   *flip.Reassembler
 	seqno      uint64
 	history    map[uint64]*bwire
 	seen       map[gkey]uint64
@@ -90,7 +91,7 @@ func (g *group) init(e *Endpoint, spec panda.GroupSpec) {
 func (g *group) isMember() bool { return g.amMember }
 
 func (g *group) initSequencer() {
-	g.seqReasm = newReassembler(g.e.sim, g.e.m.RetransTimeout)
+	g.seqReasm = flip.NewReassembler(g.e.sim, g.e.m.RetransTimeout)
 	g.history = make(map[uint64]*bwire)
 	g.seen = make(map[gkey]uint64)
 	g.acked = make(map[int]uint64)
@@ -331,8 +332,10 @@ func (g *group) sequencerLoop(t *proc.Thread) {
 	for {
 		f := e.receive(t, match, sim.PhaseSeqService)
 		t.Call(bypassDepth)
-		if g.seqReasm.add(f) {
-			g.seqHandle(t, f.w)
+		w, done := f.w, reassemble(g.seqReasm, f)
+		e.freeFrag(f)
+		if done {
+			g.seqHandle(t, w)
 		}
 		t.Return(bypassDepth)
 		// Drop the per-packet operation before blocking for the next one.

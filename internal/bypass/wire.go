@@ -1,10 +1,6 @@
 package bypass
 
-import (
-	"time"
-
-	"amoebasim/internal/sim"
-)
+import "amoebasim/internal/flip"
 
 type wireKind uint8
 
@@ -48,6 +44,13 @@ type bfrag struct {
 	length int
 	hdr    int // protocol header bytes (first fragment only)
 	op     uint64
+	pooled bool // from a sender's free list (see Endpoint.frags)
+}
+
+// reassemble consumes f into r, returning true when it completes its
+// message. A single-fragment message completes without a call.
+func reassemble(r *flip.Reassembler, f *bfrag) bool {
+	return f.nfrags <= 1 || r.AddFragment(flip.Address(f.src), f.msgID, f.frag, f.nfrags)
 }
 
 // seqTraffic reports whether f carries sequencer-bound group traffic, and
@@ -58,104 +61,5 @@ func seqTraffic(f *bfrag) (gid int, ok bool) {
 		return f.w.gid, true
 	default:
 		return 0, false
-	}
-}
-
-// reassembler rebuilds messages from bypass fragments, mirroring the FLIP
-// reassembler's behavior: Add returns true exactly once per message, stale
-// partials are evicted after the timeout, and an occupancy cap bounds the
-// buffer pool when senders give up (one-sided loss).
-type reassembler struct {
-	sim     *sim.Sim
-	timeout time.Duration
-	limit   int
-	seq     uint64
-	partial map[reasmKey]*reasmState
-
-	// Timeouts counts stale partial-message evictions.
-	Timeouts int64
-}
-
-const maxPartial = 64
-
-type reasmKey struct {
-	src   int
-	msgID uint64
-}
-
-type reasmState struct {
-	have     map[int]bool
-	count    int
-	total    int
-	deadline sim.Time
-	seq      uint64
-}
-
-func newReassembler(s *sim.Sim, timeout time.Duration) *reassembler {
-	return &reassembler{
-		sim:     s,
-		timeout: timeout,
-		limit:   maxPartial,
-		partial: make(map[reasmKey]*reasmState),
-	}
-}
-
-// add consumes a fragment, returning true when it completes its message.
-func (r *reassembler) add(f *bfrag) bool {
-	if f.nfrags <= 1 {
-		return true
-	}
-	key := reasmKey{src: f.src, msgID: f.msgID}
-	stt := r.partial[key]
-	now := r.sim.Now()
-	if stt != nil && now > stt.deadline {
-		delete(r.partial, key)
-		stt = nil
-		r.Timeouts++
-	}
-	if stt == nil {
-		if len(r.partial) >= r.limit {
-			r.reclaim(now)
-		}
-		r.seq++
-		stt = &reasmState{have: make(map[int]bool, f.nfrags), total: f.nfrags, seq: r.seq}
-		r.partial[key] = stt
-	}
-	stt.deadline = now.Add(r.timeout)
-	if stt.have[f.frag] {
-		return false
-	}
-	stt.have[f.frag] = true
-	stt.count++
-	if stt.count == stt.total {
-		delete(r.partial, key)
-		return true
-	}
-	return false
-}
-
-// reclaim evicts expired partials, then (if still full) the oldest by
-// (deadline, creation order) — deterministic regardless of map order.
-func (r *reassembler) reclaim(now sim.Time) {
-	for key, stt := range r.partial {
-		if now > stt.deadline {
-			delete(r.partial, key)
-			r.Timeouts++
-		}
-	}
-	if len(r.partial) < r.limit {
-		return
-	}
-	var victim reasmKey
-	var vs *reasmState
-	for key, stt := range r.partial {
-		if vs == nil || stt.deadline < vs.deadline ||
-			(stt.deadline == vs.deadline && stt.seq < vs.seq) {
-			victim, vs = key, stt
-		}
-	}
-	if vs != nil {
-		delete(r.partial, victim)
-		r.Timeouts++
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"amoebasim/internal/ether"
+	"amoebasim/internal/flip"
 	"amoebasim/internal/model"
 	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
@@ -15,19 +16,19 @@ import (
 // must not touch the partial-message pool or allocate at all.
 func TestReassemblerSingleFragmentZeroAlloc(t *testing.T) {
 	s := sim.New()
-	r := newReassembler(s, 500*time.Millisecond)
+	r := flip.NewReassembler(s, 500*time.Millisecond)
 	w := &bwire{kind: bgDATA, from: 1, size: 256}
 	f := &bfrag{w: w, src: 1, msgID: 7, frag: 0, nfrags: 1, length: 256}
 	avg := testing.AllocsPerRun(1000, func() {
-		if !r.add(f) {
+		if !reassemble(r, f) {
 			t.Fatal("single-fragment message did not complete")
 		}
 	})
 	if avg != 0 {
 		t.Fatalf("single-fragment add allocates %.2f objects/op, budget is 0", avg)
 	}
-	if len(r.partial) != 0 {
-		t.Fatalf("single-fragment messages left %d partials", len(r.partial))
+	if r.Pending() != 0 {
+		t.Fatalf("single-fragment messages left %d partials", r.Pending())
 	}
 }
 
@@ -76,5 +77,42 @@ func TestBlockingReceiveZeroAlloc(t *testing.T) {
 	}
 	if received != 202 {
 		t.Fatalf("consumer picked up %d fragments, want 202", received)
+	}
+}
+
+// TestMultiFragmentReassemblyBudget: a warm consumer reassembles a
+// three-fragment message without allocating. The reassembler recycles
+// each message's state and bitset (bypass's own copy made a map and a
+// state per message).
+func TestMultiFragmentReassemblyBudget(t *testing.T) {
+	s := sim.New()
+	m := model.Calibrated()
+	net := ether.New(s, m, 1, 1)
+	p := proc.New(s, m, 0, "cpu0")
+	t.Cleanup(p.Shutdown)
+	e, err := New(p, net, 0, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var received int
+	e.HandleRaw(func(*proc.Thread, int, any, int) { received++ })
+	s.Run()
+	w := &bwire{kind: bRAW, from: 1, size: 3000}
+	var frags [3]bfrag
+	var msgID uint64
+	deliver := func() {
+		msgID++
+		for i := range frags {
+			frags[i] = bfrag{w: w, src: 1, dst: 0, msgID: msgID, frag: i, nfrags: len(frags), length: 1000}
+			e.deliver(&frags[i])
+			s.Run()
+		}
+	}
+	deliver() // warm the reassembler's state pool
+	if avg := testing.AllocsPerRun(200, deliver); avg != 0 {
+		t.Fatalf("a warm three-fragment reassembly allocates %.2f objects/message, budget is 0", avg)
+	}
+	if received != 202 {
+		t.Fatalf("consumer completed %d messages, want 202", received)
 	}
 }

@@ -120,8 +120,18 @@ type pendingTx struct {
 	msg Message
 }
 
-// maxPooledPackets bounds a stack's packet free list, as ether's
-// maxPooledHops bounds its hop records.
+// packetPool is the free list of unicast data packets that the stacks on
+// one simulator share (see Stack.pool), keyed there by packetPoolKey.
+type packetPool struct {
+	free []*Packet
+}
+
+type packetPoolKey struct{}
+
+// maxPooledPackets bounds a packet free list, as ether's maxPooledHops
+// bounds its hop records. Packets drift from partitions that send more
+// than they receive to the others; past the bound a returned packet is
+// left to the garbage collector.
 const maxPooledPackets = 256
 
 // Handler receives packets for a protocol. It runs in driver context at
@@ -164,18 +174,13 @@ type Stack struct {
 
 	msgSeq uint64
 
-	// pool is the free list for unicast data packets. A packet goes back
-	// to the free list of the stack that consumed it, and a stack takes
-	// from its own list when it sends, so under partitioned execution each
-	// free list stays partition-local. A one-way stream therefore moves
-	// one packet per message from the sender's list to the receiver's: the
-	// sender mints a packet each time once its list is empty, and the
-	// receiver keeps at most maxPooledPackets and leaves the rest to the
-	// garbage collector. noPool disables pooling when a fault hook may
-	// duplicate deliveries (two deliveries of one pointer would
-	// double-release).
-	pool   []*Packet
-	noPool bool
+	// pool is the packet free list of this stack's simulator, as ether's
+	// segments share one pool of hop records per partition: a stack takes
+	// from it when it sends and the consuming stack returns the packet to
+	// its own simulator's list, so under partitioned execution each list
+	// stays partition-local, and on one simulator a one-way stream
+	// recycles its packets.
+	pool *packetPool
 
 	// rxq holds the received packets whose interrupt items are queued on
 	// the processor, oldest first. The processor services its interrupt
@@ -225,6 +230,7 @@ func NewStack(p *proc.Processor, net *ether.Network, segment int) (*Stack, error
 		routes:   make(map[Address]int),
 		handlers: make(map[Protocol]Handler),
 	}
+	st.pool = st.sim.Shared(packetPoolKey{}, func() any { return new(packetPool) }).(*packetPool)
 	st.receiveFn = st.receiveNext
 	st.transmitFn = st.transmitNext
 	nic, err := net.AddNIC(segment, st.onFrame)
@@ -249,28 +255,21 @@ func NewStack(p *proc.Processor, net *ether.Network, segment int) (*Stack, error
 	return st, nil
 }
 
-// DisablePacketPool turns off packet pooling for this stack. Required
-// when a fault hook may duplicate frame deliveries: duplication hands
-// the same packet pointer to the receive path twice, and the second
-// release of a recycled packet would corrupt the free list. Without
-// pooling, packets are ordinary garbage-collected values and duplicate
-// deliveries are safe.
-func (st *Stack) DisablePacketPool() { st.noPool = true }
-
 // allocPacket takes a zeroed packet from the free list, or mints one.
 func (st *Stack) allocPacket() *Packet {
-	if n := len(st.pool); n > 0 {
-		pk := st.pool[n-1]
-		st.pool[n-1] = nil
-		st.pool = st.pool[:n-1]
+	p := st.pool
+	if n := len(p.free); n > 0 {
+		pk := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 		return pk
 	}
 	return &Packet{}
 }
 
 // ReleasePacket drops one reference to a pooled packet, recycling it
-// into this stack's free list when the last reference goes and the list
-// holds fewer than maxPooledPackets. The final
+// into the free list of this stack's simulator when the last reference
+// goes and the list holds fewer than maxPooledPackets. The final
 // consumer of a packet calls it: the dispatch upcall after the handler
 // returns, or — when the handler queued the packet with Retain — the
 // thread that eventually dequeues it. No-op on unpooled packets, so
@@ -281,11 +280,11 @@ func (st *Stack) ReleasePacket(pk *Packet) {
 		return
 	}
 	pk.refs--
-	if pk.refs > 0 || len(st.pool) >= maxPooledPackets {
+	if pk.refs > 0 || len(st.pool.free) >= maxPooledPackets {
 		return
 	}
 	*pk = Packet{}
-	st.pool = append(st.pool, pk)
+	st.pool.free = append(st.pool.free, pk)
 }
 
 // Network returns the network the stack's NIC is attached to.
@@ -491,11 +490,12 @@ func (st *Stack) transmitNext() {
 }
 
 // newPacket builds fragment i of n, drawing unicast data packets from
-// the stack's free list (a multicast packet is shared by reference with
-// every receiver, so it cannot have a pooled single-owner lifecycle).
+// the free list (a multicast packet is shared by reference with every
+// receiver, and a fault hook may deliver a packet twice, so neither has
+// a pooled single-owner lifecycle).
 func (st *Stack) newPacket(msg Message, i, n, off, length int) *Packet {
 	var pk *Packet
-	if !msg.Multicast && !st.noPool && !st.net.FaultEverArmed() {
+	if !msg.Multicast && !st.net.FaultEverArmed() {
 		pk = st.allocPacket()
 		pk.poolable = true
 		pk.refs = 1
@@ -851,11 +851,19 @@ func (r *Reassembler) SetLimit(n int) {
 
 // Add consumes a fragment. It returns true exactly once per message, when
 // the final missing fragment arrives. Duplicate fragments are ignored.
+// A single-fragment message completes here, without a call.
 func (r *Reassembler) Add(pk *Packet) bool {
-	if pk.NFrags <= 1 {
+	return pk.NFrags <= 1 || r.AddFragment(pk.Src, pk.MsgID, pk.Frag, pk.NFrags)
+}
+
+// AddFragment is Add for a fragment described by its fields: fragment
+// frag of the nfrags that make up message msgID from src. Transports
+// that carry their own descriptors instead of FLIP packets use it.
+func (r *Reassembler) AddFragment(src Address, msgID uint64, frag, nfrags int) bool {
+	if nfrags <= 1 {
 		return true
 	}
-	key := reasmKey{src: pk.Src, msgID: pk.MsgID}
+	key := reasmKey{src: src, msgID: msgID}
 	stt := r.partial[key]
 	now := r.sim.Now()
 	if stt != nil && now > stt.deadline {
@@ -869,12 +877,12 @@ func (r *Reassembler) Add(pk *Packet) bool {
 			r.reclaim(now)
 		}
 		r.seq++
-		stt = r.allocState(pk.NFrags)
+		stt = r.allocState(nfrags)
 		stt.seq = r.seq
 		r.partial[key] = stt
 	}
 	stt.deadline = now.Add(r.timeout)
-	if !stt.mark(pk.Frag) {
+	if !stt.mark(frag) {
 		return false
 	}
 	stt.count++

@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"amoebasim/internal/ether"
+	"amoebasim/internal/model"
+	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
 )
 
@@ -89,10 +92,10 @@ func TestReassemblerStateReuseZeroAlloc(t *testing.T) {
 // unicastSteadyStateBudget is the allocation budget for one complete
 // warm-routed unicast send+receive, at its measured value. The ether
 // hops, the interrupt items, the queued transmit and the receive are
-// allocation-free; the object left is the packet itself, because in
-// this one-way stream the receiving stack's free list gets every packet
-// back and the sender's never does.
-const unicastSteadyStateBudget = 1
+// allocation-free, and so is the packet: the sender and the receiver
+// share their simulator's free list, so the receiver's release hands
+// the packet back to the sender.
+const unicastSteadyStateBudget = 0
 
 // TestUnicastSteadyStateBudget: a warm-routed single-fragment unicast
 // from send to delivered handler stays within the allocation budget —
@@ -118,9 +121,9 @@ func TestUnicastSteadyStateBudget(t *testing.T) {
 	}
 }
 
-// TestOneWayStreamPoolBudget: a one-way unicast stream moves one packet
-// per message from the sender's free list to the receiver's, and the
-// receiver keeps at most maxPooledPackets of them.
+// TestOneWayStreamPoolBudget: a one-way unicast stream returns each
+// packet to the free list the two stacks share, which holds at most
+// maxPooledPackets.
 func TestOneWayStreamPoolBudget(t *testing.T) {
 	r := newRig(t, 2)
 	const addr Address = 9
@@ -134,11 +137,40 @@ func TestOneWayStreamPoolBudget(t *testing.T) {
 		})
 		r.sim.Run()
 	}
-	if n := len(r.stacks[1].pool); n > maxPooledPackets {
-		t.Fatalf("receiver pools %d packets after 1011 one-way messages, cap is %d", n, maxPooledPackets)
+	if r.stacks[0].pool != r.stacks[1].pool {
+		t.Fatal("two stacks on one simulator keep separate packet free lists")
+	}
+	if n := len(r.stacks[1].pool.free); n > maxPooledPackets {
+		t.Fatalf("the shared list pools %d packets after 1011 one-way messages, cap is %d", n, maxPooledPackets)
 	}
 	if r.stacks[1].RecvPackets != 1011 {
 		t.Fatalf("receiver got %d packets, want 1011", r.stacks[1].RecvPackets)
+	}
+}
+
+// TestPacketPoolPerSimulator: under partitioned execution the stacks of
+// one partition share a packet free list and never touch another
+// partition's.
+func TestPacketPoolPerSimulator(t *testing.T) {
+	m := model.Calibrated()
+	a, b := sim.New(), sim.New()
+	net := ether.New(a, m, 2, 1)
+	net.Partition([]*sim.Sim{a, b}, nil)
+	var stacks []*Stack
+	for i, s := range []*sim.Sim{a, a, b} {
+		p := proc.New(s, m, i, "cpu")
+		t.Cleanup(p.Shutdown)
+		st, err := NewStack(p, net, i/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks = append(stacks, st)
+	}
+	if stacks[0].pool != stacks[1].pool {
+		t.Fatal("two stacks of one partition keep separate packet free lists")
+	}
+	if stacks[0].pool == stacks[2].pool {
+		t.Fatal("stacks of two partitions share a packet free list")
 	}
 }
 

@@ -9,14 +9,11 @@ import (
 	"amoebasim/internal/proc"
 )
 
-// TestContinuationsRunFIFO: blocked guarded operations must execute in
-// arrival order once their guards become true (Orca's fairness rule for
-// condition synchronization).
-func TestContinuationsRunFIFO(t *testing.T) {
-	c, pg := newProgram(t, 3, panda.UserSpace, false)
-	// A ticket dispenser: "take" blocks until tickets are available and
-	// takes exactly one.
-	typ := orca.NewType("tickets",
+// ticketsType is a ticket dispenser: "take" blocks until tickets are
+// available, takes exactly one and returns its argument, the taker's id;
+// "add" adds its argument's worth of tickets.
+func ticketsType() *orca.ObjType {
+	return orca.NewType("tickets",
 		&orca.OpDef{
 			Name: "take",
 			Guard: func(s orca.State) bool {
@@ -36,7 +33,14 @@ func TestContinuationsRunFIFO(t *testing.T) {
 			},
 		},
 	)
-	h := pg.DeclareOwned("tickets", typ, 0, func() orca.State {
+}
+
+// TestContinuationsRunFIFO: blocked guarded operations must execute in
+// arrival order once their guards become true (Orca's fairness rule for
+// condition synchronization).
+func TestContinuationsRunFIFO(t *testing.T) {
+	c, pg := newProgram(t, 3, panda.UserSpace, false)
+	h := pg.DeclareOwned("tickets", ticketsType(), 0, func() orca.State {
 		v := 0
 		return &v
 	})
@@ -76,6 +80,49 @@ func TestContinuationsRunFIFO(t *testing.T) {
 	_ = first
 	if blocked != 2 {
 		t.Fatalf("blocked = %d, want 2", blocked)
+	}
+}
+
+// TestLocalContinuationsKeepTheirResults: guarded operations blocked on
+// one processor and released by one write each return their own result,
+// round after round, although the runtime recycles their invocation
+// records.
+func TestLocalContinuationsKeepTheirResults(t *testing.T) {
+	c, pg := newProgram(t, 2, panda.UserSpace, false)
+	h := pg.DeclareOwned("tickets", ticketsType(), 0, func() orca.State { return new(int) })
+	const takers, rounds = 3, 4
+	owner := pg.Runtime(0)
+	served := 0
+	for i := 1; i <= takers; i++ {
+		owner.Go("taker", func(th *proc.Thread) {
+			for r := 0; r < rounds; r++ {
+				res, _, err := owner.Invoke(th, h, "take", i, 4)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res != i {
+					t.Errorf("round %d: taker %d got %v, another taker's result", r, i, res)
+				}
+				served++
+			}
+		})
+	}
+	owner.Go("releaser", func(th *proc.Thread) {
+		for r := 0; r < rounds; r++ {
+			th.Sleep(10 * time.Millisecond) // let every taker block
+			if _, _, err := owner.Invoke(th, h, "add", takers, 4); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	c.Run()
+	if served != takers*rounds {
+		t.Fatalf("served %d takes, want %d", served, takers*rounds)
+	}
+	if _, _, _, _, blocked := owner.ObjectStats(h); blocked != takers*rounds {
+		t.Fatalf("blocked = %d, want %d", blocked, takers*rounds)
 	}
 }
 

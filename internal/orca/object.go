@@ -9,6 +9,7 @@ package orca
 import (
 	"time"
 
+	"amoebasim/internal/panda"
 	"amoebasim/internal/proc"
 )
 
@@ -88,19 +89,36 @@ type Handle struct {
 
 // continuation is a blocked guarded operation queued at an object. When a
 // mutating operation makes the guard true, the continuation's body runs in
-// the mutating thread and done delivers the result — an asynchronous RPC
-// reply for remote invocations (only possible without workarounds on the
-// user-space Panda), or a semaphore signal for local ones.
+// the mutating thread and its completion delivers the result: a semaphore
+// signal for a local invoker (contLocal), an asynchronous RPC reply for a
+// remote one (contRPC, only possible without workarounds on the
+// user-space Panda), or the end of a replicated write (contGroup). It is
+// a value in its object's queue, so blocking allocates no record.
 type continuation struct {
 	op    *OpDef
 	args  any
 	guard GuardFunc
-	done  func(t *proc.Thread, result any, resultSize int)
+	kind  contKind
+
+	inv    *localInv         // contLocal: the blocked invoker
+	ctx    *panda.RPCContext // contRPC: the request to reply to
+	w      *bcastWire        // contGroup: the broadcast write
+	sender int               // contGroup: its sender
 }
+
+// contKind selects how a continuation completes.
+type contKind uint8
+
+const (
+	contLocal contKind = iota
+	contRPC
+	contGroup
+)
 
 // localInv carries the result of an invocation back to a blocked invoker
 // through a counting semaphore (no lost wakeups regardless of which side
-// gets there first).
+// gets there first). Records come from the runtime's free list and go
+// back once the invoker's Down has returned, when nothing else holds them.
 type localInv struct {
 	sem     proc.Semaphore
 	result  any
@@ -115,12 +133,12 @@ type instance struct {
 	mu    proc.Mutex
 
 	// blocked guarded operations, FIFO.
-	conts []*continuation
+	conts []continuation
 
 	// outstanding nonblocking writes by the local process (extension):
 	// local reads must wait for them to preserve program order.
 	outstandingNB int
-	nbWaiters     []*localInv
+	nbWaiters     []*proc.Thread
 
 	// Stats.
 	reads      int64

@@ -50,6 +50,7 @@ type Runtime struct {
 	objects map[ObjectID]*instance
 	pending map[uint64]*localInv
 	invSeq  uint64
+	invs    []*localInv // free list (see newInv)
 
 	// nonblockingWrites enables the §6 extension for operations marked
 	// AllowNB (user-space transport only).
@@ -257,9 +258,10 @@ func (rt *Runtime) invokeBroadcast(t *proc.Thread, inst *instance, op *OpDef, op
 		}
 	}
 
-	inv := &localInv{}
+	inv := rt.newInv()
 	rt.pending[w.invID] = inv
 	if err := rt.tr.GroupSend(t, w, size); err != nil {
+		// The record is not recycled: its write may still have completed.
 		delete(rt.pending, w.invID)
 		return nil, 0, fmt.Errorf("orca: broadcast %s.%s: %w", inst.h.Name, opName, err)
 	}
@@ -267,7 +269,29 @@ func (rt *Runtime) invokeBroadcast(t *proc.Thread, inst *instance, op *OpDef, op
 	// operation (a semaphore, so the order of arrival cannot lose it).
 	inv.sem.Down(t)
 	delete(rt.pending, w.invID)
-	return inv.result, inv.resSize, nil
+	res, n := rt.freeInv(inv)
+	return res, n, nil
+}
+
+// newInv takes an invocation record from the free list, or mints one.
+func (rt *Runtime) newInv() *localInv {
+	if n := len(rt.invs); n > 0 {
+		inv := rt.invs[n-1]
+		rt.invs = rt.invs[:n-1]
+		return inv
+	}
+	return &localInv{}
+}
+
+// freeInv returns the result inv carried and recycles it. The caller is
+// its invoker, whose Down on it has returned and who has taken it off
+// pending: exactly one completion signals a record, so nothing else
+// holds it any more.
+func (rt *Runtime) freeInv(inv *localInv) (any, int) {
+	res, n := inv.result, inv.resSize
+	inv.result, inv.resSize = nil, 0
+	rt.invs = append(rt.invs, inv)
+	return res, n
 }
 
 // waitNB delays local reads while the process has nonblocking writes in
@@ -275,9 +299,8 @@ func (rt *Runtime) invokeBroadcast(t *proc.Thread, inst *instance, op *OpDef, op
 // issuing process).
 func (rt *Runtime) waitNB(t *proc.Thread, inst *instance) {
 	for inst.outstandingNB > 0 {
-		inv := &localInv{}
-		inst.nbWaiters = append(inst.nbWaiters, inv)
-		inv.sem.Down(t)
+		inst.nbWaiters = append(inst.nbWaiters, t)
+		t.Block()
 	}
 }
 
@@ -300,17 +323,13 @@ func (rt *Runtime) applyLocal(t *proc.Thread, inst *instance, op *OpDef, args an
 	if rt.mx != nil {
 		rt.mx.guardBlocks.Inc()
 	}
-	inv := &localInv{}
-	inst.conts = append(inst.conts, &continuation{
-		op: op, args: args, guard: guard,
-		done: func(dt *proc.Thread, res any, n int) {
-			inv.result, inv.resSize = res, n
-			inv.sem.Up(dt)
-		},
-	})
+	inv := rt.newInv()
+	inst.conts = append(inst.conts, continuation{op: op, args: args, guard: guard, kind: contLocal, inv: inv})
 	inst.mu.Unlock(t)
 	inv.sem.Down(t)
-	return inv.result, inv.resSize
+	// runContinuations took the continuation off the queue before it
+	// signalled, so nothing holds inv any more.
+	return rt.freeInv(inv)
 }
 
 // runContinuations re-evaluates blocked guarded operations after a state
@@ -319,16 +338,28 @@ func (rt *Runtime) applyLocal(t *proc.Thread, inst *instance, op *OpDef, args an
 func (rt *Runtime) runContinuations(t *proc.Thread, inst *instance) {
 	for progress := true; progress; {
 		progress = false
-		for i, c := range inst.conts {
-			if c.guard != nil && !c.guard(inst.state) {
+		for i := range inst.conts {
+			if g := inst.conts[i].guard; g != nil && !g(inst.state) {
 				if rt.mx != nil {
 					rt.mx.guardRetries.Inc()
 				}
 				continue
 			}
-			inst.conts = append(inst.conts[:i], inst.conts[i+1:]...)
+			c := inst.conts[i]
+			last := len(inst.conts) - 1
+			copy(inst.conts[i:], inst.conts[i+1:])
+			inst.conts[last] = continuation{}
+			inst.conts = inst.conts[:last]
 			res, n := c.op.Apply(t, inst.state, c.args)
-			c.done(t, res, n)
+			switch c.kind {
+			case contLocal:
+				c.inv.result, c.inv.resSize = res, n
+				c.inv.sem.Up(t)
+			case contRPC:
+				rt.tr.Reply(t, c.ctx, res, n)
+			case contGroup:
+				rt.completeWrite(t, inst, c.w, c.sender, res, n)
+			}
 			progress = true
 			break
 		}
@@ -372,12 +403,7 @@ func (rt *Runtime) onRPC(t *proc.Thread, ctx *panda.RPCContext, req any, size in
 	if rt.mx != nil {
 		rt.mx.guardBlocks.Inc()
 	}
-	inst.conts = append(inst.conts, &continuation{
-		op: op, args: w.args, guard: guard,
-		done: func(dt *proc.Thread, res any, n int) {
-			rt.tr.Reply(dt, ctx, res, n)
-		},
-	})
+	inst.conts = append(inst.conts, continuation{op: op, args: w.args, guard: guard, kind: contRPC, ctx: ctx})
 	inst.mu.Unlock(t)
 }
 
@@ -394,27 +420,6 @@ func (rt *Runtime) onGroup(t *proc.Thread, sender int, seqno uint64, payload any
 	op := inst.typ.Ops[w.op]
 	inst.writes++
 
-	complete := func(dt *proc.Thread, res any, n int) {
-		if sender != rt.id {
-			return
-		}
-		if w.nb {
-			inst.outstandingNB--
-			if inst.outstandingNB == 0 {
-				ws := inst.nbWaiters
-				inst.nbWaiters = nil
-				for _, inv := range ws {
-					inv.sem.Up(dt)
-				}
-			}
-			return
-		}
-		if inv := rt.pending[w.invID]; inv != nil {
-			inv.result, inv.resSize = res, n
-			inv.sem.Up(dt)
-		}
-	}
-
 	guard := w.guard
 	if guard == nil {
 		guard = op.Guard
@@ -424,18 +429,40 @@ func (rt *Runtime) onGroup(t *proc.Thread, sender int, seqno uint64, payload any
 		res, n := op.Apply(t, inst.state, w.args)
 		rt.runContinuations(t, inst)
 		inst.mu.Unlock(t)
-		complete(t, res, n)
+		rt.completeWrite(t, inst, w, sender, res, n)
 		return
 	}
 	inst.blocked++
 	if rt.mx != nil {
 		rt.mx.guardBlocks.Inc()
 	}
-	inst.conts = append(inst.conts, &continuation{
-		op: op, args: w.args, guard: guard,
-		done: complete,
-	})
+	inst.conts = append(inst.conts, continuation{op: op, args: w.args, guard: guard, kind: contGroup, w: w, sender: sender})
 	inst.mu.Unlock(t)
+}
+
+// completeWrite ends a replicated write once the local copy has executed
+// it: on the sender's processor it wakes the blocked invoker, or, for a
+// nonblocking write, the local reads waiting for the last one in flight.
+func (rt *Runtime) completeWrite(t *proc.Thread, inst *instance, w *bcastWire, sender int, res any, n int) {
+	if sender != rt.id {
+		return
+	}
+	if w.nb {
+		inst.outstandingNB--
+		if inst.outstandingNB == 0 {
+			ws := inst.nbWaiters
+			inst.nbWaiters = nil
+			for _, wt := range ws {
+				t.Flush()
+				wt.Unblock()
+			}
+		}
+		return
+	}
+	if inv := rt.pending[w.invID]; inv != nil {
+		inv.result, inv.resSize = res, n
+		inv.sem.Up(t)
+	}
 }
 
 // ObjectStats reports per-object instrumentation for this runtime.

@@ -42,19 +42,18 @@ func warmRPC(tb testing.TB, mode panda.Mode) (call func(), calls *int) {
 }
 
 // TestWarmRPCAllocBudget: once its channel is warm, a null RPC allocates
-// no host object in user space. The call record, the timer callbacks and
-// the server context live on the channel, and the request and reply
-// wires are reused once their receiver has provably consumed them. What
-// is left is the bypass transport's per-fragment frame descriptors (one
-// for the request, one for the reply) and, in kernel space, the explicit
-// ACK of the 3-way protocol and the FLIP packet that carries it: the ACK
-// moves one packet per call from the client's pool to the server's.
+// no host object in user space or bypass. The call record, the timer
+// callbacks and the server context live on the channel, and the request
+// and reply wires are reused once their receiver has provably consumed
+// them. FLIP packets and bypass frame descriptors go back to a free list
+// once their receiver has read them. What is left is the wire of kernel
+// space's explicit ACK, the third message of its 3-way protocol.
 func TestWarmRPCAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	budget := map[panda.Mode]float64{
-		panda.KernelSpace: 2,
+		panda.KernelSpace: 1,
 		panda.UserSpace:   0,
-		panda.Bypass:      2,
+		panda.Bypass:      0,
 	}
 	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -129,12 +128,14 @@ func warmGroupSend(tb testing.TB, mode panda.Mode) (send func(), sends *int) {
 // and 7 objects per send before, in kernel space, user space and
 // bypass). The budgets are what a send still allocates, request and
 // sequencer wires and history included, which this test does not pin
-// further.
+// further. The request's FLIP packet comes back to the free list the
+// stacks share; under bypass the request's descriptor goes to the
+// sequencer's list and is minted again.
 func TestWarmGroupSendBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	budget := map[panda.Mode]float64{
-		panda.KernelSpace: 5,
-		panda.UserSpace:   5,
+		panda.KernelSpace: 4,
+		panda.UserSpace:   4,
 		panda.Bypass:      5,
 	}
 	for _, mode := range panda.AllModes() {

@@ -13,10 +13,11 @@ package sim
 //     member of a group at the same instant, then each member's interrupt
 //     at the next — is one chain per instant, so it pops without sift
 //     work, however deep the queue.
-//   - Push and pop sift inline on a []*event with no interface
-//     conversions (no container/heap). A 4-ary layout halves the tree
-//     depth of a binary heap; the four children share at most two cache
-//     lines.
+//   - Push and pop sift inline on a []node with no interface
+//     conversions (no container/heap). A node keeps its head's at beside
+//     the pointer, so a sift reads an event only when two instants tie.
+//     A 4-ary layout halves the tree depth of a binary heap; the four
+//     children share at most two cache lines.
 //   - Fired and canceled events return to a free list and are recycled, so
 //     steady-state Schedule/Step allocates nothing. A generation counter
 //     on each slot makes a stale handle's Cancel a safe no-op.
@@ -77,28 +78,35 @@ const seqBits = 48
 // is not worth a pass.
 const minQueueCap = 64
 
+// node is one heap entry: a chain head and the instant it fires at.
+type node struct {
+	at Time
+	e  *event
+}
+
 // eventQueue is the pooled 4-ary min-heap of chains. The zero value is
 // ready to use.
 type eventQueue struct {
-	heap   []*event // chain heads
+	heap   []node // chain heads
 	free   []*event
 	tail   *event // the owner's last local schedule while it is queued
 	queued int    // events queued, tombstones included
 	dead   int    // tombstoned events still queued
 }
 
-// less orders events by (time, schedule-time clock, source partition,
-// insertion sequence) so simultaneous events fire in a deterministic
-// order that does not depend on how partitions interleave on the wall
-// clock. On a lone simulator this degenerates to FIFO (at, seq) order.
-func less(a, b *event) bool {
+// less orders nodes by their events' (time, schedule-time clock, source
+// partition, insertion sequence) so simultaneous events fire in a
+// deterministic order that does not depend on how partitions interleave
+// on the wall clock. On a lone simulator this degenerates to FIFO (at,
+// seq) order.
+func less(a, b node) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.gat != b.gat {
-		return a.gat < b.gat
+	if a.e.gat != b.e.gat {
+		return a.e.gat < b.e.gat
 	}
-	return a.key < b.key
+	return a.e.key < b.e.key
 }
 
 // nextKey advances s's sequence counter and returns the key of the event
@@ -150,18 +158,19 @@ func (q *eventQueue) pushLocal(e *event) {
 // push queues e as a heap node of its own, sifting it up from the bottom.
 func (q *eventQueue) push(e *event) {
 	q.queued++
-	q.heap = append(q.heap, e)
+	x := node{at: e.at, e: e}
+	q.heap = append(q.heap, x)
 	h := q.heap
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !less(e, h[p]) {
+		if !less(x, h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = e
+	h[i] = x
 }
 
 // popMin removes and returns the minimum event, tombstone or not. Its
@@ -169,11 +178,11 @@ func (q *eventQueue) push(e *event) {
 // slot without a sift.
 func (q *eventQueue) popMin() *event {
 	h := q.heap
-	e := h[0]
+	e := h[0].e
 	q.queued--
 	if nx := e.next; nx != nil {
 		e.next = nil
-		h[0] = nx
+		h[0].e = nx // same at: a chain shares its instant
 		return e
 	}
 	if e == q.tail { // the tail always ends its chain
@@ -181,7 +190,7 @@ func (q *eventQueue) popMin() *event {
 	}
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = nil
+	h[n] = node{}
 	q.heap = h[:n]
 	if n > 1 {
 		q.siftDown(0)
@@ -239,7 +248,7 @@ func (q *eventQueue) popLive() *event {
 // tombstones at the top. It returns nil when the queue is empty.
 func (q *eventQueue) peekLive() *event {
 	for len(q.heap) > 0 {
-		e := q.heap[0]
+		e := q.heap[0].e
 		if e.fn != nil {
 			return e
 		}
@@ -259,7 +268,8 @@ func (q *eventQueue) peekLive() *event {
 func (q *eventQueue) compact() {
 	h := q.heap
 	w := 0
-	for _, e := range h {
+	for _, x := range h {
+		e := x.e
 		var head *event
 		link := &head // where the next survivor of this chain goes
 		for e != nil {
@@ -274,7 +284,7 @@ func (q *eventQueue) compact() {
 			e = nx
 		}
 		if head != nil {
-			h[w] = head
+			h[w] = node{at: head.at, e: head}
 			w++
 		}
 	}
@@ -298,7 +308,7 @@ func (q *eventQueue) compact() {
 // shrink.
 func (q *eventQueue) maybeShrink() {
 	if c := cap(q.heap); c > minQueueCap && len(q.heap) <= c/4 {
-		nh := make([]*event, len(q.heap), max(2*len(q.heap), minQueueCap))
+		nh := make([]node, len(q.heap), max(2*len(q.heap), minQueueCap))
 		copy(nh, q.heap)
 		q.heap = nh
 	}

@@ -118,6 +118,22 @@ type Sim struct {
 	registry *metrics.Registry
 	part     int32  // partition id within group (0 standalone)
 	group    *Group // conservative parallel group, nil standalone
+	shared   map[any]any
+}
+
+// Shared returns the value the layers on this simulator keep under key,
+// made by mk on first use. Each -par partition is a simulator of its own,
+// so what a layer keeps here, such as a free list, stays partition-local.
+func (s *Sim) Shared(key any, mk func() any) any {
+	if s.shared == nil {
+		s.shared = make(map[any]any)
+	}
+	v, ok := s.shared[key]
+	if !ok {
+		v = mk()
+		s.shared[key] = v
+	}
+	return v
 }
 
 // SetTracer installs a protocol event tracer (nil disables tracing).
