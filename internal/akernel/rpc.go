@@ -346,16 +346,25 @@ func (k *Kernel) PutReply(t *proc.Thread, req *Request, reply any, size int) {
 		wire = &rpcWire{}
 	}
 	*wire = rpcWire{kind: rpcREP, ch: req.ch, seq: req.seq, op: req.op, port: req.Port, payload: reply, size: size}
-	sc.lastSeq = req.seq
-	sc.inFlight = 0
-	sc.cached = true
-	sc.cachedRep = flip.Message{
+	rep := flip.Message{
 		Src: PortAddress(req.Port), Dst: req.retAddr, Proto: flip.ProtoRPC,
 		MsgID: k.flip.NextMsgID(), Hdr: k.m.RPCHeaderKernel, Size: size, Payload: wire, Op: req.op,
 	}
-	sc.resent = false
+	// A server may answer after its client gave up and the channel's next
+	// request was answered. That late reply still goes out, but the newer
+	// request stays answered: its retransmission must find its own reply,
+	// not be served again.
+	if req.seq > sc.lastSeq {
+		sc.lastSeq = req.seq
+		sc.cached = true
+		sc.cachedRep = rep
+		sc.resent = false
+	}
+	if sc.inFlight == req.seq {
+		sc.inFlight = 0
+	}
 	t.ChargeP(sim.PhaseProtoSend, k.m.ProtoRPC)
-	k.flip.SendFromThread(t, sc.cachedRep)
+	k.flip.SendFromThread(t, rep)
 	if k.sim.Tracing() {
 		k.sim.SpanEnd(req.op, k.p.Name(), "rpc.served", "seq=%d size=%d", req.seq, size)
 	}

@@ -9,10 +9,10 @@ import (
 	"amoebasim/internal/panda"
 )
 
-var soakModes = []panda.Mode{panda.KernelSpace, panda.UserSpace}
+var soakModes = panda.AllModes()
 
 // TestFaultSoakScenarios runs the verified RPC + group workload under
-// every shipped scenario in both implementations: all calls must complete
+// every shipped scenario in every implementation: all calls must complete
 // with correct echoes, and the scenario must demonstrably have injected
 // its class of fault.
 func TestFaultSoakScenarios(t *testing.T) {
@@ -82,7 +82,7 @@ func TestFaultSoakDeterminism(t *testing.T) {
 }
 
 // TestFaultSoakApps runs every test-scale Orca application under fault
-// scenarios in both implementations, checking each answer against a clean
+// scenarios in every implementation, checking each answer against a clean
 // run. The chaos scenario (which exercises every fault class at once) and
 // nic-flap always run; the remaining scenarios are skipped in -short mode.
 func TestFaultSoakApps(t *testing.T) {

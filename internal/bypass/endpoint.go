@@ -7,6 +7,10 @@
 // consumed from a completion queue by polling, by a NIC interrupt, or by a
 // hybrid of the two (see Dispatch).
 //
+// The RPC is panda's RPC core, the same state machine user space runs:
+// the endpoint embeds it and supplies only the queue-pair packet path
+// (qpLink). Messages are panda.Wire values, carried by reference.
+//
 // Compared to the user-space column, the per-packet path drops the
 // syscall, the raw-interface translation overhead, the kernel FLIP layer
 // and every byte copy; what remains is the protocol state machine itself,
@@ -35,6 +39,31 @@ const bypassDepth = 2
 
 // systemHeaderBytes is the system-layer test-message header (Table 1).
 const systemHeaderBytes = 16
+
+// qpRPCPlacement names bypass's RPC trace events brpc.*.
+var qpRPCPlacement = panda.NewRPCPlacement(bypassDepth, "brpc", "consumer resumes client")
+
+// qpLink is the endpoint seen as the RPC core's packet path: the queue
+// pair, with no syscall, no kernel FLIP layer and no copies.
+type qpLink Endpoint
+
+func (l *qpLink) SendWire(t *proc.Thread, dest int, w *panda.Wire, msgID uint64) {
+	(*Endpoint)(l).post(t, dest, l.m.RPCHeaderUser, w, msgID, false)
+}
+
+func (l *qpLink) NextMsgID() uint64 { return (*Endpoint)(l).nextMsgID() }
+
+// BeforeRetransmit does nothing: queue pairs are pre-established, so a
+// retransmission needs no re-locate.
+func (l *qpLink) BeforeRetransmit(int) {}
+
+// WakeCaller needs no system call: the consumer hands the processor
+// straight to the client (a direct resume), which is the crossing the
+// user-space column cannot avoid.
+func (l *qpLink) WakeCaller(t, caller *proc.Thread) {
+	t.Flush()
+	caller.UnblockDirect()
+}
 
 // Config configures one bypass endpoint.
 type Config struct {
@@ -71,14 +100,16 @@ type Endpoint struct {
 	discard func(*bfrag) bool
 	msgSeq  uint64
 
-	// frags is the free list of unicast descriptors: the consumer of a
-	// descriptor returns it here once reassembly has read it (freeFrag).
-	frags []*bfrag
+	// frags is the free list of unicast descriptors that the endpoints on
+	// one simulator share: the consumer of a descriptor returns it there
+	// once reassembly has read it (freeFrag).
+	frags *fragPool
 
 	consumer *proc.Thread
-	helper   *helper
+	helper   *panda.Helper
 
-	rpc        bypassRPC
+	panda.RPC // the stop-and-wait RPC, over the queue pair (qpLink)
+
 	grps       []*group  // indexed by gid; nil entries for groups not held
 	grpSends   []*bgsend // group send records whose send has returned
 	rawHandler panda.RawHandler
@@ -122,8 +153,8 @@ func New(p *proc.Processor, net *ether.Network, segment int, cfg Config) (*Endpo
 	}
 	e.nic = nic
 	e.net = net
+	e.frags = e.sim.Shared(fragPoolKey{}, func() any { return new(fragPool) }).(*fragPool)
 	e.reasm = flip.NewReassembler(e.sim, e.m.RetransTimeout)
-	e.rpc.init(e)
 	for _, gs := range cfg.Groups {
 		g := &group{}
 		g.init(e, gs)
@@ -132,7 +163,8 @@ func New(p *proc.Processor, net *ether.Network, segment int, cfg Config) (*Endpo
 		}
 		e.grps[gs.GID] = g
 	}
-	e.helper = newHelper(p)
+	e.helper = panda.NewHelper(p, "qp-timer")
+	panda.InitRPC(&e.RPC, p, net, (*qpLink)(e), e.helper, qpRPCPlacement)
 	e.consumer = p.NewThread("qp-consumer", proc.PrioDaemon, e.consumerLoop)
 	var owned []*group
 	for _, g := range e.grps {
@@ -175,9 +207,6 @@ func (e *Endpoint) Dispatch() Dispatch { return e.cfg.Dispatch }
 // HandleRaw registers the system-layer message upcall (Table 1).
 func (e *Endpoint) HandleRaw(h panda.RawHandler) { e.rawHandler = h }
 
-// HandleRPC registers the RPC request upcall.
-func (e *Endpoint) HandleRPC(h panda.RPCHandler) { e.rpc.handler = h }
-
 // HandleGroup registers the ordered group delivery upcall.
 func (e *Endpoint) HandleGroup(h panda.GroupHandler) {
 	for _, g := range e.grps {
@@ -219,7 +248,13 @@ func (e *Endpoint) nextMsgID() uint64 {
 	return e.msgSeq
 }
 
-// maxPooledFrags bounds an endpoint's descriptor free list, as flip's
+// fragPool is the free list of unicast descriptors that the endpoints on
+// one simulator share (see Endpoint.frags), keyed there by fragPoolKey.
+type fragPool struct{ free []*bfrag }
+
+type fragPoolKey struct{}
+
+// maxPooledFrags bounds a descriptor free list, as flip's
 // maxPooledPackets bounds its packet lists.
 const maxPooledFrags = 256
 
@@ -229,11 +264,11 @@ const maxPooledFrags = 256
 // is shared by reference and never pooled, and no descriptor is once a
 // fault hook, which may deliver a frame twice, was ever armed.
 func (e *Endpoint) freeFrag(f *bfrag) {
-	if !f.pooled || len(e.frags) >= maxPooledFrags || e.net.FaultEverArmed() {
+	if !f.pooled || len(e.frags.free) >= maxPooledFrags || e.net.FaultEverArmed() {
 		return
 	}
 	*f = bfrag{}
-	e.frags = append(e.frags, f)
+	e.frags.free = append(e.frags.free, f)
 }
 
 // ---- Send path ----
@@ -241,22 +276,22 @@ func (e *Endpoint) freeFrag(f *bfrag) {
 // post transmits a message: per fragment, build a descriptor pointing at
 // the application buffer (no copy — the NIC gather-reads it), ring the
 // doorbell, and hand the frame to the wire. No syscall, no kernel layer.
-func (e *Endpoint) post(t *proc.Thread, dst int, hdr int, w *bwire, msgID uint64, multicast bool) {
+func (e *Endpoint) post(t *proc.Thread, dst int, hdr int, w *panda.Wire, msgID uint64, multicast bool) {
 	cap0 := e.m.MTU - e.m.BypassHeaderBytes
 	n := 1
-	if w.size > 0 {
-		n = (w.size + cap0 - 1) / cap0
+	if w.Size > 0 {
+		n = (w.Size + cap0 - 1) / cap0
 	}
 	pooled := !multicast && dst != e.id && !e.net.FaultEverArmed()
 	off := 0
 	for i := 0; i < n; i++ {
-		length := w.size - off
+		length := w.Size - off
 		if length > cap0 {
 			length = cap0
 		}
 		var f *bfrag
-		if k := len(e.frags); pooled && k > 0 {
-			f, e.frags = e.frags[k-1], e.frags[:k-1]
+		if k := len(e.frags.free); pooled && k > 0 {
+			f, e.frags.free = e.frags.free[k-1], e.frags.free[:k-1]
 		} else {
 			f = new(bfrag)
 		}
@@ -295,7 +330,7 @@ func (e *Endpoint) post(t *proc.Thread, dst int, hdr int, w *bwire, msgID uint64
 // straight onto the queue pair (unicast to a processor, or multicast to
 // every endpoint).
 func (e *Endpoint) SystemSend(t *proc.Thread, dest int, payload any, size int, multicast bool) {
-	w := &bwire{kind: bRAW, from: e.id, payload: payload, size: size}
+	w := &panda.Wire{Kind: panda.WireRAW, From: e.id, Payload: payload, Size: size}
 	t.Call(bypassDepth)
 	e.post(t, dest, systemHeaderBytes, w, e.nextMsgID(), multicast)
 	t.Return(bypassDepth)
@@ -325,7 +360,7 @@ func (e *Endpoint) deliver(f *bfrag) {
 	if f.dst < 0 {
 		// Multicast: group data for a group this endpoint does not hold is
 		// filtered by the QP's steering table.
-		if g := f.w.gid; f.w.kind != bRAW && e.groupByGID(g) == nil {
+		if g := f.w.GID; f.w.Kind != panda.WireRAW && e.groupByGID(g) == nil {
 			return
 		}
 	}
@@ -475,53 +510,21 @@ func (e *Endpoint) consumerLoop(t *proc.Thread) {
 	}
 }
 
-func (e *Endpoint) dispatchMsg(t *proc.Thread, w *bwire) {
-	switch w.kind {
-	case bREQ:
-		e.rpc.handleREQ(t, w)
-	case bREP:
-		e.rpc.handleREP(t, w)
-	case bACK:
-		e.rpc.handleACK(t, w)
-	case bgDATA, bgSYNC:
-		if g := e.groupByGID(w.gid); g != nil {
+func (e *Endpoint) dispatchMsg(t *proc.Thread, w *panda.Wire) {
+	switch w.Kind {
+	case panda.WireREQ:
+		e.OnRequest(t, w)
+	case panda.WireREP:
+		e.OnReply(t, w)
+	case panda.WireACK:
+		e.OnAck(w)
+	case panda.WireGrpDATA, panda.WireGrpSYNC:
+		if g := e.groupByGID(w.GID); g != nil {
 			g.memberHandle(t, w)
 		}
-	case bRAW:
+	case panda.WireRAW:
 		if e.rawHandler != nil {
-			e.rawHandler(t, w.from, w.payload, w.size)
+			e.rawHandler(t, w.From, w.Payload, w.Size)
 		}
 	}
-}
-
-// helper is a protocol service thread executing deferred actions
-// (retransmissions, explicit acks, sync probes) scheduled by timers,
-// which fire in driver context and cannot charge thread costs themselves.
-type helper struct {
-	t   *proc.Thread
-	sem proc.Semaphore
-	q   []func(t *proc.Thread)
-}
-
-func newHelper(p *proc.Processor) *helper {
-	h := &helper{}
-	h.t = p.NewThread("qp-timer", proc.PrioDaemon, h.loop)
-	return h
-}
-
-func (h *helper) loop(t *proc.Thread) {
-	for {
-		h.sem.Down(t)
-		fn := h.q[0]
-		n := copy(h.q, h.q[1:])
-		h.q[n] = nil
-		h.q = h.q[:n]
-		fn(t)
-	}
-}
-
-// post enqueues an action from driver context (a timer callback).
-func (h *helper) post(fn func(t *proc.Thread)) {
-	h.q = append(h.q, fn)
-	h.sem.UpFromDriver()
 }

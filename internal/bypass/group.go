@@ -26,7 +26,7 @@ type bgsend struct {
 	tmpID   uint64
 	msgID   uint64
 	op      uint64
-	wire    *bwire
+	wire    *panda.Wire
 	timer   sim.Event
 	armedAt sim.Time
 	retries int
@@ -52,7 +52,7 @@ type group struct {
 
 	// Member state.
 	nextDeliver uint64
-	holdback    map[uint64]*bwire
+	holdback    map[uint64]*panda.Wire
 	sends       map[uint64]*bgsend
 	tmpSeq      uint64
 	retrArmed   bool
@@ -62,7 +62,7 @@ type group struct {
 	// Sequencer state (only on the sequencer's instance).
 	seqReasm   *flip.Reassembler
 	seqno      uint64
-	history    map[uint64]*bwire
+	history    map[uint64]*panda.Wire
 	seen       map[gkey]uint64
 	acked      map[int]uint64
 	lastStatus map[int]uint64 // ack seen at the previous status probe
@@ -79,7 +79,7 @@ func (g *group) init(e *Endpoint, spec panda.GroupSpec) {
 		g.kind = "group"
 	}
 	g.nextDeliver = 1
-	g.holdback = make(map[uint64]*bwire)
+	g.holdback = make(map[uint64]*panda.Wire)
 	g.sends = make(map[uint64]*bgsend)
 	for _, id := range spec.Members {
 		if id == e.id {
@@ -92,7 +92,7 @@ func (g *group) isMember() bool { return g.amMember }
 
 func (g *group) initSequencer() {
 	g.seqReasm = flip.NewReassembler(g.e.sim, g.e.m.RetransTimeout)
-	g.history = make(map[uint64]*bwire)
+	g.history = make(map[uint64]*panda.Wire)
 	g.seen = make(map[gkey]uint64)
 	g.acked = make(map[int]uint64)
 	g.lastStatus = make(map[int]uint64)
@@ -137,9 +137,9 @@ func (g *group) send(t *proc.Thread, payload any, size int) error {
 		op = e.sim.CausalBegin(g.kind)
 		t.SetOp(op)
 	}
-	w := &bwire{
-		kind: bgREQ, gid: g.gid, from: e.id, tmpID: g.tmpSeq,
-		ackSeq: g.nextDeliver - 1, payload: payload, size: size,
+	w := &panda.Wire{
+		Kind: panda.WireGrpREQ, GID: g.gid, From: e.id, TmpID: g.tmpSeq,
+		AckSeq: g.nextDeliver - 1, Payload: payload, Size: size,
 	}
 	// The request piggybacks this member's watermark: an active sender
 	// needs no spontaneous acks.
@@ -190,7 +190,7 @@ func (g *group) sendTimeout(ss *bgsend) {
 		return
 	}
 	tmpID := ss.tmpID
-	e.helper.post(func(ht *proc.Thread) {
+	e.helper.Post(func(ht *proc.Thread) {
 		// The record is pooled: a later send may have taken it.
 		if ss.done || ss.g != g || ss.tmpID != tmpID {
 			return
@@ -208,28 +208,28 @@ func (g *group) sendTimeout(ss *bgsend) {
 
 // ---- Member side (queue-pair consumer context) ----
 
-func (g *group) memberHandle(t *proc.Thread, w *bwire) {
+func (g *group) memberHandle(t *proc.Thread, w *panda.Wire) {
 	e := g.e
 	t.ChargeP(sim.PhaseProtoRecv, e.m.ProtoGroup)
-	switch w.kind {
-	case bgDATA:
+	switch w.Kind {
+	case panda.WireGrpDATA:
 		g.onData(t, w)
-	case bgSYNC:
+	case panda.WireGrpSYNC:
 		if g.isMember() {
 			g.sinceAck = 0
-			st := &bwire{kind: bgSTATUS, gid: g.gid, from: e.id, ackSeq: g.nextDeliver - 1}
+			st := &panda.Wire{Kind: panda.WireGrpSTATUS, GID: g.gid, From: e.id, AckSeq: g.nextDeliver - 1}
 			e.post(t, g.spec.Sequencer, e.m.GroupHeaderUser, st, e.nextMsgID(), false)
 		}
 	}
 }
 
-func (g *group) onData(t *proc.Thread, w *bwire) {
+func (g *group) onData(t *proc.Thread, w *panda.Wire) {
 	switch {
-	case w.seq < g.nextDeliver:
+	case w.Seq < g.nextDeliver:
 		return // duplicate
-	case w.seq > g.nextDeliver:
-		g.holdback[w.seq] = w
-		g.requestRetrans(t, w.seq)
+	case w.Seq > g.nextDeliver:
+		g.holdback[w.Seq] = w
+		g.requestRetrans(t, w.Seq)
 		return
 	}
 	g.deliver(t, w)
@@ -243,29 +243,29 @@ func (g *group) onData(t *proc.Thread, w *bwire) {
 	}
 }
 
-func (g *group) deliver(t *proc.Thread, w *bwire) {
+func (g *group) deliver(t *proc.Thread, w *panda.Wire) {
 	e := g.e
 	if e.sim.Tracing() {
-		e.sim.Trace(e.p.Name(), "bgrp.dlv", "seqno=%d sender=%d", w.seq, w.from)
+		e.sim.Trace(e.p.Name(), "bgrp.dlv", "seqno=%d sender=%d", w.Seq, w.From)
 	}
-	g.nextDeliver = w.seq + 1
+	g.nextDeliver = w.Seq + 1
 	if g.isMember() && g.handler != nil {
-		g.handler(t, w.from, w.seq, w.payload, w.size)
+		g.handler(t, w.From, w.Seq, w.Payload, w.Size)
 	}
-	if w.from != e.id {
+	if w.From != e.id {
 		g.maybeAck(t)
 		return
 	}
 	// Own broadcast delivered: an active sender piggybacks its watermark
 	// on every request, so it never acks spontaneously.
 	g.sinceAck = 0
-	ss := g.sends[w.tmpID]
+	ss := g.sends[w.TmpID]
 	if ss == nil || ss.done {
 		return
 	}
 	ss.done = true
 	e.sim.Cancel(ss.timer)
-	delete(g.sends, w.tmpID)
+	delete(g.sends, w.TmpID)
 	// Wake the blocked sender with a direct resume — no kernel crossing.
 	t.Flush()
 	ss.t.UnblockDirect()
@@ -284,7 +284,7 @@ func (g *group) maybeAck(t *proc.Thread) {
 		return
 	}
 	g.sinceAck = 0
-	w := &bwire{kind: bgSTATUS, gid: g.gid, from: e.id, ackSeq: g.nextDeliver - 1}
+	w := &panda.Wire{Kind: panda.WireGrpSTATUS, GID: g.gid, From: e.id, AckSeq: g.nextDeliver - 1}
 	e.post(t, g.spec.Sequencer, e.m.GroupHeaderUser, w, e.nextMsgID(), false)
 }
 
@@ -300,7 +300,7 @@ func (g *group) requestRetrans(t *proc.Thread, sawSeqno uint64) {
 			hi = s
 		}
 	}
-	w := &bwire{kind: bgRETR, gid: g.gid, from: e.id, lo: g.nextDeliver, hi: hi}
+	w := &panda.Wire{Kind: panda.WireGrpRETR, GID: g.gid, From: e.id, Lo: g.nextDeliver, Hi: hi}
 	e.post(t, g.spec.Sequencer, e.m.GroupHeaderUser, w, e.nextMsgID(), false)
 	e.sim.Schedule(e.m.RetransTimeout, func() {
 		g.retrArmed = false
@@ -313,7 +313,7 @@ func (g *group) requestRetrans(t *proc.Thread, sawSeqno uint64) {
 				hi = s
 			}
 		}
-		e.helper.post(func(ht *proc.Thread) { g.requestRetrans(ht, hi) })
+		e.helper.Post(func(ht *proc.Thread) { g.requestRetrans(ht, hi) })
 	})
 }
 
@@ -343,13 +343,13 @@ func (g *group) sequencerLoop(t *proc.Thread) {
 	}
 }
 
-func (g *group) seqHandle(t *proc.Thread, w *bwire) {
+func (g *group) seqHandle(t *proc.Thread, w *panda.Wire) {
 	e := g.e
 	t.ChargeP(sim.PhaseSeqService, e.m.ProtoGroup)
-	switch w.kind {
-	case bgREQ:
-		g.updateAck(w.from, w.ackSeq)
-		key := gkey{from: w.from, tmpID: w.tmpID}
+	switch w.Kind {
+	case panda.WireGrpREQ:
+		g.updateAck(w.From, w.AckSeq)
+		key := gkey{from: w.From, tmpID: w.TmpID}
 		if seqno, dup := g.seen[key]; dup {
 			if h := g.history[seqno]; h != nil {
 				e.post(t, -1, e.m.GroupHeaderUser, h, e.nextMsgID(), true)
@@ -357,37 +357,37 @@ func (g *group) seqHandle(t *proc.Thread, w *bwire) {
 			return
 		}
 		g.seqno++
-		d := &bwire{kind: bgDATA, gid: g.gid, from: w.from, seq: g.seqno, tmpID: w.tmpID, payload: w.payload, size: w.size}
+		d := &panda.Wire{Kind: panda.WireGrpDATA, GID: g.gid, From: w.From, Seq: g.seqno, TmpID: w.TmpID, Payload: w.Payload, Size: w.Size}
 		if e.sim.Tracing() {
-			e.sim.Trace(e.p.Name(), "bgrp.seq", "seqno=%d sender=%d size=%d (PB)", g.seqno, w.from, w.size)
+			e.sim.Trace(e.p.Name(), "bgrp.seq", "seqno=%d sender=%d size=%d (PB)", g.seqno, w.From, w.Size)
 		}
 		g.seen[key] = g.seqno
 		g.history[g.seqno] = d
 		e.post(t, -1, e.m.GroupHeaderUser, d, e.nextMsgID(), true)
 		g.armWatchdog()
-	case bgRETR:
-		for s := w.lo; s <= w.hi; s++ {
+	case panda.WireGrpRETR:
+		for s := w.Lo; s <= w.Hi; s++ {
 			h := g.history[s]
 			if h == nil {
 				continue
 			}
-			e.post(t, w.from, e.m.GroupHeaderUser, h, e.nextMsgID(), false)
+			e.post(t, w.From, e.m.GroupHeaderUser, h, e.nextMsgID(), false)
 		}
-	case bgSTATUS:
-		g.updateAck(w.from, w.ackSeq)
+	case panda.WireGrpSTATUS:
+		g.updateAck(w.From, w.AckSeq)
 		// Resend the suffix only to members that made no progress since
 		// the previous probe (genuine tail loss, not mere lag); see the
 		// user-space sequencer for the first-report subtlety.
-		last, seen := g.lastStatus[w.from]
-		stalled := seen && last == w.ackSeq
-		g.lastStatus[w.from] = w.ackSeq
-		if stalled && w.ackSeq < g.seqno {
-			for s := w.ackSeq + 1; s <= g.seqno; s++ {
+		last, seen := g.lastStatus[w.From]
+		stalled := seen && last == w.AckSeq
+		g.lastStatus[w.From] = w.AckSeq
+		if stalled && w.AckSeq < g.seqno {
+			for s := w.AckSeq + 1; s <= g.seqno; s++ {
 				h := g.history[s]
 				if h == nil {
 					continue
 				}
-				e.post(t, w.from, e.m.GroupHeaderUser, h, e.nextMsgID(), false)
+				e.post(t, w.From, e.m.GroupHeaderUser, h, e.nextMsgID(), false)
 			}
 		}
 	}
@@ -421,14 +421,15 @@ func (g *group) trimHistory() {
 	for s, h := range g.history {
 		if s <= min {
 			delete(g.history, s)
-			delete(g.seen, gkey{from: h.from, tmpID: h.tmpID})
+			delete(g.seen, gkey{from: h.From, tmpID: h.TmpID})
 		}
 	}
 }
 
 // armWatchdog keeps probing while some member has not acknowledged all
-// sequenced messages: each tick unicasts bgSYNC to the members pinned at
-// the minimum watermark, capped at GroupSyncFanout (see user_group.go).
+// sequenced messages: each tick unicasts a WireGrpSYNC to the members
+// pinned at the minimum watermark, capped at GroupSyncFanout (see
+// panda's user_group.go).
 func (g *group) armWatchdog() {
 	if g.watchdog.Pending() || g.minAck() >= g.seqno {
 		return
@@ -446,9 +447,9 @@ func (g *group) watchdogTick() {
 		return
 	}
 	targets := g.stragglers(min)
-	e.helper.post(func(ht *proc.Thread) {
+	e.helper.Post(func(ht *proc.Thread) {
 		for _, id := range targets {
-			w := &bwire{kind: bgSYNC, gid: g.gid}
+			w := &panda.Wire{Kind: panda.WireGrpSYNC, GID: g.gid}
 			e.post(ht, id, e.m.GroupHeaderUser, w, e.nextMsgID(), false)
 		}
 	})

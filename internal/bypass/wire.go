@@ -1,41 +1,15 @@
 package bypass
 
-import "amoebasim/internal/flip"
-
-type wireKind uint8
-
-const (
-	bREQ wireKind = iota + 1
-	bREP
-	bACK
-	bgREQ    // member → sequencer ordering request (PB method)
-	bgDATA   // sequencer → members: ordered data
-	bgRETR   // member → sequencer: retransmission request
-	bgSYNC   // sequencer → member: status probe
-	bgSTATUS // member → sequencer: delivery watermark
-	bRAW     // system-layer test message (Table 1 unicast/multicast)
+import (
+	"amoebasim/internal/flip"
+	"amoebasim/internal/panda"
 )
 
-// bwire is one logical Panda protocol message carried over the bypass
-// transport: the same header fields as the user-space library, minus the
-// FLIP encapsulation.
-type bwire struct {
-	kind    wireKind
-	gid     int // group id (group protocol kinds only)
-	from    int
-	seq     uint64
-	ackSeq  uint64
-	tmpID   uint64
-	lo, hi  uint64
-	payload any
-	size    int
-}
-
 // bfrag is one wire frame of a message: the NIC gather-reads the payload
-// straight out of the application buffer (w.payload is carried by
+// straight out of the application buffer (w.Payload is carried by
 // reference), so fragmentation never copies.
 type bfrag struct {
-	w      *bwire
+	w      *panda.Wire
 	src    int // sender processor id
 	dst    int // destination processor id, or -1 for multicast
 	msgID  uint64
@@ -44,7 +18,7 @@ type bfrag struct {
 	length int
 	hdr    int // protocol header bytes (first fragment only)
 	op     uint64
-	pooled bool // from a sender's free list (see Endpoint.frags)
+	pooled bool // from the simulator's free list (see Endpoint.frags)
 }
 
 // reassemble consumes f into r, returning true when it completes its
@@ -56,9 +30,9 @@ func reassemble(r *flip.Reassembler, f *bfrag) bool {
 // seqTraffic reports whether f carries sequencer-bound group traffic, and
 // for which group.
 func seqTraffic(f *bfrag) (gid int, ok bool) {
-	switch f.w.kind {
-	case bgREQ, bgRETR, bgSTATUS:
-		return f.w.gid, true
+	switch f.w.Kind {
+	case panda.WireGrpREQ, panda.WireGrpRETR, panda.WireGrpSTATUS:
+		return f.w.GID, true
 	default:
 		return 0, false
 	}

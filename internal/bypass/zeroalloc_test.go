@@ -7,6 +7,7 @@ import (
 	"amoebasim/internal/ether"
 	"amoebasim/internal/flip"
 	"amoebasim/internal/model"
+	"amoebasim/internal/panda"
 	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
 )
@@ -17,7 +18,7 @@ import (
 func TestReassemblerSingleFragmentZeroAlloc(t *testing.T) {
 	s := sim.New()
 	r := flip.NewReassembler(s, 500*time.Millisecond)
-	w := &bwire{kind: bgDATA, from: 1, size: 256}
+	w := &panda.Wire{Kind: panda.WireGrpDATA, From: 1, Size: 256}
 	f := &bfrag{w: w, src: 1, msgID: 7, frag: 0, nfrags: 1, length: 256}
 	avg := testing.AllocsPerRun(1000, func() {
 		if !reassemble(r, f) {
@@ -35,8 +36,8 @@ func TestReassemblerSingleFragmentZeroAlloc(t *testing.T) {
 // TestSeqTrafficClassifierZeroAlloc: the NIC-side discard filter runs on
 // every frame a dedicated sequencer machine receives; it must be free.
 func TestSeqTrafficClassifierZeroAlloc(t *testing.T) {
-	seq := &bfrag{w: &bwire{kind: bgREQ, gid: 3}}
-	data := &bfrag{w: &bwire{kind: bgDATA, gid: 3}}
+	seq := &bfrag{w: &panda.Wire{Kind: panda.WireGrpREQ, GID: 3}}
+	data := &bfrag{w: &panda.Wire{Kind: panda.WireGrpDATA, GID: 3}}
 	avg := testing.AllocsPerRun(1000, func() {
 		if gid, ok := seqTraffic(seq); !ok || gid != 3 {
 			t.Fatal("sequencer-bound frame not classified")
@@ -66,7 +67,7 @@ func TestBlockingReceiveZeroAlloc(t *testing.T) {
 	var received int
 	e.HandleRaw(func(*proc.Thread, int, any, int) { received++ })
 	s.Run() // the consumer blocks on the empty completion queue
-	f := &bfrag{w: &bwire{kind: bRAW, from: 1, size: 64}, src: 1, dst: 0, msgID: 7, nfrags: 1, length: 64}
+	f := &bfrag{w: &panda.Wire{Kind: panda.WireRAW, From: 1, Size: 64}, src: 1, dst: 0, msgID: 7, nfrags: 1, length: 64}
 	deliver := func() {
 		e.deliver(f)
 		s.Run()
@@ -97,7 +98,7 @@ func TestMultiFragmentReassemblyBudget(t *testing.T) {
 	var received int
 	e.HandleRaw(func(*proc.Thread, int, any, int) { received++ })
 	s.Run()
-	w := &bwire{kind: bRAW, from: 1, size: 3000}
+	w := &panda.Wire{Kind: panda.WireRAW, From: 1, Size: 3000}
 	var frags [3]bfrag
 	var msgID uint64
 	deliver := func() {

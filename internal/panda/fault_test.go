@@ -13,11 +13,11 @@ import (
 // TestRPCToDeadHostFailsCleanly: a call to a machine whose interface is
 // down must return an error after the retransmission budget, not hang.
 func TestRPCToDeadHostFailsCleanly(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := newCluster(t, cluster.Config{Procs: 2, Mode: mode})
 			echoServer(c.Transports[0])
-			c.Kernels[0].FLIP().NIC().SetDown(true)
+			rpcNIC(c, 0).SetDown(true)
 			var callErr error
 			returned := false
 			c.Procs[1].NewThread("client", proc.PrioNormal, func(th *proc.Thread) {
@@ -38,7 +38,7 @@ func TestRPCToDeadHostFailsCleanly(t *testing.T) {
 // TestRPCSurvivesTransientOutage: the server machine goes down briefly and
 // comes back; retransmission completes the call exactly once.
 func TestRPCSurvivesTransientOutage(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := newCluster(t, cluster.Config{Procs: 2, Mode: mode})
 			served := 0
@@ -47,7 +47,7 @@ func TestRPCSurvivesTransientOutage(t *testing.T) {
 				served++
 				srv.Reply(th, ctx, req, n)
 			})
-			nic := c.Kernels[0].FLIP().NIC()
+			nic := rpcNIC(c, 0)
 			nic.SetDown(true)
 			c.Sim.Schedule(350*time.Millisecond, func() { nic.SetDown(false) })
 			var reply any

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"amoebasim/internal/cluster"
+	"amoebasim/internal/ether"
 	"amoebasim/internal/panda"
 	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
@@ -23,6 +24,16 @@ func newCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
 	return c
 }
 
+// rpcNIC returns the interface that carries processor i's RPC traffic:
+// its kernel's FLIP NIC, or under bypass its queue pair's, which answers
+// at NIC id len(c.Procs) + i.
+func rpcNIC(c *cluster.Cluster, i int) *ether.NIC {
+	if c.Transports[i].Mode() == panda.Bypass {
+		return c.Net.NIC(len(c.Procs) + i)
+	}
+	return c.Kernels[i].FLIP().NIC()
+}
+
 // echoServer installs an RPC handler that replies with the request.
 func echoServer(tr panda.Transport) {
 	tr.HandleRPC(func(t *proc.Thread, ctx *panda.RPCContext, req any, size int) {
@@ -31,7 +42,7 @@ func echoServer(tr panda.Transport) {
 }
 
 func TestRPCRoundTripBothModes(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := newCluster(t, cluster.Config{Procs: 2, Mode: mode})
 			echoServer(c.Transports[0])
@@ -92,62 +103,70 @@ func TestUserSpaceRPCSlowerThanKernelByPaperGap(t *testing.T) {
 }
 
 func TestRPCPiggybackAckAvoidsExplicitAck(t *testing.T) {
-	c := newCluster(t, cluster.Config{Procs: 2, Mode: panda.UserSpace})
-	echoServer(c.Transports[0])
-	c.Procs[1].NewThread("client", proc.PrioNormal, func(th *proc.Thread) {
-		for i := 0; i < 10; i++ {
-			if _, _, err := c.Transports[1].Call(th, 0, nil, 0); err != nil {
-				t.Error(err)
-				return
+	for _, mode := range []panda.Mode{panda.UserSpace, panda.Bypass} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newCluster(t, cluster.Config{Procs: 2, Mode: mode})
+			echoServer(c.Transports[0])
+			c.Procs[1].NewThread("client", proc.PrioNormal, func(th *proc.Thread) {
+				for i := 0; i < 10; i++ {
+					if _, _, err := c.Transports[1].Call(th, 0, nil, 0); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			})
+			// Stop after the calls complete but before the last call's
+			// AckDelay (100 ms) fires.
+			c.RunUntil(sim.Time(60 * time.Millisecond))
+			framesBeforeAck := c.Net.SegmentFrames(0)
+			c.Run()
+			framesAfter := c.Net.SegmentFrames(0)
+			// Back-to-back calls piggyback acks: 2 frames per RPC while the
+			// loop runs (plus locate overhead in user space), then exactly
+			// one explicit ack for the final reply after the AckDelay.
+			if framesAfter-framesBeforeAck != 1 {
+				t.Fatalf("expected exactly 1 trailing explicit ack frame, got %d",
+					framesAfter-framesBeforeAck)
 			}
-		}
-	})
-	// Stop after the calls complete but before the last call's AckDelay
-	// (100 ms) fires.
-	c.RunUntil(sim.Time(60 * time.Millisecond))
-	framesBeforeAck := c.Net.SegmentFrames(0)
-	c.Run()
-	framesAfter := c.Net.SegmentFrames(0)
-	// Back-to-back calls piggyback acks: 2 frames per RPC while the loop
-	// runs (plus locate overhead), then exactly one explicit ack for the
-	// final reply after the AckDelay.
-	if framesAfter-framesBeforeAck != 1 {
-		t.Fatalf("expected exactly 1 trailing explicit ack frame, got %d",
-			framesAfter-framesBeforeAck)
-	}
-	// 10 RPCs ≈ 20 data frames + two locate pairs (one per direction) +
-	// the final ack.
-	if framesAfter > 26 {
-		t.Fatalf("too many frames (%d); piggybacking is not working", framesAfter)
+			// 10 RPCs ≈ 20 data frames + two locate pairs (one per
+			// direction) + the final ack.
+			if framesAfter > 26 {
+				t.Fatalf("too many frames (%d); piggybacking is not working", framesAfter)
+			}
+		})
 	}
 }
 
 func TestRPCAsyncReplyFromOtherThreadUserSpace(t *testing.T) {
-	c := newCluster(t, cluster.Config{Procs: 2, Mode: panda.UserSpace})
-	tr := c.Transports[0]
-	// The handler queues a continuation; a separate thread replies later
-	// (pan_rpc_reply's asynchronous transmission).
-	var pending *panda.RPCContext
-	tr.HandleRPC(func(t *proc.Thread, ctx *panda.RPCContext, req any, size int) {
-		pending = ctx // continuation: no reply yet
-	})
-	var replier *proc.Thread
-	replier = c.Procs[0].NewThread("mutator", proc.PrioNormal, func(th *proc.Thread) {
-		th.Block() // woken once the request has arrived
-		tr.Reply(th, pending, "late", 10)
-	})
-	done := false
-	c.Procs[1].NewThread("client", proc.PrioNormal, func(th *proc.Thread) {
-		reply, _, err := c.Transports[1].Call(th, 0, "q", 10)
-		if err != nil || reply != "late" {
-			t.Errorf("reply=%v err=%v", reply, err)
-		}
-		done = true
-	})
-	c.Sim.Schedule(50*time.Millisecond, func() { replier.Unblock() })
-	c.Run()
-	if !done {
-		t.Fatal("client never completed")
+	for _, mode := range []panda.Mode{panda.UserSpace, panda.Bypass} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newCluster(t, cluster.Config{Procs: 2, Mode: mode})
+			tr := c.Transports[0]
+			// The handler queues a continuation; a separate thread replies
+			// later (pan_rpc_reply's asynchronous transmission).
+			var pending *panda.RPCContext
+			tr.HandleRPC(func(t *proc.Thread, ctx *panda.RPCContext, req any, size int) {
+				pending = ctx // continuation: no reply yet
+			})
+			var replier *proc.Thread
+			replier = c.Procs[0].NewThread("mutator", proc.PrioNormal, func(th *proc.Thread) {
+				th.Block() // woken once the request has arrived
+				tr.Reply(th, pending, "late", 10)
+			})
+			done := false
+			c.Procs[1].NewThread("client", proc.PrioNormal, func(th *proc.Thread) {
+				reply, _, err := c.Transports[1].Call(th, 0, "q", 10)
+				if err != nil || reply != "late" {
+					t.Errorf("reply=%v err=%v", reply, err)
+				}
+				done = true
+			})
+			c.Sim.Schedule(50*time.Millisecond, func() { replier.Unblock() })
+			c.Run()
+			if !done {
+				t.Fatal("client never completed")
+			}
+		})
 	}
 }
 
@@ -186,7 +205,7 @@ func TestRPCAsyncReplyKernelSpaceWorkaround(t *testing.T) {
 }
 
 func TestRPCUnderLossBothModes(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := newCluster(t, cluster.Config{Procs: 2, Mode: mode, LossRate: 0.15, Seed: 3})
 			served := 0

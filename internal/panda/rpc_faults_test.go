@@ -135,3 +135,55 @@ func TestRPCLossAndDuplicationResults(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleReplyKeepsAtMostOnce: a handler that answers after its client
+// gave up, and after the channel's next request was answered, must not
+// make that next request run again. The client gives up on call a, whose
+// handler keeps its context. Call b is answered at once, but its reply is
+// lost: b's handler takes the client's interface down for 50 ms. a's
+// handler replies 10 ms later. The client's retransmission of b must get
+// b's cached reply, not run b's handler a second time.
+func TestStaleReplyKeepsAtMostOnce(t *testing.T) {
+	for _, mode := range panda.AllModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newCluster(t, cluster.Config{Procs: 2, Mode: mode})
+			srv := c.Transports[0]
+			cli := rpcNIC(c, 1)
+			var held *panda.RPCContext
+			served := map[string]int{}
+			srv.HandleRPC(func(th *proc.Thread, ctx *panda.RPCContext, req any, size int) {
+				served[req.(string)]++
+				switch {
+				case req == "a":
+					held = ctx // answered only after the client gave up
+				case served["b"] == 1:
+					cli.SetDown(true)
+					c.Sim.Schedule(50*time.Millisecond, func() { cli.SetDown(false) })
+					srv.Reply(th, ctx, req, size)
+					c.Procs[0].NewThread("late-reply", proc.PrioNormal, func(th *proc.Thread) {
+						th.Sleep(10 * time.Millisecond)
+						srv.Reply(th, held, "a", 1)
+					})
+				default:
+					srv.Reply(th, ctx, req, size)
+				}
+			})
+			var errA, errB error
+			var replyB any
+			c.Procs[1].NewThread("client", proc.PrioNormal, func(th *proc.Thread) {
+				_, _, errA = c.Transports[1].Call(th, 0, "a", 1)
+				replyB, _, errB = c.Transports[1].Call(th, 0, "b", 1)
+			})
+			c.Run()
+			if errA == nil {
+				t.Fatal("call a succeeded, but its handler held its reply past the retry budget")
+			}
+			if errB != nil || replyB != "b" {
+				t.Fatalf("call b returned %v, %v; want its own reply", replyB, errB)
+			}
+			if served["b"] != 1 {
+				t.Fatalf("b's handler ran %d times, want 1 (at-most-once)", served["b"])
+			}
+		})
+	}
+}

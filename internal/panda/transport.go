@@ -82,17 +82,6 @@ type RPCContext struct {
 	impl any
 }
 
-// NewRPCContext builds a context for a Transport implementation living
-// outside this package (the kernel-bypass transport): impl is the
-// implementation's private per-call state, recovered with Impl at Reply
-// time.
-func NewRPCContext(from int, impl any) *RPCContext {
-	return &RPCContext{From: from, impl: impl}
-}
-
-// Impl returns the implementation-private state the context carries.
-func (c *RPCContext) Impl() any { return c.impl }
-
 // RPCHandler is the implicit-receipt upcall for incoming RPC requests. It
 // runs in a daemon thread (t) and must run to completion quickly; long
 // waits must be converted into continuations, with Reply called later.

@@ -24,33 +24,33 @@ func groupAddr(gid int) flip.Address { return pandaGroupAddr + flip.Address(gid)
 // the stack.
 const pandaDepth = 6
 
-type uwireKind uint8
+// userRPCPlacement names user space's RPC trace events prpc.*.
+var userRPCPlacement = NewRPCPlacement(pandaDepth, "prpc", "daemon signals client")
 
-const (
-	uREQ uwireKind = iota + 1
-	uREP
-	uACK
-	ugREQ
-	ugDATA
-	ugBB
-	ugACCEPT
-	ugRETR
-	ugSYNC
-	ugSTATUS
-	uRAW
-)
+// userLink is the user-space instance seen as the RPC core's packet path:
+// the kernel's raw FLIP interface, reached by system call.
+type userLink User
 
-// uwire is the Panda protocol header + payload carried over raw FLIP.
-type uwire struct {
-	kind    uwireKind
-	gid     int // group id (group protocol kinds only)
-	from    int
-	seq     uint64
-	ackSeq  uint64
-	tmpID   uint64
-	lo, hi  uint64
-	payload any
-	size    int
+func (l *userLink) SendWire(t *proc.Thread, dest int, w *Wire, msgID uint64) {
+	if w.Kind != WireACK {
+		t.ChargeP(sim.PhaseFrag, l.m.FragLayer)
+	}
+	l.k.RawSend(t, akernel.RawAddress(dest), msgID, l.m.RPCHeaderUser, w.Size, w, false)
+}
+
+func (l *userLink) NextMsgID() uint64 { return l.k.RawNextMsgID() }
+
+// BeforeRetransmit drops the kernel's cached route to the server, which
+// may be stale, so the retransmission re-locates it.
+func (l *userLink) BeforeRetransmit(dest int) { l.k.RawInvalidateRoute(akernel.RawAddress(dest)) }
+
+// WakeCaller signals the client thread. Threads are kernel-level, so the
+// wake-up is a system call issued deep in the Panda stack: the source of
+// the extra crossings and underflow traps the paper measures.
+func (l *userLink) WakeCaller(t, caller *proc.Thread) {
+	t.Syscall()
+	t.Flush()
+	caller.Unblock()
 }
 
 // RawHandler receives Panda system-layer messages (used by the Table 1
@@ -99,13 +99,13 @@ type User struct {
 	p   *proc.Processor
 	m   *model.CostModel
 	sim *sim.Sim
-	cfg UserConfig
+
+	RPC // the stop-and-wait RPC, over the raw FLIP interface (userLink)
 
 	reasm      *flip.Reassembler
 	daemon     *proc.Thread
-	helper     *helper
-	iface      *helper // interface-layer daemon (ablation), nil normally
-	rpc        userRPC
+	helper     *Helper
+	iface      *Helper      // interface-layer daemon (ablation), nil normally
 	grps       []*userGroup // indexed by gid; nil entries for groups not held
 	grpSends   []*gsend     // group send records whose send is over
 	rawHandler RawHandler
@@ -116,19 +116,13 @@ type User struct {
 // userMetrics bundles the instance's metric handles (labeled by
 // processor).
 type userMetrics struct {
-	rpcCalls        *metrics.Counter
-	rpcRetrans      *metrics.Counter
-	rpcUpcalls      *metrics.Counter
-	rpcFailures     *metrics.Counter
-	acksPiggybacked *metrics.Counter
-	acksExplicit    *metrics.Counter
-	rpcLatency      *metrics.Histogram
-	reasmTimeouts   *metrics.Counter
-	grpPBSends      *metrics.Counter
-	grpBBSends      *metrics.Counter
-	grpSendRetrans  *metrics.Counter
-	grpDeliveries   *metrics.Counter
-	grpRetransReqs  *metrics.Counter
+	rpc            rpcMetrics
+	reasmTimeouts  *metrics.Counter
+	grpPBSends     *metrics.Counter
+	grpBBSends     *metrics.Counter
+	grpSendRetrans *metrics.Counter
+	grpDeliveries  *metrics.Counter
+	grpRetransReqs *metrics.Counter
 }
 
 var _ Transport = (*User)(nil)
@@ -143,31 +137,31 @@ func NewUser(k *akernel.Kernel, cfg UserConfig) *User {
 		p:   p,
 		m:   p.Model(),
 		sim: p.Sim(),
-		cfg: cfg,
 	}
 	if reg := u.sim.Metrics(); reg != nil {
 		l := metrics.L("proc", p.Name())
 		u.mx = &userMetrics{
-			rpcCalls:        reg.Counter("panda.rpc_calls", l),
-			rpcRetrans:      reg.Counter("panda.rpc_retransmissions", l),
-			rpcUpcalls:      reg.Counter("panda.rpc_upcalls", l),
-			rpcFailures:     reg.Counter("panda.rpc_failures", l),
-			acksPiggybacked: reg.Counter("panda.acks_piggybacked", l),
-			acksExplicit:    reg.Counter("panda.acks_explicit", l),
-			rpcLatency:      reg.Histogram("panda.rpc_latency_us", l),
-			reasmTimeouts:   reg.Counter("panda.reasm_timeouts", l),
-			grpPBSends:      reg.Counter("panda.grp_pb_sends", l),
-			grpBBSends:      reg.Counter("panda.grp_bb_sends", l),
-			grpSendRetrans:  reg.Counter("panda.grp_send_retrans", l),
-			grpDeliveries:   reg.Counter("panda.grp_deliveries", l),
-			grpRetransReqs:  reg.Counter("panda.grp_retrans_requests", l),
+			rpc: rpcMetrics{
+				calls:           reg.Counter("panda.rpc_calls", l),
+				retrans:         reg.Counter("panda.rpc_retransmissions", l),
+				upcalls:         reg.Counter("panda.rpc_upcalls", l),
+				failures:        reg.Counter("panda.rpc_failures", l),
+				acksPiggybacked: reg.Counter("panda.acks_piggybacked", l),
+				acksExplicit:    reg.Counter("panda.acks_explicit", l),
+				latency:         reg.Histogram("panda.rpc_latency_us", l),
+			},
+			reasmTimeouts:  reg.Counter("panda.reasm_timeouts", l),
+			grpPBSends:     reg.Counter("panda.grp_pb_sends", l),
+			grpBBSends:     reg.Counter("panda.grp_bb_sends", l),
+			grpSendRetrans: reg.Counter("panda.grp_send_retrans", l),
+			grpDeliveries:  reg.Counter("panda.grp_deliveries", l),
+			grpRetransReqs: reg.Counter("panda.grp_retrans_requests", l),
 		}
 	}
 	u.reasm = flip.NewReassembler(u.sim, u.m.RetransTimeout)
 	if u.mx != nil {
 		u.reasm.SetTimeoutCounter(u.mx.reasmTimeouts)
 	}
-	u.rpc.init(u)
 	k.RawRegister()
 	specs := cfg.Groups
 	if specs == nil && (len(cfg.Members) > 0 || cfg.HasGroup) {
@@ -183,9 +177,14 @@ func NewUser(k *akernel.Kernel, cfg UserConfig) *User {
 		u.grps[gs.GID] = g
 		k.RawJoinGroup(groupAddr(gs.GID))
 	}
-	u.helper = newHelper(p)
+	u.helper = NewHelper(p, "pan-timer")
+	InitRPC(&u.RPC, p, k.FLIP().Network(), (*userLink)(u), u.helper, userRPCPlacement)
+	u.RPC.noPiggyback = cfg.NoPiggyback
+	if u.mx != nil {
+		u.RPC.mx = &u.mx.rpc
+	}
 	if cfg.InterfaceDaemon {
-		u.iface = newNamedHelper(p, "pan-iface")
+		u.iface = NewHelper(p, "pan-iface")
 	}
 	u.daemon = p.NewThread("pan-daemon", proc.PrioDaemon, u.daemonLoop)
 	var owned []*userGroup
@@ -279,9 +278,6 @@ func (u *User) ID() int { return u.id }
 // HandleRaw registers the system-layer message upcall.
 func (u *User) HandleRaw(h RawHandler) { u.rawHandler = h }
 
-// HandleRPC registers the RPC request upcall.
-func (u *User) HandleRPC(h RPCHandler) { u.rpc.handler = h }
-
 // HandleGroup registers the ordered group delivery upcall (shared by
 // every group of the instance).
 func (u *User) HandleGroup(h GroupHandler) {
@@ -296,7 +292,7 @@ func (u *User) HandleGroup(h GroupHandler) {
 // straight onto FLIP via a system call (unicast to a processor, or
 // multicast to the whole Panda group).
 func (u *User) SystemSend(t *proc.Thread, dest int, payload any, size int, multicast bool) {
-	w := &uwire{kind: uRAW, from: u.id, payload: payload, size: size}
+	w := &Wire{Kind: WireRAW, From: u.id, Payload: payload, Size: size}
 	t.Call(pandaDepth)
 	t.ChargeP(sim.PhaseFrag, u.m.FragLayer)
 	dst := akernel.RawAddress(dest)
@@ -325,7 +321,7 @@ func (u *User) daemonLoop(t *proc.Thread) {
 		pk := u.k.RawReceiveMatch(t, filter)
 		t.Call(pandaDepth)
 		done := u.reasm.Add(pk)
-		w, isW := pk.Payload.(*uwire)
+		w, isW := pk.Payload.(*Wire)
 		// The wire struct is extracted; recycle the packet shell.
 		u.k.RawRelease(pk)
 		if done {
@@ -337,7 +333,7 @@ func (u *User) daemonLoop(t *proc.Thread) {
 					w := w
 					t.Syscall()
 					t.Flush()
-					u.iface.postFromThread(t, func(it *proc.Thread) {
+					u.iface.PostFromThread(t, func(it *proc.Thread) {
 						it.Call(pandaDepth)
 						u.dispatch(it, w)
 						it.Return(pandaDepth)
@@ -354,21 +350,21 @@ func (u *User) daemonLoop(t *proc.Thread) {
 	}
 }
 
-func (u *User) dispatch(t *proc.Thread, w *uwire) {
-	switch w.kind {
-	case uREQ:
-		u.rpc.handleREQ(t, w)
-	case uREP:
-		u.rpc.handleREP(t, w)
-	case uACK:
-		u.rpc.handleACK(t, w)
-	case ugDATA, ugACCEPT, ugSYNC, ugBB:
-		if g := u.groupByGID(w.gid); g != nil {
+func (u *User) dispatch(t *proc.Thread, w *Wire) {
+	switch w.Kind {
+	case WireREQ:
+		u.OnRequest(t, w)
+	case WireREP:
+		u.OnReply(t, w)
+	case WireACK:
+		u.OnAck(w)
+	case WireGrpDATA, WireGrpACCEPT, WireGrpSYNC, WireGrpBB:
+		if g := u.groupByGID(w.GID); g != nil {
 			g.memberHandle(t, w)
 		}
-	case uRAW:
+	case WireRAW:
 		if u.rawHandler != nil {
-			u.rawHandler(t, w.from, w.payload, w.size)
+			u.rawHandler(t, w.From, w.Payload, w.Size)
 		}
 	}
 }
@@ -376,13 +372,13 @@ func (u *User) dispatch(t *proc.Thread, w *uwire) {
 // seqTraffic reports whether pk carries sequencer-bound group protocol
 // traffic, and for which group.
 func seqTraffic(pk *flip.Packet) (gid int, ok bool) {
-	w, isW := pk.Payload.(*uwire)
+	w, isW := pk.Payload.(*Wire)
 	if !isW {
 		return 0, false
 	}
-	switch w.kind {
-	case ugREQ, ugBB, ugRETR, ugSTATUS:
-		return w.gid, true
+	switch w.Kind {
+	case WireGrpREQ, WireGrpBB, WireGrpRETR, WireGrpSTATUS:
+		return w.GID, true
 	default:
 		return 0, false
 	}
@@ -400,26 +396,23 @@ func (u *User) ownsSeqTraffic(pk *flip.Packet) bool {
 	return g != nil && g.spec.Sequencer == u.id
 }
 
-// helper is a protocol service thread that executes deferred actions
+// Helper is a protocol service thread that executes deferred actions
 // (retransmissions, explicit acks, sync probes) scheduled by timers, which
-// fire in driver context and therefore cannot issue syscalls themselves.
-type helper struct {
-	t   *proc.Thread
+// fire in driver context and therefore cannot charge a thread or issue
+// syscalls themselves.
+type Helper struct {
 	sem proc.Semaphore
 	q   []func(t *proc.Thread)
 }
 
-func newHelper(p *proc.Processor) *helper {
-	return newNamedHelper(p, "pan-timer")
-}
-
-func newNamedHelper(p *proc.Processor, name string) *helper {
-	h := &helper{}
-	h.t = p.NewThread(name, proc.PrioDaemon, h.loop)
+// NewHelper starts a helper thread with the given name on p.
+func NewHelper(p *proc.Processor, name string) *Helper {
+	h := &Helper{}
+	p.NewThread(name, proc.PrioDaemon, h.loop)
 	return h
 }
 
-func (h *helper) loop(t *proc.Thread) {
+func (h *Helper) loop(t *proc.Thread) {
 	for {
 		h.sem.Down(t)
 		fn := h.q[0]
@@ -430,14 +423,14 @@ func (h *helper) loop(t *proc.Thread) {
 	}
 }
 
-// post enqueues an action from driver context (a timer callback).
-func (h *helper) post(fn func(t *proc.Thread)) {
+// Post enqueues an action from driver context (a timer callback).
+func (h *Helper) Post(fn func(t *proc.Thread)) {
 	h.q = append(h.q, fn)
 	h.sem.UpFromDriver()
 }
 
-// postFromThread enqueues an action from thread context.
-func (h *helper) postFromThread(t *proc.Thread, fn func(t *proc.Thread)) {
+// PostFromThread enqueues an action from thread context.
+func (h *Helper) PostFromThread(t *proc.Thread, fn func(t *proc.Thread)) {
 	h.q = append(h.q, fn)
 	h.sem.Up(t)
 }

@@ -32,7 +32,7 @@ type gsend struct {
 	tmpID   uint64
 	msgID   uint64
 	op      uint64
-	wire    *uwire
+	wire    *Wire
 	big     bool
 	timer   sim.Event
 	armedAt sim.Time
@@ -60,9 +60,9 @@ type userGroup struct {
 
 	// Member state.
 	nextDeliver uint64
-	holdback    map[uint64]*uwire
-	bbData      map[gkey]*uwire
-	bbAccept    map[gkey]*uwire
+	holdback    map[uint64]*Wire
+	bbData      map[gkey]*Wire
+	bbAccept    map[gkey]*Wire
 	sends       map[uint64]*gsend
 	tmpSeq      uint64
 	retrArmed   bool
@@ -76,7 +76,7 @@ type userGroup struct {
 	// Sequencer state (only on the sequencer's instance).
 	seqReasm   *flip.Reassembler
 	seqno      uint64
-	history    map[uint64]*uwire
+	history    map[uint64]*Wire
 	seen       map[gkey]uint64
 	acked      map[int]uint64
 	lastStatus map[int]uint64 // ack seen at the previous status probe
@@ -95,9 +95,9 @@ func (g *userGroup) init(u *User, spec GroupSpec) {
 		g.kind = "group"
 	}
 	g.nextDeliver = 1
-	g.holdback = make(map[uint64]*uwire)
-	g.bbData = make(map[gkey]*uwire)
-	g.bbAccept = make(map[gkey]*uwire)
+	g.holdback = make(map[uint64]*Wire)
+	g.bbData = make(map[gkey]*Wire)
+	g.bbAccept = make(map[gkey]*Wire)
 	g.sends = make(map[uint64]*gsend)
 	for _, id := range spec.Members {
 		if id == u.id {
@@ -110,7 +110,7 @@ func (g *userGroup) isMember() bool { return g.amMember }
 
 func (g *userGroup) initSequencer() {
 	g.seqReasm = flip.NewReassembler(g.u.sim, g.u.m.RetransTimeout)
-	g.history = make(map[uint64]*uwire)
+	g.history = make(map[uint64]*Wire)
 	g.seen = make(map[gkey]uint64)
 	g.acked = make(map[int]uint64)
 	g.lastStatus = make(map[int]uint64)
@@ -177,9 +177,9 @@ func (g *userGroup) send(t *proc.Thread, payload any, size int, blocking bool) e
 	}
 	g.tmpSeq++
 	big := size > u.m.BBThreshold
-	kind := ugREQ
+	kind := WireGrpREQ
 	if big {
-		kind = ugBB
+		kind = WireGrpBB
 	}
 	op := t.Op()
 	topLevel := op == 0 && blocking
@@ -187,9 +187,9 @@ func (g *userGroup) send(t *proc.Thread, payload any, size int, blocking bool) e
 		op = u.sim.CausalBegin(g.kind)
 		t.SetOp(op)
 	}
-	w := &uwire{
-		kind: kind, gid: g.gid, from: u.id, tmpID: g.tmpSeq,
-		ackSeq: g.nextDeliver - 1, payload: payload, size: size,
+	w := &Wire{
+		Kind: kind, GID: g.gid, From: u.id, TmpID: g.tmpSeq,
+		AckSeq: g.nextDeliver - 1, Payload: payload, Size: size,
 	}
 	// The request piggybacks this member's watermark: an active sender
 	// needs no spontaneous acks (they would tax broadcast-heavy phases
@@ -265,7 +265,7 @@ func (g *userGroup) sendTimeout(ss *gsend) {
 		u.mx.grpSendRetrans.Inc()
 	}
 	tmpID := ss.tmpID
-	u.helper.post(func(ht *proc.Thread) {
+	u.helper.Post(func(ht *proc.Thread) {
 		// The record is pooled: a later send may have taken it.
 		if ss.done || ss.g != g || ss.tmpID != tmpID {
 			return
@@ -275,9 +275,9 @@ func (g *userGroup) sendTimeout(ss *gsend) {
 		ht.ChargeP(sim.PhaseProtoSend, u.m.ProtoGroup)
 		ht.ChargeP(sim.PhaseFrag, u.m.FragLayer)
 		if ss.big {
-			u.k.RawSend(ht, g.addr, ss.msgID, u.m.GroupHeaderUser, ss.wire.size, ss.wire, true)
+			u.k.RawSend(ht, g.addr, ss.msgID, u.m.GroupHeaderUser, ss.wire.Size, ss.wire, true)
 		} else {
-			u.k.RawSend(ht, akernel.RawAddress(g.spec.Sequencer), ss.msgID, u.m.GroupHeaderUser, ss.wire.size, ss.wire, false)
+			u.k.RawSend(ht, akernel.RawAddress(g.spec.Sequencer), ss.msgID, u.m.GroupHeaderUser, ss.wire.Size, ss.wire, false)
 		}
 		ht.Return(pandaDepth)
 		ht.SetOp(0)
@@ -303,24 +303,24 @@ func (g *userGroup) nbDone(t *proc.Thread) {
 
 // ---- Member side (receive daemon context) ----
 
-func (g *userGroup) memberHandle(t *proc.Thread, w *uwire) {
+func (g *userGroup) memberHandle(t *proc.Thread, w *Wire) {
 	u := g.u
 	t.ChargeP(sim.PhaseProtoRecv, u.m.ProtoGroup)
-	switch w.kind {
-	case ugDATA:
+	switch w.Kind {
+	case WireGrpDATA:
 		g.onData(t, w)
-	case ugACCEPT:
-		key := gkey{from: w.from, tmpID: w.tmpID}
+	case WireGrpACCEPT:
+		key := gkey{from: w.From, tmpID: w.TmpID}
 		g.bbAccept[key] = w
 		g.tryCompleteBB(t, key)
-	case ugBB:
-		key := gkey{from: w.from, tmpID: w.tmpID}
+	case WireGrpBB:
+		key := gkey{from: w.From, tmpID: w.TmpID}
 		g.bbData[key] = w
 		g.tryCompleteBB(t, key)
-	case ugSYNC:
+	case WireGrpSYNC:
 		if g.isMember() {
 			g.sinceAck = 0
-			w := &uwire{kind: ugSTATUS, gid: g.gid, from: u.id, ackSeq: g.nextDeliver - 1}
+			w := &Wire{Kind: WireGrpSTATUS, GID: g.gid, From: u.id, AckSeq: g.nextDeliver - 1}
 			u.k.RawSend(t, akernel.RawAddress(g.spec.Sequencer), u.k.RawNextMsgID(),
 				u.m.GroupHeaderUser, 0, w, false)
 		}
@@ -333,19 +333,19 @@ func (g *userGroup) tryCompleteBB(t *proc.Thread, key gkey) {
 	if acc == nil || data == nil {
 		return
 	}
-	g.onData(t, &uwire{
-		kind: ugDATA, gid: g.gid, from: data.from, seq: acc.seq, tmpID: data.tmpID,
-		payload: data.payload, size: data.size,
+	g.onData(t, &Wire{
+		Kind: WireGrpDATA, GID: g.gid, From: data.From, Seq: acc.Seq, TmpID: data.TmpID,
+		Payload: data.Payload, Size: data.Size,
 	})
 }
 
-func (g *userGroup) onData(t *proc.Thread, w *uwire) {
+func (g *userGroup) onData(t *proc.Thread, w *Wire) {
 	switch {
-	case w.seq < g.nextDeliver:
+	case w.Seq < g.nextDeliver:
 		return // duplicate
-	case w.seq > g.nextDeliver:
-		g.holdback[w.seq] = w
-		g.requestRetrans(t, w.seq)
+	case w.Seq > g.nextDeliver:
+		g.holdback[w.Seq] = w
+		g.requestRetrans(t, w.Seq)
 		return
 	}
 	g.deliver(t, w)
@@ -359,35 +359,35 @@ func (g *userGroup) onData(t *proc.Thread, w *uwire) {
 	}
 }
 
-func (g *userGroup) deliver(t *proc.Thread, w *uwire) {
+func (g *userGroup) deliver(t *proc.Thread, w *Wire) {
 	u := g.u
 	if u.sim.Tracing() {
-		u.sim.Trace(u.p.Name(), "pgrp.dlv", "seqno=%d sender=%d", w.seq, w.from)
+		u.sim.Trace(u.p.Name(), "pgrp.dlv", "seqno=%d sender=%d", w.Seq, w.From)
 	}
 	if u.mx != nil {
 		u.mx.grpDeliveries.Inc()
 	}
-	g.nextDeliver = w.seq + 1
-	key := gkey{from: w.from, tmpID: w.tmpID}
+	g.nextDeliver = w.Seq + 1
+	key := gkey{from: w.From, tmpID: w.TmpID}
 	delete(g.bbData, key)
 	delete(g.bbAccept, key)
 	if g.isMember() && g.handler != nil {
-		g.handler(t, w.from, w.seq, w.payload, w.size)
+		g.handler(t, w.From, w.Seq, w.Payload, w.Size)
 	}
-	if w.from != u.id {
+	if w.From != u.id {
 		g.maybeAck(t)
 		return
 	}
 	// Own broadcast delivered: an active sender piggybacks its watermark
 	// on every request, so it never acks spontaneously.
 	g.sinceAck = 0
-	ss := g.sends[w.tmpID]
+	ss := g.sends[w.TmpID]
 	if ss == nil || ss.done {
 		return
 	}
 	ss.done = true
 	u.sim.Cancel(ss.timer)
-	delete(g.sends, w.tmpID)
+	delete(g.sends, w.TmpID)
 	if ss.t != nil {
 		// Wake the blocked sender: a system call through the kernel (the
 		// paper's 40 µs of crossing + underflow traps at the sender).
@@ -415,7 +415,7 @@ func (g *userGroup) maybeAck(t *proc.Thread) {
 		return
 	}
 	g.sinceAck = 0
-	w := &uwire{kind: ugSTATUS, gid: g.gid, from: u.id, ackSeq: g.nextDeliver - 1}
+	w := &Wire{Kind: WireGrpSTATUS, GID: g.gid, From: u.id, AckSeq: g.nextDeliver - 1}
 	u.k.RawSend(t, akernel.RawAddress(g.spec.Sequencer), u.k.RawNextMsgID(),
 		u.m.GroupHeaderUser, 0, w, false)
 }
@@ -435,7 +435,7 @@ func (g *userGroup) requestRetrans(t *proc.Thread, sawSeqno uint64) {
 			hi = s
 		}
 	}
-	w := &uwire{kind: ugRETR, gid: g.gid, from: u.id, lo: g.nextDeliver, hi: hi}
+	w := &Wire{Kind: WireGrpRETR, GID: g.gid, From: u.id, Lo: g.nextDeliver, Hi: hi}
 	u.k.RawSend(t, akernel.RawAddress(g.spec.Sequencer), u.k.RawNextMsgID(),
 		u.m.GroupHeaderUser, 0, w, false)
 	u.sim.Schedule(u.m.RetransTimeout, func() {
@@ -449,7 +449,7 @@ func (g *userGroup) requestRetrans(t *proc.Thread, sawSeqno uint64) {
 				hi = s
 			}
 		}
-		u.helper.post(func(ht *proc.Thread) { g.requestRetrans(ht, hi) })
+		u.helper.Post(func(ht *proc.Thread) { g.requestRetrans(ht, hi) })
 	})
 }
 
@@ -470,7 +470,7 @@ func (g *userGroup) sequencerLoop(t *proc.Thread) {
 		pk := u.k.RawReceiveMatch(t, match)
 		t.Call(pandaDepth)
 		done := g.seqReasm.Add(pk)
-		w, isW := pk.Payload.(*uwire)
+		w, isW := pk.Payload.(*Wire)
 		// The wire struct is extracted; recycle the packet shell.
 		u.k.RawRelease(pk)
 		if done && isW {
@@ -482,81 +482,81 @@ func (g *userGroup) sequencerLoop(t *proc.Thread) {
 	}
 }
 
-func (g *userGroup) seqHandle(t *proc.Thread, w *uwire) {
+func (g *userGroup) seqHandle(t *proc.Thread, w *Wire) {
 	u := g.u
 	t.ChargeP(sim.PhaseSeqService, u.m.ProtoGroup)
-	switch w.kind {
-	case ugREQ:
-		g.updateAck(w.from, w.ackSeq)
-		key := gkey{from: w.from, tmpID: w.tmpID}
+	switch w.Kind {
+	case WireGrpREQ:
+		g.updateAck(w.From, w.AckSeq)
+		key := gkey{from: w.From, tmpID: w.TmpID}
 		if seqno, dup := g.seen[key]; dup {
 			if h := g.history[seqno]; h != nil {
-				u.k.RawSend(t, g.addr, u.k.RawNextMsgID(), u.m.GroupHeaderUser, h.size, h, true)
+				u.k.RawSend(t, g.addr, u.k.RawNextMsgID(), u.m.GroupHeaderUser, h.Size, h, true)
 			}
 			return
 		}
 		g.seqno++
-		d := &uwire{kind: ugDATA, gid: g.gid, from: w.from, seq: g.seqno, tmpID: w.tmpID, payload: w.payload, size: w.size}
+		d := &Wire{Kind: WireGrpDATA, GID: g.gid, From: w.From, Seq: g.seqno, TmpID: w.TmpID, Payload: w.Payload, Size: w.Size}
 		if u.sim.Tracing() {
-			u.sim.Trace(u.p.Name(), "pgrp.seq", "seqno=%d sender=%d size=%d (PB)", g.seqno, w.from, w.size)
+			u.sim.Trace(u.p.Name(), "pgrp.seq", "seqno=%d sender=%d size=%d (PB)", g.seqno, w.From, w.Size)
 		}
 		g.seen[key] = g.seqno
 		g.history[g.seqno] = d
 		if g.seqHistory != nil {
 			g.seqHistory.Set(int64(len(g.history)))
 		}
-		u.k.RawSend(t, g.addr, u.k.RawNextMsgID(), u.m.GroupHeaderUser, d.size, d, true)
+		u.k.RawSend(t, g.addr, u.k.RawNextMsgID(), u.m.GroupHeaderUser, d.Size, d, true)
 		g.armWatchdog()
-	case ugBB:
-		g.updateAck(w.from, w.ackSeq)
-		key := gkey{from: w.from, tmpID: w.tmpID}
+	case WireGrpBB:
+		g.updateAck(w.From, w.AckSeq)
+		key := gkey{from: w.From, tmpID: w.TmpID}
 		if seqno, dup := g.seen[key]; dup {
 			if h := g.history[seqno]; h != nil {
-				acc := &uwire{kind: ugACCEPT, gid: g.gid, from: h.from, seq: h.seq, tmpID: h.tmpID}
+				acc := &Wire{Kind: WireGrpACCEPT, GID: g.gid, From: h.From, Seq: h.Seq, TmpID: h.TmpID}
 				u.k.RawSend(t, g.addr, u.k.RawNextMsgID(), u.m.GroupHeaderUser, 0, acc, true)
 			}
 			return
 		}
 		g.seqno++
-		d := &uwire{kind: ugDATA, gid: g.gid, from: w.from, seq: g.seqno, tmpID: w.tmpID, payload: w.payload, size: w.size}
+		d := &Wire{Kind: WireGrpDATA, GID: g.gid, From: w.From, Seq: g.seqno, TmpID: w.TmpID, Payload: w.Payload, Size: w.Size}
 		g.seen[key] = g.seqno
 		g.history[g.seqno] = d
 		if g.seqHistory != nil {
 			g.seqHistory.Set(int64(len(g.history)))
 		}
-		acc := &uwire{kind: ugACCEPT, gid: g.gid, from: w.from, seq: g.seqno, tmpID: w.tmpID}
+		acc := &Wire{Kind: WireGrpACCEPT, GID: g.gid, From: w.From, Seq: g.seqno, TmpID: w.TmpID}
 		u.k.RawSend(t, g.addr, u.k.RawNextMsgID(), u.m.GroupHeaderUser, 0, acc, true)
 		if g.isMember() {
 			// Hand the full message to the local member (the data
 			// multicast was consumed by this sequencer thread).
-			u.k.RawSend(t, akernel.RawAddress(u.id), u.k.RawNextMsgID(), u.m.GroupHeaderUser, d.size, d, false)
+			u.k.RawSend(t, akernel.RawAddress(u.id), u.k.RawNextMsgID(), u.m.GroupHeaderUser, d.Size, d, false)
 		}
 		g.armWatchdog()
-	case ugRETR:
-		for s := w.lo; s <= w.hi; s++ {
+	case WireGrpRETR:
+		for s := w.Lo; s <= w.Hi; s++ {
 			h := g.history[s]
 			if h == nil {
 				continue
 			}
-			u.k.RawSend(t, akernel.RawAddress(w.from), u.k.RawNextMsgID(), u.m.GroupHeaderUser, h.size, h, false)
+			u.k.RawSend(t, akernel.RawAddress(w.From), u.k.RawNextMsgID(), u.m.GroupHeaderUser, h.Size, h, false)
 		}
-	case ugSTATUS:
-		g.updateAck(w.from, w.ackSeq)
+	case WireGrpSTATUS:
+		g.updateAck(w.From, w.AckSeq)
 		// Resend the suffix only to members that made no progress since
 		// the previous probe (genuine tail loss, not mere lag). A first
 		// report is never "stalled": with no earlier report to compare
 		// against, a member whose DATA is still in flight would otherwise
 		// trigger a spurious full-history resend.
-		last, seen := g.lastStatus[w.from]
-		stalled := seen && last == w.ackSeq
-		g.lastStatus[w.from] = w.ackSeq
-		if stalled && w.ackSeq < g.seqno {
-			for s := w.ackSeq + 1; s <= g.seqno; s++ {
+		last, seen := g.lastStatus[w.From]
+		stalled := seen && last == w.AckSeq
+		g.lastStatus[w.From] = w.AckSeq
+		if stalled && w.AckSeq < g.seqno {
+			for s := w.AckSeq + 1; s <= g.seqno; s++ {
 				h := g.history[s]
 				if h == nil {
 					continue
 				}
-				u.k.RawSend(t, akernel.RawAddress(w.from), u.k.RawNextMsgID(), u.m.GroupHeaderUser, h.size, h, false)
+				u.k.RawSend(t, akernel.RawAddress(w.From), u.k.RawNextMsgID(), u.m.GroupHeaderUser, h.Size, h, false)
 			}
 		}
 	}
@@ -590,7 +590,7 @@ func (g *userGroup) trimHistory() {
 	for s, h := range g.history {
 		if s <= min {
 			delete(g.history, s)
-			delete(g.seen, gkey{from: h.from, tmpID: h.tmpID})
+			delete(g.seen, gkey{from: h.From, tmpID: h.TmpID})
 		}
 	}
 	if g.seqHistory != nil {
@@ -600,8 +600,8 @@ func (g *userGroup) trimHistory() {
 
 // armWatchdog keeps probing while some member has not acknowledged all
 // sequenced messages (history overflow prevention and tail-loss recovery,
-// as in the kernel protocol). Each tick unicasts ugSYNC only to members
-// pinned at the minimum acknowledged watermark — the ones actually
+// as in the kernel protocol). Each tick unicasts WireGrpSYNC only to
+// members pinned at the minimum acknowledged watermark — the ones actually
 // holding the history back — capped at GroupSyncFanout, so a probe round
 // costs O(stragglers) rather than triggering the group-wide SYNC/STATUS
 // implosion that saturates the sequencer in large groups.
@@ -622,9 +622,9 @@ func (g *userGroup) watchdogTick() {
 		return
 	}
 	targets := g.stragglers(min)
-	u.helper.post(func(ht *proc.Thread) {
+	u.helper.Post(func(ht *proc.Thread) {
 		for _, id := range targets {
-			w := &uwire{kind: ugSYNC, gid: g.gid}
+			w := &Wire{Kind: WireGrpSYNC, GID: g.gid}
 			u.k.RawSend(ht, akernel.RawAddress(id), u.k.RawNextMsgID(), u.m.GroupHeaderUser, 0, w, false)
 		}
 	})

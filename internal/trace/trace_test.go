@@ -58,11 +58,15 @@ func TestTraceKernelRPCTimeline(t *testing.T) {
 	}
 }
 
+// TestTraceUserRPCTimeline: user space and bypass run one RPC core, each
+// under its own trace names.
 func TestTraceUserRPCTimeline(t *testing.T) {
-	log := runTracedRPC(t, panda.UserSpace)
-	for _, want := range []string{"prpc.req", "prpc.upcall", "prpc.rep"} {
-		if len(log.Filter(want)) == 0 {
-			t.Errorf("missing %s events", want)
+	for mode, prefix := range map[panda.Mode]string{panda.UserSpace: "prpc", panda.Bypass: "brpc"} {
+		log := runTracedRPC(t, mode)
+		for _, ev := range []string{".req", ".upcall", ".rep"} {
+			if len(log.Filter(prefix+ev)) == 0 {
+				t.Errorf("%s: missing %s events", mode, prefix+ev)
+			}
 		}
 	}
 }
