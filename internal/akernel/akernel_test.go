@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"amoebasim/internal/ether"
+	"amoebasim/internal/flip"
 	"amoebasim/internal/model"
 	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
@@ -496,4 +497,77 @@ func TestGroupErrorsForNonMember(t *testing.T) {
 		}
 	})
 	r.sim.Run()
+}
+
+// dropFirstAccept drops the first BB accept frame delivered to NIC dst.
+type dropFirstAccept struct {
+	dst     int
+	dropped int
+}
+
+func (*dropFirstAccept) ForwardCut(sim.Time, int, int) bool { return false }
+
+func (h *dropFirstAccept) FrameFate(_ sim.Time, fr ether.Frame, dst int) ether.Fate {
+	pk, ok := fr.Payload.(*flip.Packet)
+	if !ok || dst != h.dst || h.dropped > 0 {
+		return ether.Fate{}
+	}
+	if w, ok := pk.Payload.(*grpWire); ok && w.kind == gACCEPT {
+		h.dropped++
+		return ether.Fate{Drop: true}
+	}
+	return ether.Fate{}
+}
+
+// TestGroupBBRetransmissionLeavesNoState: a BB sender whose accept is
+// lost retransmits its data, and the sequencer answers with the accept
+// again. Every member has delivered the message once the run is quiet,
+// and none keeps a half pair of it: an accept and its data leave their
+// maps as soon as they pair, the rule Panda's group core shares.
+func TestGroupBBRetransmissionLeavesNoState(t *testing.T) {
+	r := newRig(t, 3, 1)
+	const gid GroupID = 0
+	for _, k := range r.kernels {
+		if err := k.GroupConfigure(gid, []int{0, 1, 2}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hook := &dropFirstAccept{dst: 1}
+	r.net.SetFaultHook(hook)
+	got := make([]int, 3)
+	for i, k := range r.kernels {
+		i, k := i, k
+		k.Processor().NewThread("recv", proc.PrioDaemon, func(th *proc.Thread) {
+			for {
+				if _, err := k.GrpReceive(th, gid); err != nil {
+					t.Error(err)
+					return
+				}
+				got[i]++
+			}
+		})
+	}
+	var sendErr error
+	sent := false
+	k1 := r.kernels[1]
+	k1.Processor().NewThread("send", proc.PrioNormal, func(th *proc.Thread) {
+		sendErr = k1.GrpSend(th, gid, "big", 8000)
+		sent = true
+	})
+	r.sim.Run()
+	if hook.dropped != 1 {
+		t.Fatalf("dropped %d accepts, want 1", hook.dropped)
+	}
+	if !sent || sendErr != nil {
+		t.Fatalf("send returned %v, err %v", sent, sendErr)
+	}
+	for i, k := range r.kernels {
+		mb := k.grp[gid]
+		if got[i] != 1 {
+			t.Errorf("member %d delivered %d messages, want 1", i, got[i])
+		}
+		if len(mb.bbData) != 0 || len(mb.bbAccept) != 0 {
+			t.Errorf("member %d keeps %d BB data and %d accepts after the run", i, len(mb.bbData), len(mb.bbAccept))
+		}
+	}
 }

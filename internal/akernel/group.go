@@ -3,7 +3,6 @@ package akernel
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"amoebasim/internal/flip"
@@ -114,7 +113,8 @@ type member struct {
 	sends       map[uint64]*grpSendState
 	tmpSeq      uint64
 	retrTimer   sim.Event
-	sinceAck    int // deliveries since the last watermark report
+	retrFn      func() // the retransmission timer's callback, bound on first use
+	sinceAck    int    // deliveries since the last watermark report
 
 	// Sequencer state (only on the sequencer's kernel).
 	seqno      uint64
@@ -781,7 +781,9 @@ func (mb *member) requestRetrans(sawSeqno uint64) {
 			upTo = s
 		}
 	}
-	k.sim.Trace(k.p.Name(), "grp.retr", "missing %d..%d", mb.nextDeliver, upTo)
+	if k.sim.Tracing() {
+		k.sim.Trace(k.p.Name(), "grp.retr", "missing %d..%d", mb.nextDeliver, upTo)
+	}
 	if mb.mx != nil {
 		mb.mx.retransReqs.Inc()
 	}
@@ -790,15 +792,14 @@ func (mb *member) requestRetrans(sawSeqno uint64) {
 		Src: RawAddress(k.id), Dst: seqAddress(mb.gid), Proto: flip.ProtoGroup,
 		MsgID: k.flip.NextMsgID(), Hdr: k.m.GroupHeaderKernel, Size: 0, Payload: req,
 	})
-	mb.retrTimer = k.sim.Schedule(k.m.RetransTimeout, func() {
-		mb.retrTimer = sim.Event{}
-		if len(mb.holdback) > 0 {
-			keys := make([]uint64, 0, len(mb.holdback))
-			for s := range mb.holdback {
-				keys = append(keys, s)
+	if mb.retrFn == nil {
+		// Ask again while a gap remains.
+		mb.retrFn = func() {
+			mb.retrTimer = sim.Event{}
+			if len(mb.holdback) > 0 {
+				mb.requestRetrans(0)
 			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			mb.requestRetrans(keys[len(keys)-1])
 		}
-	})
+	}
+	mb.retrTimer = k.sim.Schedule(k.m.RetransTimeout, mb.retrFn)
 }

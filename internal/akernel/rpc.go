@@ -275,7 +275,9 @@ func (r *rpcModule) clientTimeout(cs *callState) {
 		cs.t.Unblock()
 		return
 	}
-	r.k.sim.Trace(r.k.p.Name(), "rpc.retr", "seq=%d retry=%d", cs.seq, cs.retries)
+	if r.k.sim.Tracing() {
+		r.k.sim.Trace(r.k.p.Name(), "rpc.retr", "seq=%d retry=%d", cs.seq, cs.retries)
+	}
 	if r.k.mx != nil {
 		r.k.mx.rpcRetrans.Inc()
 	}

@@ -7,9 +7,15 @@
 // consumed from a completion queue by polling, by a NIC interrupt, or by a
 // hybrid of the two (see Dispatch).
 //
-// The RPC is panda's RPC core, the same state machine user space runs:
-// the endpoint embeds it and supplies only the queue-pair packet path
-// (qpLink). Messages are panda.Wire values, carried by reference.
+// The RPC and the group protocol are panda's cores, the same state
+// machines user space runs: the endpoint embeds them and supplies only
+// the queue-pair packet path (qpLink), the completion-queue consumer and
+// a sequencer thread for each group it sequences. Messages are panda.Wire
+// values, carried by reference. Groups use the PB method only: because
+// fragmentation gather-reads the application buffer, the BB method's
+// reason to exist — avoiding a second copy of large messages through the
+// sequencer — disappears, so large messages take the same path as small
+// ones.
 //
 // Compared to the user-space column, the per-packet path drops the
 // syscall, the raw-interface translation overhead, the kernel FLIP layer
@@ -40,15 +46,23 @@ const bypassDepth = 2
 // systemHeaderBytes is the system-layer test-message header (Table 1).
 const systemHeaderBytes = 16
 
-// qpRPCPlacement names bypass's RPC trace events brpc.*.
-var qpRPCPlacement = panda.NewRPCPlacement(bypassDepth, "brpc", "consumer resumes client")
+// qpPlacement names bypass's trace events brpc.* and bgrp.*; bypass has
+// no BB method.
+var qpPlacement = panda.NewPlacement(bypassDepth, "brpc", "consumer resumes client", "bgrp", false)
 
-// qpLink is the endpoint seen as the RPC core's packet path: the queue
-// pair, with no syscall, no kernel FLIP layer and no copies.
+// qpLink is the endpoint seen as the packet path of the RPC and group
+// cores: the queue pair, with no syscall, no kernel FLIP layer and no
+// copies.
 type qpLink Endpoint
 
 func (l *qpLink) SendWire(t *proc.Thread, dest int, w *panda.Wire, msgID uint64) {
 	(*Endpoint)(l).post(t, dest, l.m.RPCHeaderUser, w, msgID, false)
+}
+
+// SendGroupWire posts w to processor dest, or to every endpoint when dest
+// is -1.
+func (l *qpLink) SendGroupWire(t *proc.Thread, dest int, w *panda.Wire, msgID uint64) {
+	(*Endpoint)(l).post(t, dest, l.m.GroupHeaderUser, w, msgID, dest < 0)
 }
 
 func (l *qpLink) NextMsgID() uint64 { return (*Endpoint)(l).nextMsgID() }
@@ -58,8 +72,9 @@ func (l *qpLink) NextMsgID() uint64 { return (*Endpoint)(l).nextMsgID() }
 func (l *qpLink) BeforeRetransmit(int) {}
 
 // WakeCaller needs no system call: the consumer hands the processor
-// straight to the client (a direct resume), which is the crossing the
-// user-space column cannot avoid.
+// straight to the client, or to the sender whose group message came back
+// (a direct resume), which is the crossing the user-space column cannot
+// avoid.
 func (l *qpLink) WakeCaller(t, caller *proc.Thread) {
 	t.Flush()
 	caller.UnblockDirect()
@@ -108,10 +123,9 @@ type Endpoint struct {
 	consumer *proc.Thread
 	helper   *panda.Helper
 
-	panda.RPC // the stop-and-wait RPC, over the queue pair (qpLink)
+	panda.RPC     // the stop-and-wait RPC, over the queue pair (qpLink)
+	*panda.Groups // the group protocol, over the queue pair; nil without groups
 
-	grps       []*group  // indexed by gid; nil entries for groups not held
-	grpSends   []*bgsend // group send records whose send has returned
 	rawHandler panda.RawHandler
 }
 
@@ -155,42 +169,26 @@ func New(p *proc.Processor, net *ether.Network, segment int, cfg Config) (*Endpo
 	e.net = net
 	e.frags = e.sim.Shared(fragPoolKey{}, func() any { return new(fragPool) }).(*fragPool)
 	e.reasm = flip.NewReassembler(e.sim, e.m.RetransTimeout)
-	for _, gs := range cfg.Groups {
-		g := &group{}
-		g.init(e, gs)
-		for gs.GID >= len(e.grps) {
-			e.grps = append(e.grps, nil)
-		}
-		e.grps[gs.GID] = g
-	}
 	e.helper = panda.NewHelper(p, "qp-timer")
-	panda.InitRPC(&e.RPC, p, net, (*qpLink)(e), e.helper, qpRPCPlacement)
+	e.Groups = panda.NewGroups(p, cfg.Groups, (*qpLink)(e), e.helper, qpPlacement)
+	panda.InitRPC(&e.RPC, p, net, (*qpLink)(e), e.helper, qpPlacement)
 	e.consumer = p.NewThread("qp-consumer", proc.PrioDaemon, e.consumerLoop)
-	var owned []*group
-	for _, g := range e.grps {
-		if g != nil && g.spec.Sequencer == e.id {
-			owned = append(owned, g)
-		}
+	owned := e.Sequenced()
+	if len(owned) > 0 && cfg.Dedicated {
+		// Dedicated sequencer machine: the NIC filter drops member
+		// traffic so only the sequencer threads ever run, keeping their
+		// context loaded (the warm-dispatch / direct-resume regime).
+		e.discard = func(f *bfrag) bool { return !e.ownsSeqTraffic(f) }
 	}
-	if len(owned) > 0 {
-		if cfg.Dedicated {
-			// Dedicated sequencer machine: the NIC filter drops member
-			// traffic so only the sequencer threads ever run, keeping their
-			// context loaded (the warm-dispatch / direct-resume regime).
-			e.discard = func(f *bfrag) bool { return !e.ownsSeqTraffic(f) }
+	for _, gid := range owned {
+		name := "qp-sequencer"
+		if gid > 0 {
+			name = "qp-sequencer-g" + strconv.Itoa(gid)
 		}
-		for _, g := range owned {
-			g := g
-			g.initSequencer()
-			name := "qp-sequencer"
-			if g.gid > 0 {
-				name = "qp-sequencer-g" + strconv.Itoa(g.gid)
-			}
-			seq := p.NewThread(name, proc.PrioDaemon, g.sequencerLoop)
-			// Everything the sequencer thread does is sequencer service
-			// from the client's point of view.
-			seq.SetPhaseOverride(sim.PhaseSeqService)
-		}
+		seq := p.NewThread(name, proc.PrioDaemon, e.sequencerLoop(gid))
+		// Everything the sequencer thread does is sequencer service from
+		// the client's point of view.
+		seq.SetPhaseOverride(sim.PhaseSeqService)
 	}
 	return e, nil
 }
@@ -207,40 +205,11 @@ func (e *Endpoint) Dispatch() Dispatch { return e.cfg.Dispatch }
 // HandleRaw registers the system-layer message upcall (Table 1).
 func (e *Endpoint) HandleRaw(h panda.RawHandler) { e.rawHandler = h }
 
-// HandleGroup registers the ordered group delivery upcall.
-func (e *Endpoint) HandleGroup(h panda.GroupHandler) {
-	for _, g := range e.grps {
-		if g != nil {
-			g.handler = h
-		}
-	}
-}
-
-func (e *Endpoint) groupByGID(gid int) *group {
-	if gid < 0 || gid >= len(e.grps) {
-		return nil
-	}
-	return e.grps[gid]
-}
-
-func (e *Endpoint) ownsSeq() bool {
-	for _, g := range e.grps {
-		if g != nil && g.spec.Sequencer == e.id {
-			return true
-		}
-	}
-	return false
-}
-
 // ownsSeqTraffic reports whether f is sequencer traffic for a group this
 // endpoint sequences.
 func (e *Endpoint) ownsSeqTraffic(f *bfrag) bool {
 	gid, ok := seqTraffic(f)
-	if !ok {
-		return false
-	}
-	g := e.groupByGID(gid)
-	return g != nil && g.spec.Sequencer == e.id
+	return ok && e.Sequences(gid)
 }
 
 func (e *Endpoint) nextMsgID() uint64 {
@@ -360,7 +329,7 @@ func (e *Endpoint) deliver(f *bfrag) {
 	if f.dst < 0 {
 		// Multicast: group data for a group this endpoint does not hold is
 		// filtered by the QP's steering table.
-		if g := f.w.GID; f.w.Kind != panda.WireRAW && e.groupByGID(g) == nil {
+		if f.w.Kind != panda.WireRAW && !e.Holds(f.w.GID) {
 			return
 		}
 	}
@@ -491,7 +460,7 @@ func waitPhaseFor(ph sim.PhaseID) sim.PhaseID {
 // fetch syscall and the kernel-to-user copy.
 func (e *Endpoint) consumerLoop(t *proc.Thread) {
 	var filter func(*bfrag) bool
-	if e.ownsSeq() {
+	if e.SequencesAny() {
 		// Sequencer traffic for owned groups is consumed directly by the
 		// sequencer threads.
 		filter = func(f *bfrag) bool { return !e.ownsSeqTraffic(f) }
@@ -510,6 +479,33 @@ func (e *Endpoint) consumerLoop(t *proc.Thread) {
 	}
 }
 
+// sequencerLoop is the body of group gid's sequencer thread. It blocks
+// directly on the group's sequencer traffic from the completion queue.
+// The service loop per message is: pick the request up (per the dispatch
+// mode), stamp a sequence number, post the data multicast — no fetch
+// syscall, no multicast syscall, no copies.
+func (e *Endpoint) sequencerLoop(gid int) func(t *proc.Thread) {
+	return func(t *proc.Thread) {
+		reasm := flip.NewReassembler(e.sim, e.m.RetransTimeout)
+		match := func(f *bfrag) bool {
+			g, ok := seqTraffic(f)
+			return ok && g == gid
+		}
+		for {
+			f := e.receive(t, match, sim.PhaseSeqService)
+			t.Call(bypassDepth)
+			w, done := f.w, reassemble(reasm, f)
+			e.freeFrag(f)
+			if done {
+				e.OnSequencer(t, w)
+			}
+			t.Return(bypassDepth)
+			// Drop the per-packet operation before blocking for the next one.
+			t.SetOp(0)
+		}
+	}
+}
+
 func (e *Endpoint) dispatchMsg(t *proc.Thread, w *panda.Wire) {
 	switch w.Kind {
 	case panda.WireREQ:
@@ -519,9 +515,7 @@ func (e *Endpoint) dispatchMsg(t *proc.Thread, w *panda.Wire) {
 	case panda.WireACK:
 		e.OnAck(w)
 	case panda.WireGrpDATA, panda.WireGrpSYNC:
-		if g := e.groupByGID(w.GID); g != nil {
-			g.memberHandle(t, w)
-		}
+		e.OnMember(t, w)
 	case panda.WireRAW:
 		if e.rawHandler != nil {
 			e.rawHandler(t, w.From, w.Payload, w.Size)

@@ -340,7 +340,9 @@ func (st *Stack) InvalidateRoute(a Address) {
 	if st.mx != nil {
 		st.mx.routeDrops.Inc()
 	}
-	st.sim.Trace(st.name, "flip.unroute", "addr=%x", uint64(a))
+	if st.sim.Tracing() {
+		st.sim.Trace(st.name, "flip.unroute", "addr=%x", uint64(a))
+	}
 }
 
 // unrouted marks an address whose directory route this stack invalidated.
@@ -627,7 +629,9 @@ func (st *Stack) enqueueForLocate(a Address, msg Message, pk *Packet) {
 		if st.mx != nil {
 			st.mx.queueDrops.Inc()
 		}
-		st.sim.Trace(st.name, "flip.queue_drop", "addr=%x msgid=%d", uint64(a), q[0].MsgID)
+		if st.sim.Tracing() {
+			st.sim.Trace(st.name, "flip.queue_drop", "addr=%x msgid=%d", uint64(a), q[0].MsgID)
+		}
 		copy(q, q[1:])
 		q[len(q)-1] = Message{}
 		q = q[:len(q)-1]
@@ -644,7 +648,9 @@ func (st *Stack) enqueueForLocate(a Address, msg Message, pk *Packet) {
 }
 
 func (st *Stack) sendLocate(a Address) {
-	st.sim.Trace(st.p.Name(), "flip.locate", "addr=%x", uint64(a))
+	if st.sim.Tracing() {
+		st.sim.Trace(st.p.Name(), "flip.locate", "addr=%x", uint64(a))
+	}
 	if st.mx != nil {
 		st.mx.locates.Inc()
 	}
@@ -712,7 +718,9 @@ func (st *Stack) receive(pk *Packet) {
 			if st.mx != nil {
 				st.mx.routeDrops.Inc()
 			}
-			st.sim.Trace(st.name, "flip.reroute", "addr=%x nic %d -> %d", uint64(pk.Dst), old, pk.srcNIC)
+			if st.sim.Tracing() {
+				st.sim.Trace(st.name, "flip.reroute", "addr=%x nic %d -> %d", uint64(pk.Dst), old, pk.srcNIC)
+			}
 		}
 		st.routes[pk.Dst] = pk.srcNIC
 		if ls := st.locating[pk.Dst]; ls != nil {

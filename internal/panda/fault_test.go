@@ -70,7 +70,7 @@ func TestRPCSurvivesTransientOutage(t *testing.T) {
 // interface is down, then catches up through the sequencer's history
 // (watchdog probe + suffix retransmission).
 func TestGroupRecoversFromMemberOutage(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := newCluster(t, cluster.Config{Procs: 3, Mode: mode, Group: true})
 			received := make([][]int, 3)
@@ -81,7 +81,7 @@ func TestGroupRecoversFromMemberOutage(t *testing.T) {
 				})
 			}
 			// Member 2 is dark during the first half of the traffic.
-			nic := c.Kernels[2].FLIP().NIC()
+			nic := rpcNIC(c, 2)
 			nic.SetDown(true)
 			c.Sim.Schedule(250*time.Millisecond, func() { nic.SetDown(false) })
 

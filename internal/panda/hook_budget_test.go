@@ -13,7 +13,10 @@ import (
 // allocates as much past sequence number 256 as before it, in user space
 // and in bypass. The RPC's trace and span hooks take the sequence number
 // as an argument of fmt's ...any, which boxes it on the heap once it is
-// 256 or more; the untraced path must not reach the call at all.
+// 256 or more; the untraced path must not reach the call at all. Each
+// call here runs until its reply's explicit acknowledgement has gone out,
+// and that acknowledgement allocates its wire and nothing else: the
+// channel binds the helper thread's action once.
 func TestUntracedHookArgsBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, mode := range []panda.Mode{panda.UserSpace, panda.Bypass} {
@@ -50,6 +53,9 @@ func TestUntracedHookArgsBudget(t *testing.T) {
 			if high > low {
 				t.Fatalf("an untraced null RPC allocates %.2f objects past seqno 256 and %.2f before it, budget is no more",
 					high, low)
+			}
+			if low > 1 {
+				t.Fatalf("a warm null RPC ending in an explicit ack allocates %.2f objects, budget is 1 (the ACK wire)", low)
 			}
 		})
 	}

@@ -24,7 +24,7 @@ func newCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
 	return c
 }
 
-// rpcNIC returns the interface that carries processor i's RPC traffic:
+// rpcNIC returns the interface that carries processor i's Panda traffic:
 // its kernel's FLIP NIC, or under bypass its queue pair's, which answers
 // at NIC id len(c.Procs) + i.
 func rpcNIC(c *cluster.Cluster, i int) *ether.NIC {
@@ -286,7 +286,7 @@ func groupTotalOrderCheck(t *testing.T, mode panda.Mode, procs, perSender int, l
 }
 
 func TestGroupTotalOrderBothModes(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			groupTotalOrderCheck(t, mode, 3, 8, 0)
 		})
@@ -294,15 +294,18 @@ func TestGroupTotalOrderBothModes(t *testing.T) {
 }
 
 func TestGroupTotalOrderUnderLossBothModes(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			groupTotalOrderCheck(t, mode, 4, 6, 0.08)
 		})
 	}
 }
 
+// TestGroupLargeMessagesBBMethod: 8000-byte messages, above BBThreshold,
+// reach every member in kernel space and user space, which send them by
+// the BB method, and under bypass, which sends them by PB.
 func TestGroupLargeMessagesBBMethod(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := newCluster(t, cluster.Config{Procs: 3, Mode: mode, Group: true})
 			got := make([]int, 3)

@@ -15,51 +15,8 @@ var ErrRPCFailed = errors.New("panda: rpc failed after retries")
 
 const rpcMaxRetries = 16
 
-// RPCLink is the packet path beneath the RPC core, the part of an RPC
-// that differs between the placements running it. Timers and protocol
-// costs stay with the core.
-type RPCLink interface {
-	// SendWire transmits w, a request, reply or acknowledgement, to
-	// processor dest as message msgID, charging t for the path.
-	SendWire(t *proc.Thread, dest int, w *Wire, msgID uint64)
-	// NextMsgID returns a fresh message id.
-	NextMsgID() uint64
-	// BeforeRetransmit runs, from a timer, before a request to dest is
-	// sent again.
-	BeforeRetransmit(dest int)
-	// WakeCaller runs in the receive thread t once a reply has completed
-	// the call of thread caller.
-	WakeCaller(t, caller *proc.Thread)
-}
-
-// RPCPlacement is what else a placement fixes at construction: the call
-// depth of its protocol stack and the names of its RPC trace events. Its
-// strings are built once, so an untraced call boxes nothing.
-type RPCPlacement struct {
-	depth                                    int
-	req, done, fail, ack, upcall, serve, rep string
-	repFmt                                   string // detail format of rep
-}
-
-// NewRPCPlacement names the trace events prefix.req, prefix.rep and so
-// on, ends the reply's trace detail with note, and nests every RPC send
-// depth frames deep.
-func NewRPCPlacement(depth int, prefix, note string) *RPCPlacement {
-	return &RPCPlacement{
-		depth:  depth,
-		req:    prefix + ".req",
-		done:   prefix + ".done",
-		fail:   prefix + ".fail",
-		ack:    prefix + ".ack",
-		upcall: prefix + ".upcall",
-		serve:  prefix + ".serve",
-		rep:    prefix + ".rep",
-		repFmt: "seq=%d size=%d (" + note + ")",
-	}
-}
-
 // RPC is the Panda 2-way stop-and-wait RPC protocol, one state machine
-// for every placement that runs it over its own packet path (RPCLink).
+// for every placement that runs it over its own packet path (Link).
 // The reply acts as the implicit acknowledgement of the request; the
 // client acknowledges the reply by piggybacking on its next request to
 // the same server, falling back to an explicit acknowledgement after a
@@ -71,8 +28,8 @@ func NewRPCPlacement(depth int, prefix, note string) *RPCPlacement {
 // reply path runs close to a 2 KiB coroutine stack, and one more frame
 // there doubles the stacks of a 1000-processor run's receive daemons.
 type RPC struct {
-	link   RPCLink
-	pl     *RPCPlacement
+	link   Link
+	pl     *Placement
 	p      *proc.Processor
 	sim    *sim.Sim
 	m      *model.CostModel
@@ -103,7 +60,7 @@ type rpcMetrics struct {
 // InitRPC readies r, the RPC core a placement embeds, on processor p:
 // link carries its wires over net, helper runs the sends its timers
 // defer, and pl fixes its call depth and trace names.
-func InitRPC(r *RPC, p *proc.Processor, net *ether.Network, link RPCLink, helper *Helper, pl *RPCPlacement) {
+func InitRPC(r *RPC, p *proc.Processor, net *ether.Network, link Link, helper *Helper, pl *Placement) {
 	*r = RPC{
 		link: link, pl: pl, p: p, sim: p.Sim(), m: p.Model(), net: net, helper: helper, id: p.ID(),
 		chans: make(map[int]*rpcChan),
@@ -113,7 +70,8 @@ func InitRPC(r *RPC, p *proc.Processor, net *ether.Network, link RPCLink, helper
 
 // rpcChan is the client side of one (this process → server) channel:
 // stop-and-wait, so callers serialize on it, and one call record, two
-// bound timer callbacks and one request wire serve all its calls.
+// bound timer callbacks, two bound helper actions and one request wire
+// serve all its calls.
 type rpcChan struct {
 	dest       int
 	mu         proc.Mutex
@@ -129,8 +87,10 @@ type rpcChan struct {
 	// provably consumed (see reusable), else nil.
 	reqWire *Wire
 
-	timeoutFn func() // clientTimeout, bound to the channel
-	ackFn     func() // ackTimeout, bound to the channel
+	timeoutFn func()                     // clientTimeout, bound to the channel
+	ackFn     func()                     // ackTimeout, bound to the channel
+	resendFn  func(*proc.Thread, uint64) // resend, bound to the channel
+	sendAckFn func(*proc.Thread, uint64) // sendExplicitAck to dest, bound to the channel
 }
 
 type rpcCall struct {
@@ -181,6 +141,8 @@ func (r *RPC) chanTo(dest int) *rpcChan {
 		c.cond = proc.NewCond(&c.mu)
 		c.timeoutFn = func() { r.clientTimeout(c) }
 		c.ackFn = func() { r.ackTimeout(c) }
+		c.resendFn = func(ht *proc.Thread, seq uint64) { r.resend(ht, c, seq) }
+		c.sendAckFn = func(ht *proc.Thread, seq uint64) { r.sendExplicitAck(ht, dest, seq) }
 		r.chans[dest] = c
 	}
 	return c
@@ -332,7 +294,7 @@ func (r *RPC) ackTimeout(c *rpcChan) {
 		return
 	}
 	c.pendingAck = 0
-	r.helper.Post(func(ht *proc.Thread) { r.sendExplicitAck(ht, c.dest, seq) })
+	r.helper.Post(c.sendAckFn, seq)
 }
 
 func (r *RPC) clientTimeout(c *rpcChan) {
@@ -353,21 +315,24 @@ func (r *RPC) clientTimeout(c *rpcChan) {
 		r.mx.retrans.Inc()
 	}
 	r.link.BeforeRetransmit(c.dest)
-	seq := cs.seq
-	r.helper.Post(func(ht *proc.Thread) {
-		// The record is the channel's: a later call may have taken it.
-		if cs.done || cs.seq != seq {
-			return
-		}
-		ht.SetOp(cs.op)
-		ht.Call(r.pl.depth)
-		ht.ChargeP(sim.PhaseProtoSend, r.m.ProtoRPC)
-		r.link.SendWire(ht, c.dest, cs.wire, cs.msgID)
-		ht.Return(r.pl.depth)
-		ht.SetOp(0)
-	})
+	r.helper.Post(c.resendFn, cs.seq)
 	cs.timer = r.sim.Schedule(r.m.RetransBackoff(cs.retries), c.timeoutFn)
 	cs.armedAt = r.sim.Now()
+}
+
+// resend retransmits the channel's request seq from the helper thread
+// ht. The record is the channel's: a later call may have taken it.
+func (r *RPC) resend(ht *proc.Thread, c *rpcChan, seq uint64) {
+	cs := &c.call
+	if cs.done || cs.seq != seq {
+		return
+	}
+	ht.SetOp(cs.op)
+	ht.Call(r.pl.depth)
+	ht.ChargeP(sim.PhaseProtoSend, r.m.ProtoRPC)
+	r.link.SendWire(ht, c.dest, cs.wire, cs.msgID)
+	ht.Return(r.pl.depth)
+	ht.SetOp(0)
 }
 
 func (r *RPC) sendExplicitAck(t *proc.Thread, dest int, seq uint64) {

@@ -79,10 +79,10 @@ func shardedTotalOrderCheck(t *testing.T, cfg cluster.Config, perSender int) {
 }
 
 // TestShardedSequencerTotalOrderBothModes: groups routed to distinct
-// co-located sequencer shards keep per-group total order in both the
-// kernel-space and user-space protocols.
+// co-located sequencer shards keep per-group total order in the kernel's
+// protocol and in Panda's, in user space and under bypass.
 func TestShardedSequencerTotalOrderBothModes(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			shardedTotalOrderCheck(t, cluster.Config{
 				Procs: 6, Mode: mode, Group: true,
@@ -104,7 +104,7 @@ func TestShardedDedicatedSequencerTotalOrder(t *testing.T) {
 // TestShardedSequencerTotalOrderUnderLoss: shard routing survives packet
 // loss — retransmission and watchdog recovery are per shard.
 func TestShardedSequencerTotalOrderUnderLoss(t *testing.T) {
-	for _, mode := range []panda.Mode{panda.KernelSpace, panda.UserSpace} {
+	for _, mode := range panda.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			shardedTotalOrderCheck(t, cluster.Config{
 				Procs: 4, Mode: mode, Group: true,

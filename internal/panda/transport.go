@@ -155,3 +155,51 @@ type Transport interface {
 type NonblockingSender interface {
 	GroupSendNB(t *proc.Thread, payload any, size int) error
 }
+
+// Link is a placement's packet path beneath the RPC and group cores: the
+// part of a protocol that differs between the placements running it.
+// Timers and protocol costs stay with the cores.
+type Link interface {
+	// SendWire transmits w, an RPC request, reply or acknowledgement, to
+	// processor dest as message msgID, charging t for the path.
+	SendWire(t *proc.Thread, dest int, w *Wire, msgID uint64)
+	// SendGroupWire transmits w, a group protocol message, to processor
+	// dest, or multicasts it on w's group when dest is -1, as message
+	// msgID, charging t for the path.
+	SendGroupWire(t *proc.Thread, dest int, w *Wire, msgID uint64)
+	// NextMsgID returns a fresh message id.
+	NextMsgID() uint64
+	// BeforeRetransmit runs, from a timer, before an RPC request to dest
+	// is sent again.
+	BeforeRetransmit(dest int)
+	// WakeCaller runs in the receive thread t once a reply has completed
+	// the call of thread caller, or once the group message of the blocked
+	// sender caller came back in order.
+	WakeCaller(t, caller *proc.Thread)
+}
+
+// Placement is what else a placement fixes at construction: the call
+// depth of its protocol stack, the names of its trace events and whether
+// its group protocol has the BB method. Its strings are built once, so an
+// untraced call or send boxes nothing.
+type Placement struct {
+	depth                                    int
+	bb                                       bool
+	req, done, fail, ack, upcall, serve, rep string
+	repFmt                                   string // detail format of rep
+	grpSend, grpDlv, grpSeq                  string
+}
+
+// NewPlacement names the RPC trace events rpc.req, rpc.rep and so on and
+// the group ones grp.send, grp.dlv and grp.seq, ends the RPC reply's
+// trace detail with note, nests every send depth frames deep, and sends
+// group messages above BBThreshold by the BB method when bb is set.
+func NewPlacement(depth int, rpc, note, grp string, bb bool) *Placement {
+	return &Placement{
+		depth: depth, bb: bb,
+		req: rpc + ".req", done: rpc + ".done", fail: rpc + ".fail", ack: rpc + ".ack",
+		upcall: rpc + ".upcall", serve: rpc + ".serve", rep: rpc + ".rep",
+		repFmt:  "seq=%d size=%d (" + note + ")",
+		grpSend: grp + ".send", grpDlv: grp + ".dlv", grpSeq: grp + ".seq",
+	}
+}

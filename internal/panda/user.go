@@ -24,11 +24,13 @@ func groupAddr(gid int) flip.Address { return pandaGroupAddr + flip.Address(gid)
 // the stack.
 const pandaDepth = 6
 
-// userRPCPlacement names user space's RPC trace events prpc.*.
-var userRPCPlacement = NewRPCPlacement(pandaDepth, "prpc", "daemon signals client")
+// userPlacement names user space's trace events prpc.* and pgrp.*; user
+// space sends large group messages by the BB method.
+var userPlacement = NewPlacement(pandaDepth, "prpc", "daemon signals client", "pgrp", true)
 
-// userLink is the user-space instance seen as the RPC core's packet path:
-// the kernel's raw FLIP interface, reached by system call.
+// userLink is the user-space instance seen as the packet path of the RPC
+// and group cores: the kernel's raw FLIP interface, reached by system
+// call.
 type userLink User
 
 func (l *userLink) SendWire(t *proc.Thread, dest int, w *Wire, msgID uint64) {
@@ -38,15 +40,30 @@ func (l *userLink) SendWire(t *proc.Thread, dest int, w *Wire, msgID uint64) {
 	l.k.RawSend(t, akernel.RawAddress(dest), msgID, l.m.RPCHeaderUser, w.Size, w, false)
 }
 
+// SendGroupWire charges the fragmentation layer for a member's request,
+// then sends w by raw FLIP, to the group's FLIP multicast address when
+// dest is -1.
+func (l *userLink) SendGroupWire(t *proc.Thread, dest int, w *Wire, msgID uint64) {
+	if w.Kind == WireGrpREQ || w.Kind == WireGrpBB {
+		t.ChargeP(sim.PhaseFrag, l.m.FragLayer)
+	}
+	if dest < 0 {
+		l.k.RawSend(t, groupAddr(w.GID), msgID, l.m.GroupHeaderUser, w.Size, w, true)
+		return
+	}
+	l.k.RawSend(t, akernel.RawAddress(dest), msgID, l.m.GroupHeaderUser, w.Size, w, false)
+}
+
 func (l *userLink) NextMsgID() uint64 { return l.k.RawNextMsgID() }
 
 // BeforeRetransmit drops the kernel's cached route to the server, which
 // may be stale, so the retransmission re-locates it.
 func (l *userLink) BeforeRetransmit(dest int) { l.k.RawInvalidateRoute(akernel.RawAddress(dest)) }
 
-// WakeCaller signals the client thread. Threads are kernel-level, so the
-// wake-up is a system call issued deep in the Panda stack: the source of
-// the extra crossings and underflow traps the paper measures.
+// WakeCaller signals the client thread, or the sender whose group
+// message came back. Threads are kernel-level, so the wake-up is a system
+// call issued deep in the Panda stack: the source of the extra crossings
+// and underflow traps the paper measures.
 func (l *userLink) WakeCaller(t, caller *proc.Thread) {
 	t.Syscall()
 	t.Flush()
@@ -100,14 +117,13 @@ type User struct {
 	m   *model.CostModel
 	sim *sim.Sim
 
-	RPC // the stop-and-wait RPC, over the raw FLIP interface (userLink)
+	RPC     // the stop-and-wait RPC, over the raw FLIP interface (userLink)
+	*Groups // the group protocol, over the same interface; nil without groups
 
 	reasm      *flip.Reassembler
 	daemon     *proc.Thread
 	helper     *Helper
-	iface      *Helper      // interface-layer daemon (ablation), nil normally
-	grps       []*userGroup // indexed by gid; nil entries for groups not held
-	grpSends   []*gsend     // group send records whose send is over
+	iface      *Helper // interface-layer daemon (ablation), nil normally
 	rawHandler RawHandler
 
 	mx *userMetrics // nil when metrics are disabled
@@ -116,13 +132,9 @@ type User struct {
 // userMetrics bundles the instance's metric handles (labeled by
 // processor).
 type userMetrics struct {
-	rpc            rpcMetrics
-	reasmTimeouts  *metrics.Counter
-	grpPBSends     *metrics.Counter
-	grpBBSends     *metrics.Counter
-	grpSendRetrans *metrics.Counter
-	grpDeliveries  *metrics.Counter
-	grpRetransReqs *metrics.Counter
+	rpc           rpcMetrics
+	reasmTimeouts *metrics.Counter
+	grp           groupMetrics
 }
 
 var _ Transport = (*User)(nil)
@@ -150,12 +162,14 @@ func NewUser(k *akernel.Kernel, cfg UserConfig) *User {
 				acksExplicit:    reg.Counter("panda.acks_explicit", l),
 				latency:         reg.Histogram("panda.rpc_latency_us", l),
 			},
-			reasmTimeouts:  reg.Counter("panda.reasm_timeouts", l),
-			grpPBSends:     reg.Counter("panda.grp_pb_sends", l),
-			grpBBSends:     reg.Counter("panda.grp_bb_sends", l),
-			grpSendRetrans: reg.Counter("panda.grp_send_retrans", l),
-			grpDeliveries:  reg.Counter("panda.grp_deliveries", l),
-			grpRetransReqs: reg.Counter("panda.grp_retrans_requests", l),
+			reasmTimeouts: reg.Counter("panda.reasm_timeouts", l),
+			grp: groupMetrics{
+				pbSends:     reg.Counter("panda.grp_pb_sends", l),
+				bbSends:     reg.Counter("panda.grp_bb_sends", l),
+				sendRetrans: reg.Counter("panda.grp_send_retrans", l),
+				deliveries:  reg.Counter("panda.grp_deliveries", l),
+				retransReqs: reg.Counter("panda.grp_retrans_requests", l),
+			},
 		}
 	}
 	u.reasm = flip.NewReassembler(u.sim, u.m.RetransTimeout)
@@ -169,104 +183,50 @@ func NewUser(k *akernel.Kernel, cfg UserConfig) *User {
 		specs = []GroupSpec{{Members: cfg.Members, Sequencer: cfg.Sequencer}}
 	}
 	for _, gs := range specs {
-		g := &userGroup{}
-		g.init(u, gs)
-		for gs.GID >= len(u.grps) {
-			u.grps = append(u.grps, nil)
-		}
-		u.grps[gs.GID] = g
 		k.RawJoinGroup(groupAddr(gs.GID))
 	}
 	u.helper = NewHelper(p, "pan-timer")
-	InitRPC(&u.RPC, p, k.FLIP().Network(), (*userLink)(u), u.helper, userRPCPlacement)
+	u.Groups = NewGroups(p, specs, (*userLink)(u), u.helper, userPlacement)
+	InitRPC(&u.RPC, p, k.FLIP().Network(), (*userLink)(u), u.helper, userPlacement)
 	u.RPC.noPiggyback = cfg.NoPiggyback
 	if u.mx != nil {
 		u.RPC.mx = &u.mx.rpc
+		u.Groups.setMetrics(&u.mx.grp)
 	}
 	if cfg.InterfaceDaemon {
 		u.iface = NewHelper(p, "pan-iface")
 	}
 	u.daemon = p.NewThread("pan-daemon", proc.PrioDaemon, u.daemonLoop)
-	var owned []*userGroup
-	for _, g := range u.grps {
-		if g != nil && g.spec.Sequencer == u.id {
-			owned = append(owned, g)
-		}
+	owned := u.Sequenced()
+	if len(owned) == 0 {
+		return u
 	}
-	if len(owned) > 0 {
-		for _, g := range owned {
-			g.initSequencer()
+	// Time a packet spends queued for a sequencer thread is sequencer
+	// queueing, not ordinary receive-daemon queueing.
+	k.RawWaitPhase(func(pk *flip.Packet) sim.PhaseID {
+		if u.ownsSeqTraffic(pk) {
+			return sim.PhaseSeqQueue
 		}
-		// Time a packet spends queued for a sequencer thread is sequencer
-		// queueing, not ordinary receive-daemon queueing.
-		k.RawWaitPhase(func(pk *flip.Packet) sim.PhaseID {
-			if u.ownsSeqTraffic(pk) {
-				return sim.PhaseSeqQueue
-			}
-			return sim.PhaseRecvQueue
-		})
-		if u.mx != nil {
-			for _, g := range owned {
-				ls := []metrics.Label{metrics.L("proc", p.Name())}
-				if g.gid > 0 {
-					ls = append(ls, metrics.L("gid", strconv.Itoa(g.gid)))
-				}
-				g.seqHistory = u.sim.Metrics().Gauge("panda.seq_history", ls...)
-				g.seqReasm.SetTimeoutCounter(u.mx.reasmTimeouts)
-			}
+		return sim.PhaseRecvQueue
+	})
+	if !u.anyMember() {
+		// Dedicated sequencer machine: drop member traffic (ordered
+		// data, accepts, syncs) in the kernel so only the sequencer
+		// threads ever run — keeping their context loaded (warm
+		// dispatch, the paper's 60 µs instead of 110 µs).
+		k.RawDiscard(func(pk *flip.Packet) bool { return !u.ownsSeqTraffic(pk) })
+	}
+	for _, gid := range owned {
+		name := "pan-sequencer"
+		if gid > 0 {
+			name = "pan-sequencer-g" + strconv.Itoa(gid)
 		}
-		if !u.anyMember() {
-			// Dedicated sequencer machine: drop member traffic (ordered
-			// data, accepts, syncs) in the kernel so only the sequencer
-			// threads ever run — keeping their context loaded (warm
-			// dispatch, the paper's 60 µs instead of 110 µs).
-			k.RawDiscard(func(pk *flip.Packet) bool { return !u.ownsSeqTraffic(pk) })
-		}
-		for _, g := range owned {
-			g := g
-			name := "pan-sequencer"
-			if g.gid > 0 {
-				name = "pan-sequencer-g" + strconv.Itoa(g.gid)
-			}
-			seq := p.NewThread(name, proc.PrioDaemon, g.sequencerLoop)
-			// Everything a sequencer thread does — protocol work, crossings,
-			// dispatch — is sequencer service from the client's point of view.
-			seq.SetPhaseOverride(sim.PhaseSeqService)
-		}
+		seq := p.NewThread(name, proc.PrioDaemon, u.sequencerLoop(gid))
+		// Everything a sequencer thread does — protocol work, crossings,
+		// dispatch — is sequencer service from the client's point of view.
+		seq.SetPhaseOverride(sim.PhaseSeqService)
 	}
 	return u
-}
-
-func (u *User) groupEnabled() bool { return len(u.grps) > 0 }
-
-// groupByGID returns the group with the given id, or nil when this
-// instance does not hold it.
-func (u *User) groupByGID(gid int) *userGroup {
-	if gid < 0 || gid >= len(u.grps) {
-		return nil
-	}
-	return u.grps[gid]
-}
-
-// ownsSeq reports whether this instance sequences any of its groups.
-func (u *User) ownsSeq() bool {
-	for _, g := range u.grps {
-		if g != nil && g.spec.Sequencer == u.id {
-			return true
-		}
-	}
-	return false
-}
-
-// anyMember reports whether this instance is a member of any of its
-// groups (false on a dedicated sequencer machine).
-func (u *User) anyMember() bool {
-	for _, g := range u.grps {
-		if g != nil && g.isMember() {
-			return true
-		}
-	}
-	return false
 }
 
 // Mode reports UserSpace.
@@ -278,14 +238,10 @@ func (u *User) ID() int { return u.id }
 // HandleRaw registers the system-layer message upcall.
 func (u *User) HandleRaw(h RawHandler) { u.rawHandler = h }
 
-// HandleGroup registers the ordered group delivery upcall (shared by
-// every group of the instance).
-func (u *User) HandleGroup(h GroupHandler) {
-	for _, g := range u.grps {
-		if g != nil {
-			g.handler = h
-		}
-	}
+// GroupSendNB is the §6 extension: a totally-ordered broadcast on the
+// default group that does not wait for the sequencer round trip.
+func (u *User) GroupSendNB(t *proc.Thread, payload any, size int) error {
+	return u.send(t, 0, payload, size, false)
 }
 
 // SystemSend is the Panda system-layer primitive of Table 1: a message
@@ -312,7 +268,7 @@ const systemHeaderBytes = 16
 // completion without intermediate thread switches.
 func (u *User) daemonLoop(t *proc.Thread) {
 	var filter func(*flip.Packet) bool
-	if u.ownsSeq() {
+	if u.SequencesAny() {
 		// Sequencer traffic for owned groups is consumed directly by the
 		// sequencer threads.
 		filter = func(pk *flip.Packet) bool { return !u.ownsSeqTraffic(pk) }
@@ -333,11 +289,11 @@ func (u *User) daemonLoop(t *proc.Thread) {
 					w := w
 					t.Syscall()
 					t.Flush()
-					u.iface.PostFromThread(t, func(it *proc.Thread) {
+					u.iface.PostFromThread(t, func(it *proc.Thread, _ uint64) {
 						it.Call(pandaDepth)
 						u.dispatch(it, w)
 						it.Return(pandaDepth)
-					})
+					}, 0)
 				} else {
 					u.dispatch(t, w)
 				}
@@ -359,9 +315,7 @@ func (u *User) dispatch(t *proc.Thread, w *Wire) {
 	case WireACK:
 		u.OnAck(w)
 	case WireGrpDATA, WireGrpACCEPT, WireGrpSYNC, WireGrpBB:
-		if g := u.groupByGID(w.GID); g != nil {
-			g.memberHandle(t, w)
-		}
+		u.OnMember(t, w)
 	case WireRAW:
 		if u.rawHandler != nil {
 			u.rawHandler(t, w.From, w.Payload, w.Size)
@@ -389,20 +343,56 @@ func seqTraffic(pk *flip.Packet) (gid int, ok bool) {
 // sequencer traffic from the receive daemon.
 func (u *User) ownsSeqTraffic(pk *flip.Packet) bool {
 	gid, ok := seqTraffic(pk)
-	if !ok {
-		return false
+	return ok && u.Sequences(gid)
+}
+
+// sequencerLoop is the body of group gid's sequencer thread. It blocks
+// directly on the group's sequencer traffic so an arriving request
+// dispatches this thread straight out of the interrupt handler (the
+// 110 µs thread switch of §4.3, or 60 µs warm on a dedicated sequencer
+// machine). It issues two system calls per message: one to fetch it and
+// one to multicast it with its sequence number.
+func (u *User) sequencerLoop(gid int) func(t *proc.Thread) {
+	return func(t *proc.Thread) {
+		reasm := flip.NewReassembler(u.sim, u.m.RetransTimeout)
+		if u.mx != nil {
+			reasm.SetTimeoutCounter(u.mx.reasmTimeouts)
+		}
+		match := func(pk *flip.Packet) bool {
+			g, ok := seqTraffic(pk)
+			return ok && g == gid
+		}
+		for {
+			pk := u.k.RawReceiveMatch(t, match)
+			t.Call(pandaDepth)
+			done := reasm.Add(pk)
+			w, isW := pk.Payload.(*Wire)
+			// The wire struct is extracted; recycle the packet shell.
+			u.k.RawRelease(pk)
+			if done && isW {
+				u.OnSequencer(t, w)
+			}
+			t.Return(pandaDepth)
+			// Drop the per-packet operation before blocking for the next one.
+			t.SetOp(0)
+		}
 	}
-	g := u.groupByGID(gid)
-	return g != nil && g.spec.Sequencer == u.id
 }
 
 // Helper is a protocol service thread that executes deferred actions
 // (retransmissions, explicit acks, sync probes) scheduled by timers, which
 // fire in driver context and therefore cannot charge a thread or issue
-// syscalls themselves.
+// syscalls themselves. Each action comes with the number it was posted
+// for, a sequence or message number, so a protocol can bind its actions
+// once and still tell a stale one.
 type Helper struct {
 	sem proc.Semaphore
-	q   []func(t *proc.Thread)
+	q   []helperAction
+}
+
+type helperAction struct {
+	fn  func(t *proc.Thread, arg uint64)
+	arg uint64
 }
 
 // NewHelper starts a helper thread with the given name on p.
@@ -415,22 +405,23 @@ func NewHelper(p *proc.Processor, name string) *Helper {
 func (h *Helper) loop(t *proc.Thread) {
 	for {
 		h.sem.Down(t)
-		fn := h.q[0]
+		a := h.q[0]
 		n := copy(h.q, h.q[1:])
-		h.q[n] = nil // clear the vacated slot so the closure can be GC'd
+		h.q[n] = helperAction{} // clear the vacated slot so the closure can be GC'd
 		h.q = h.q[:n]
-		fn(t)
+		a.fn(t, a.arg)
 	}
 }
 
-// Post enqueues an action from driver context (a timer callback).
-func (h *Helper) Post(fn func(t *proc.Thread)) {
-	h.q = append(h.q, fn)
+// Post enqueues fn(helper thread, arg) from driver context (a timer
+// callback).
+func (h *Helper) Post(fn func(t *proc.Thread, arg uint64), arg uint64) {
+	h.q = append(h.q, helperAction{fn: fn, arg: arg})
 	h.sem.UpFromDriver()
 }
 
-// PostFromThread enqueues an action from thread context.
-func (h *Helper) PostFromThread(t *proc.Thread, fn func(t *proc.Thread)) {
-	h.q = append(h.q, fn)
+// PostFromThread enqueues fn(helper thread, arg) from thread context.
+func (h *Helper) PostFromThread(t *proc.Thread, fn func(t *proc.Thread, arg uint64), arg uint64) {
+	h.q = append(h.q, helperAction{fn: fn, arg: arg})
 	h.sem.Up(t)
 }

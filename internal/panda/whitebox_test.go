@@ -6,6 +6,7 @@ import (
 
 	"amoebasim/internal/akernel"
 	"amoebasim/internal/ether"
+	"amoebasim/internal/flip"
 	"amoebasim/internal/model"
 	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
@@ -69,14 +70,86 @@ func TestWhiteboxBBFlow(t *testing.T) {
 	}
 	t.Logf("stopped at %v after %d events, pending %d", s.Now(), s.EventsRun(), s.Pending())
 	if sendErr != nil || sent != 3 || got[0] != 3 || got[1] != 3 || got[2] != 3 {
-		grp := func(i int) *userGroup { return users[i].grps[0] }
-		g0 := grp(0)
+		grp := func(i int) *group { return users[i].byGID(0) }
+		sq := grp(0).seq
+		acked := make([]uint64, len(sq.acks))
+		for i, a := range sq.acks {
+			acked[i] = a.acked
+		}
 		t.Fatalf("stall: sent=%d err=%v got=%v | seq: seqno=%d hist=%d acked=%v | members nextDeliver=%d,%d,%d holdback=%d,%d,%d bbData=%d,%d,%d bbAccept=%d,%d,%d pending=%d",
-			sent, sendErr, got, g0.seqno, len(g0.history), g0.acked,
+			sent, sendErr, got, sq.seqno, len(sq.hist)-sq.lo, acked,
 			grp(0).nextDeliver, grp(1).nextDeliver, grp(2).nextDeliver,
 			len(grp(0).holdback), len(grp(1).holdback), len(grp(2).holdback),
 			len(grp(0).bbData), len(grp(1).bbData), len(grp(2).bbData),
 			len(grp(0).bbAccept), len(grp(1).bbAccept), len(grp(2).bbAccept),
 			s.Pending())
+	}
+}
+
+// dropFirstAccept drops the first BB accept frame delivered to NIC dst.
+type dropFirstAccept struct {
+	dst     int
+	dropped int
+}
+
+func (*dropFirstAccept) ForwardCut(sim.Time, int, int) bool { return false }
+
+func (h *dropFirstAccept) FrameFate(_ sim.Time, fr ether.Frame, dst int) ether.Fate {
+	pk, ok := fr.Payload.(*flip.Packet)
+	if !ok || dst != h.dst || h.dropped > 0 {
+		return ether.Fate{}
+	}
+	if w, ok := pk.Payload.(*Wire); ok && w.Kind == WireGrpACCEPT {
+		h.dropped++
+		return ether.Fate{Drop: true}
+	}
+	return ether.Fate{}
+}
+
+// TestGroupBBRetransmissionLeavesNoState: a BB accept to one member is
+// lost. When that member is the sender, it retransmits its data and the
+// sequencer answers with the accept again; any other member gets the
+// message from the sequencer's history. Every member has delivered the
+// message once the run is quiet, and none keeps a half pair of it: the
+// retransmitted data and the repeated accept pair up and leave at once,
+// an accept for a delivered seqno is dropped, and a delivery drops what
+// is left of its pair.
+func TestGroupBBRetransmissionLeavesNoState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dst  int
+	}{{"sender", 1}, {"receiver", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, net, users := buildUsers(t, 3, 0, true)
+			hook := &dropFirstAccept{dst: tc.dst}
+			net.SetFaultHook(hook)
+			got := make([]int, 3)
+			for i, u := range users {
+				i := i
+				u.HandleGroup(func(*proc.Thread, int, uint64, any, int) { got[i]++ })
+			}
+			var sendErr error
+			sent := false
+			users[1].p.NewThread("send", proc.PrioNormal, func(th *proc.Thread) {
+				sendErr = users[1].GroupSend(th, "big", 8000)
+				sent = true
+			})
+			s.Run()
+			if hook.dropped != 1 {
+				t.Fatalf("dropped %d accepts, want 1", hook.dropped)
+			}
+			if !sent || sendErr != nil {
+				t.Fatalf("send returned %v, err %v", sent, sendErr)
+			}
+			for i, u := range users {
+				g := u.byGID(0)
+				if got[i] != 1 {
+					t.Errorf("member %d delivered %d messages, want 1", i, got[i])
+				}
+				if len(g.bbData) != 0 || len(g.bbAccept) != 0 {
+					t.Errorf("member %d keeps %d BB data and %d accepts after the run", i, len(g.bbData), len(g.bbAccept))
+				}
+			}
+		})
 	}
 }
