@@ -1,8 +1,9 @@
 // Package akernel models the Amoeba 5.2 microkernel on each processor
-// board: the kernel-space 3-way RPC protocol, the kernel-space
-// totally-ordered group protocol (sequencer running in the interrupt
-// handler), and the syscall bridge that exposes raw FLIP to user space for
-// the Panda user-space implementation.
+// board: the kernel-space 3-way RPC protocol and the syscall bridge that
+// exposes raw FLIP to user space for the Panda user-space
+// implementation. The kernel's totally-ordered group protocol is Panda's
+// group core, which package panda runs in this kernel's interrupt handler
+// over its FLIP stack; this package keeps only the group addressing.
 //
 // Protocol processing on the receive path runs at interrupt level on the
 // owning processor, as in the real kernel. Syscalls charge address-space
@@ -51,16 +52,13 @@ type Kernel struct {
 	sim  *sim.Sim
 	flip *flip.Stack
 
-	rpc      *rpcModule
-	grp      map[GroupID]*member
-	grpSends []*grpSendState // send records whose GrpSend has returned
-	raw      *rawModule
+	rpc *rpcModule
+	raw *rawModule
 
 	mx *kernMetrics // nil when metrics are disabled
 }
 
-// kernMetrics bundles the kernel's metric handles (labeled by processor);
-// group members resolve their own per-group handles in GroupConfigure.
+// kernMetrics bundles the kernel's metric handles (labeled by processor).
 type kernMetrics struct {
 	rpcCalls      *metrics.Counter
 	rpcRetrans    *metrics.Counter
@@ -84,7 +82,6 @@ func New(p *proc.Processor, net *ether.Network, seg int) (*Kernel, error) {
 		m:    p.Model(),
 		sim:  p.Sim(),
 		flip: st,
-		grp:  make(map[GroupID]*member),
 	}
 	if reg := p.Sim().Metrics(); reg != nil {
 		l := metrics.L("proc", p.Name())
@@ -102,7 +99,6 @@ func New(p *proc.Processor, net *ether.Network, seg int) (*Kernel, error) {
 	k.rpc = newRPCModule(k)
 	k.raw = newRawModule(k)
 	st.Handle(flip.ProtoRPC, k.rpc.onPacket)
-	st.Handle(flip.ProtoGroup, k.onGroupPacket)
 	st.Handle(flip.ProtoSystem, k.raw.onPacket)
 	return k, nil
 }
@@ -115,19 +111,6 @@ func (k *Kernel) Processor() *proc.Processor { return k.p }
 
 // FLIP returns the kernel's FLIP stack (for instrumentation).
 func (k *Kernel) FLIP() *flip.Stack { return k.flip }
-
-func (k *Kernel) onGroupPacket(pk *flip.Packet) {
-	// The group id comes from the protocol header (carried with the
-	// payload), not the FLIP address: control traffic uses point-to-point
-	// addresses (sequencer endpoint, per-kernel endpoint).
-	w, ok := pk.Payload.(*grpWire)
-	if !ok {
-		return
-	}
-	if mb := k.grp[w.gid]; mb != nil {
-		mb.onPacket(pk)
-	}
-}
 
 // enterKernel models the user→kernel trap for a syscall: crossing cost and
 // the Amoeba register-window policy, plus shallow kernel call nesting.

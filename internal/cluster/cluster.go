@@ -522,9 +522,7 @@ func faultSeed(cfg Config) uint64 {
 func (c *Cluster) newTransport(i int, specs []panda.GroupSpec) (panda.Transport, error) {
 	switch c.cfg.Mode {
 	case panda.KernelSpace:
-		return panda.NewKernel(c.Kernels[i], panda.KernelConfig{
-			Groups: specs,
-		})
+		return panda.NewKernel(c.Kernels[i], panda.KernelConfig{Groups: specs}), nil
 	case panda.UserSpace:
 		return panda.NewUser(c.Kernels[i], panda.UserConfig{
 			Groups:          specs,

@@ -2,7 +2,6 @@ package panda
 
 import (
 	"errors"
-	"strconv"
 
 	"amoebasim/internal/metrics"
 	"amoebasim/internal/model"
@@ -31,31 +30,31 @@ const (
 // multicasts it with its sequence number. BB method, for large messages
 // where the placement has it: the member multicasts the data and the
 // sequencer multicasts a short accept. Each group has its own sequencer
-// and an independent sequence space. A placement embeds a *Groups, nil
-// without groups, so GroupSend, GroupSendTo and HandleGroup are its own;
-// its receive thread passes member traffic to OnMember, and the sequencer
-// thread it runs for each group it sequences passes that group's traffic
-// to OnSequencer.
+// and an independent sequence space. User space and bypass embed a
+// *Groups, nil without groups, so GroupSend, GroupSendTo and HandleGroup
+// are their own; their receive thread passes member traffic to OnMember,
+// and the sequencer thread they run for each group they sequence passes
+// that group's traffic to OnSequencer. Kernel space runs the same calls
+// from its interrupt handler, with no thread.
 type Groups struct {
-	link    Link
-	pl      *Placement
-	p       *proc.Processor
-	sim     *sim.Sim
-	m       *model.CostModel
-	helper  *Helper
-	id      int
-	mx      *groupMetrics // nil when no metrics are registered
-	handler GroupHandler
+	link   GroupLink
+	pl     *Placement
+	p      *proc.Processor
+	sim    *sim.Sim
+	m      *model.CostModel
+	helper *Helper
+	id     int
 
 	grps   []*group // indexed by gid; nil entries for groups not held
 	spares []*gsend // send records whose send is over
 }
 
-// groupMetrics bundles the group core's metric handles. Only user space
-// registers them.
+// groupMetrics bundles a group's counters. User space hands every group
+// the same set, kernel space each group its own.
 type groupMetrics struct {
 	pbSends     *metrics.Counter
 	bbSends     *metrics.Counter
+	localSends  *metrics.Counter // sends sequenced in place; nil where the placement has none
 	sendRetrans *metrics.Counter
 	deliveries  *metrics.Counter
 	retransReqs *metrics.Counter
@@ -88,9 +87,11 @@ type gsend struct {
 
 // group is one group's protocol state on one instance.
 type group struct {
-	gs   *Groups
-	spec GroupSpec
-	kind string // causal operation kind ("group", or per-shard label)
+	gs      *Groups
+	spec    GroupSpec
+	kind    string        // causal operation kind ("group", or per-shard label)
+	mx      *groupMetrics // nil when no metrics are registered
+	handler GroupHandler
 
 	// Member state.
 	nextDeliver uint64
@@ -127,8 +128,10 @@ type sequencer struct {
 	acks       []memberAck
 	rank       []int32
 	watchdog   sim.Event
-	watchdogFn func()         // watchdogTick, bound once
-	gauge      *metrics.Gauge // history occupancy; nil when metrics are disabled
+	watchdogFn func()                     // watchdogTick, bound once
+	probeFn    func(*proc.Thread, uint64) // probe, bound once
+	probes     []int                      // members the posted probes sync, oldest first
+	gauge      *metrics.Gauge             // history occupancy; nil when metrics are disabled
 }
 
 // memberAck is what the sequencer knows of one member's deliveries.
@@ -141,17 +144,19 @@ type memberAck struct {
 
 // NewGroups builds the group table of the instance on processor p, which
 // holds the groups specs lists, or returns nil when specs is empty. link
-// carries its wires, helper runs the sends its timers defer, and pl fixes
-// its call depth, trace names and methods.
-func NewGroups(p *proc.Processor, specs []GroupSpec, link Link, helper *Helper, pl *Placement) *Groups {
+// carries its wires, helper runs the sends its timers defer (nil: the
+// timers send at once, at interrupt level), and pl fixes its call depth,
+// trace names and methods.
+func NewGroups(p *proc.Processor, specs []GroupSpec, link GroupLink, helper *Helper, pl *Placement) *Groups {
 	if len(specs) == 0 {
 		return nil
 	}
-	gs := &Groups{link: link, pl: pl, p: p, sim: p.Sim(), m: p.Model(), helper: helper, id: p.ID()}
+	n := 0
 	for _, spec := range specs {
-		for spec.GID >= len(gs.grps) {
-			gs.grps = append(gs.grps, nil)
-		}
+		n = max(n, spec.GID+1)
+	}
+	gs := &Groups{link: link, pl: pl, p: p, sim: p.Sim(), m: p.Model(), helper: helper, id: p.ID(), grps: make([]*group, n)}
+	for _, spec := range specs {
 		gs.grps[spec.GID] = gs.newGroup(spec)
 	}
 	return gs
@@ -191,27 +196,18 @@ func (gs *Groups) newGroup(spec GroupSpec) *group {
 		s.acks = append(s.acks, memberAck{id: id})
 		s.rank[id] = int32(len(s.acks))
 	}
-	s.watchdogFn = g.watchdogTick
+	s.watchdogFn, s.probeFn = g.watchdogTick, g.probe
 	g.seq = s
 	return g
 }
 
-// setMetrics hands the core its metric handles and registers the history
-// gauge of each group this instance sequences.
-func (gs *Groups) setMetrics(mx *groupMetrics) {
-	if gs == nil {
-		return
-	}
-	gs.mx = mx
-	for _, g := range gs.grps {
-		if g == nil || g.seq == nil {
-			continue
-		}
-		ls := []metrics.Label{metrics.L("proc", gs.p.Name())}
-		if g.spec.GID > 0 {
-			ls = append(ls, metrics.L("gid", strconv.Itoa(g.spec.GID)))
-		}
-		g.seq.gauge = gs.sim.Metrics().Gauge("panda.seq_history", ls...)
+// setMetrics hands group gid its counters and, when this instance
+// sequences it, the gauge of its history occupancy.
+func (gs *Groups) setMetrics(gid int, mx *groupMetrics, history *metrics.Gauge) {
+	g := gs.byGID(gid)
+	g.mx = mx
+	if g.seq != nil {
+		g.seq.gauge = history
 	}
 }
 
@@ -275,8 +271,13 @@ func (gs *Groups) anyMember() bool {
 // HandleGroup registers the ordered group delivery upcall (shared by
 // every group of the instance).
 func (gs *Groups) HandleGroup(h GroupHandler) {
-	if gs != nil {
-		gs.handler = h
+	if gs == nil {
+		return
+	}
+	for _, g := range gs.grps {
+		if g != nil {
+			g.handler = h
+		}
 	}
 }
 
@@ -330,7 +331,11 @@ func (gs *Groups) send(t *proc.Thread, gid int, payload any, size int, blocking 
 		g.outstandingNB++
 	}
 	g.tmpSeq++
-	big := gs.pl.bb && size > gs.m.BBThreshold
+	// Where one handler runs the member and its sequencer, a send from the
+	// sequencer's machine is sequenced in place: no message id, no
+	// retransmission timer, never the BB method.
+	inPlace := gs.pl.seqInHandler && g.seq != nil
+	big := gs.pl.bb && !inPlace && size > gs.m.BBThreshold
 	kind := WireGrpREQ
 	if big {
 		kind = WireGrpBB
@@ -343,24 +348,30 @@ func (gs *Groups) send(t *proc.Thread, gid int, payload any, size int, blocking 
 	}
 	w := &Wire{
 		Kind: kind, GID: g.spec.GID, From: gs.id, TmpID: g.tmpSeq,
-		AckSeq: g.nextDeliver - 1, Payload: payload, Size: size,
+		AckSeq: g.nextDeliver - 1, Op: op, Payload: payload, Size: size,
 	}
 	// The request piggybacks this member's watermark: an active sender
 	// needs no spontaneous acks (they would tax broadcast-heavy phases
 	// with pure overhead).
 	g.sinceAck = 0
 	ss := gs.newSend(g)
-	ss.tmpID, ss.msgID, ss.op, ss.wire, ss.dest = g.tmpSeq, gs.link.NextMsgID(), op, w, g.spec.Sequencer
+	ss.tmpID, ss.op, ss.wire, ss.dest = g.tmpSeq, op, w, g.spec.Sequencer
+	if !inPlace {
+		ss.msgID = gs.link.NextMsgID()
+	}
 	if blocking {
 		ss.t = t
 	}
 	g.sends[ss.tmpID] = ss
 
-	if gs.mx != nil {
-		if big {
-			gs.mx.bbSends.Inc()
-		} else {
-			gs.mx.pbSends.Inc()
+	if g.mx != nil {
+		switch {
+		case inPlace:
+			g.mx.localSends.Inc()
+		case big:
+			g.mx.bbSends.Inc()
+		default:
+			g.mx.pbSends.Inc()
 		}
 	}
 	if op != 0 && blocking && gs.sim.Tracing() {
@@ -374,8 +385,10 @@ func (gs *Groups) send(t *proc.Thread, gid int, payload any, size int, blocking 
 	}
 	gs.link.SendGroupWire(t, ss.dest, w, ss.msgID)
 	t.Return(gs.pl.depth)
-	ss.timer = gs.sim.Schedule(gs.m.RetransTimeout, ss.fire)
-	ss.armedAt = gs.sim.Now()
+	if !inPlace {
+		ss.timer = gs.sim.Schedule(gs.m.RetransTimeout, ss.fire)
+		ss.armedAt = gs.sim.Now()
+	}
 
 	if !blocking {
 		return nil
@@ -413,19 +426,24 @@ func (gs *Groups) sendTimeout(ss *gsend) {
 		}
 		return
 	}
-	if gs.mx != nil {
-		gs.mx.sendRetrans.Inc()
+	if g.mx != nil {
+		g.mx.sendRetrans.Inc()
 	}
 	gs.helper.Post(ss.resend, ss.msgID)
 	ss.timer = gs.sim.Schedule(gs.m.RetransTimeout, ss.fire)
 	ss.armedAt = gs.sim.Now()
 }
 
-// resendRequest retransmits message msgID from the helper thread ht. The
-// record is pooled: a later send, perhaps on another group, may have
-// taken it, and message ids are unique on the instance.
+// resendRequest retransmits message msgID from the helper thread ht, or
+// at interrupt level when ht is nil, where it costs only the path's own
+// charges. The record is pooled: a later send, perhaps on another group,
+// may have taken it, and message ids are unique on the instance.
 func (gs *Groups) resendRequest(ht *proc.Thread, ss *gsend, msgID uint64) {
 	if ss.done || ss.msgID != msgID {
+		return
+	}
+	if ht == nil {
+		gs.link.SendGroupWire(nil, ss.dest, ss.wire, ss.msgID)
 		return
 	}
 	ht.SetOp(ss.op)
@@ -451,16 +469,25 @@ func (g *group) nbDone(t *proc.Thread) {
 	w.Unblock()
 }
 
+// charge charges thread t the protocol's processing in phase ph. At
+// interrupt level t is nil: the interrupt item paid for it.
+func (gs *Groups) charge(t *proc.Thread, ph sim.PhaseID) {
+	if t != nil {
+		t.ChargeP(ph, gs.m.ProtoGroup)
+	}
+}
+
 // ---- Member side (receive thread context) ----
 
-// OnMember runs in the placement's receive thread t for a group message
-// to this member: ordered data, a BB accept or data, or a status probe.
+// OnMember runs in the placement's receive thread t, or at interrupt
+// level with t nil, for a group message to this member: ordered data, a
+// BB accept or data, or a status probe.
 func (gs *Groups) OnMember(t *proc.Thread, w *Wire) {
 	g := gs.byGID(w.GID)
 	if g == nil {
 		return
 	}
-	t.ChargeP(sim.PhaseProtoRecv, gs.m.ProtoGroup)
+	gs.charge(t, sim.PhaseProtoRecv)
 	switch w.Kind {
 	case WireGrpDATA:
 		g.onData(t, w, w.Seq)
@@ -525,8 +552,8 @@ func (g *group) deliver(t *proc.Thread, w *Wire, seq uint64) {
 	if gs.sim.Tracing() {
 		gs.sim.Trace(gs.p.Name(), gs.pl.grpDlv, "seqno=%d sender=%d", seq, w.From)
 	}
-	if gs.mx != nil {
-		gs.mx.deliveries.Inc()
+	if g.mx != nil {
+		g.mx.deliveries.Inc()
 	}
 	g.nextDeliver = seq + 1
 	// A BB message that came as ordered data (a retransmission, or the
@@ -534,8 +561,8 @@ func (g *group) deliver(t *proc.Thread, w *Wire, seq uint64) {
 	key := gkey{from: w.From, tmpID: w.TmpID}
 	delete(g.bbData, key)
 	delete(g.bbAccept, key)
-	if g.amMember && gs.handler != nil {
-		gs.handler(t, w.From, seq, w.Payload, w.Size)
+	if g.amMember && g.handler != nil {
+		g.handler(t, w.From, seq, w.Payload, w.Size)
 	}
 	if w.From != gs.id {
 		g.maybeAck(t)
@@ -591,10 +618,13 @@ func (g *group) requestRetrans(t *proc.Thread, sawSeqno uint64) {
 	}
 	g.retrArmed = true
 	gs := g.gs
-	if gs.mx != nil {
-		gs.mx.retransReqs.Inc()
+	if g.mx != nil {
+		g.mx.retransReqs.Inc()
 	}
 	w := &Wire{Kind: WireGrpRETR, GID: g.spec.GID, From: gs.id, Lo: g.nextDeliver, Hi: g.maxHeld(sawSeqno)}
+	if gs.pl.grpRetr != "" && gs.sim.Tracing() {
+		gs.sim.Trace(gs.p.Name(), gs.pl.grpRetr, "missing %d..%d", w.Lo, w.Hi)
+	}
 	gs.link.SendGroupWire(t, g.spec.Sequencer, w, gs.link.NextMsgID())
 	if g.retrFn == nil {
 		g.retrFn, g.retrAct = g.retrTimeout, g.requestRetrans
@@ -623,16 +653,16 @@ func (g *group) maxHeld(hi uint64) uint64 {
 
 // ---- Sequencer side (sequencer thread context) ----
 
-// OnSequencer runs in the sequencer thread t of w's group for a message
-// to the sequencer: an ordering request, BB data, a retransmission
-// request or a status report.
+// OnSequencer runs in the sequencer thread t of w's group, or at
+// interrupt level with t nil, for a message to the sequencer: an ordering
+// request, BB data, a retransmission request or a status report.
 func (gs *Groups) OnSequencer(t *proc.Thread, w *Wire) {
 	gs.grps[w.GID].seqHandle(t, w)
 }
 
 func (g *group) seqHandle(t *proc.Thread, w *Wire) {
 	gs, s := g.gs, g.seq
-	t.ChargeP(sim.PhaseSeqService, gs.m.ProtoGroup)
+	gs.charge(t, sim.PhaseSeqService)
 	switch w.Kind {
 	case WireGrpREQ, WireGrpBB:
 		g.updateAck(w.From, w.AckSeq)
@@ -643,9 +673,9 @@ func (g *group) seqHandle(t *proc.Thread, w *Wire) {
 		case w.Kind == WireGrpREQ:
 			gs.link.SendGroupWire(t, -1, d, gs.link.NextMsgID())
 		default:
-			acc := &Wire{Kind: WireGrpACCEPT, GID: g.spec.GID, From: d.From, Seq: d.Seq, TmpID: d.TmpID}
+			acc := &Wire{Kind: WireGrpACCEPT, GID: g.spec.GID, From: d.From, Seq: d.Seq, TmpID: d.TmpID, Op: d.Op}
 			gs.link.SendGroupWire(t, -1, acc, gs.link.NextMsgID())
-			if fresh && g.amMember {
+			if fresh && g.amMember && !gs.pl.seqInHandler {
 				// Hand the full message to the local member (the data
 				// multicast was consumed by this sequencer thread).
 				gs.link.SendGroupWire(t, gs.id, d, gs.link.NextMsgID())
@@ -685,7 +715,7 @@ func (g *group) sequence(w *Wire) (d *Wire, fresh bool) {
 		return s.at(seqno), false
 	}
 	s.seqno++
-	d = &Wire{Kind: WireGrpDATA, GID: g.spec.GID, From: w.From, Seq: s.seqno, TmpID: w.TmpID, Payload: w.Payload, Size: w.Size}
+	d = &Wire{Kind: WireGrpDATA, GID: g.spec.GID, From: w.From, Seq: s.seqno, TmpID: w.TmpID, Op: w.Op, Payload: w.Payload, Size: w.Size}
 	if w.Kind == WireGrpREQ && gs.sim.Tracing() {
 		gs.sim.Trace(gs.p.Name(), gs.pl.grpSeq, "seqno=%d sender=%d size=%d (PB)", s.seqno, w.From, w.Size)
 	}
@@ -783,7 +813,8 @@ func (g *group) armWatchdog() {
 }
 
 // watchdogTick has the helper thread probe the stragglers when the
-// watchdog expires.
+// watchdog expires. It queues them on the sequencer and posts the bound
+// probe with their number, so a tick allocates only its SYNC wires.
 func (g *group) watchdogTick() {
 	gs, s := g.gs, g.seq
 	s.watchdog = sim.Event{}
@@ -791,27 +822,34 @@ func (g *group) watchdogTick() {
 	if min >= s.seqno {
 		return
 	}
-	targets := s.stragglers(min, gs.m.GroupSyncFanout)
-	gs.helper.Post(func(ht *proc.Thread, _ uint64) {
-		for _, id := range targets {
-			w := &Wire{Kind: WireGrpSYNC, GID: g.spec.GID}
-			gs.link.SendGroupWire(ht, id, w, gs.link.NextMsgID())
-		}
-	}, 0)
+	n := len(s.probes)
+	s.probes = s.appendStragglers(s.probes, min, gs.m.GroupSyncFanout)
+	gs.helper.Post(s.probeFn, uint64(len(s.probes)-n))
 	g.armWatchdog()
 }
 
-// stragglers lists the members whose acknowledged watermark equals min,
-// in member order, capped at fan (at least one).
-func (s *sequencer) stragglers(min uint64, fan int) []int {
+// probe sends a status probe to each of the n members queued first.
+// Helper actions run in the order posted, so they are the ones the
+// tick that posted this probe queued.
+func (g *group) probe(t *proc.Thread, n uint64) {
+	gs, s := g.gs, g.seq
+	for _, id := range s.probes[:n] {
+		w := &Wire{Kind: WireGrpSYNC, GID: g.spec.GID}
+		gs.link.SendGroupWire(t, id, w, gs.link.NextMsgID())
+	}
+	s.probes = s.probes[:copy(s.probes, s.probes[n:])]
+}
+
+// appendStragglers appends the members whose acknowledged watermark
+// equals min to ids, in member order, at most fan of them (at least one).
+func (s *sequencer) appendStragglers(ids []int, min uint64, fan int) []int {
 	if fan < 1 {
 		fan = 1
 	}
-	var ids []int
 	for i := range s.acks {
 		if s.acks[i].acked == min {
 			ids = append(ids, s.acks[i].id)
-			if len(ids) >= fan {
+			if fan--; fan == 0 {
 				break
 			}
 		}

@@ -1,19 +1,22 @@
 package panda
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"amoebasim/internal/akernel"
+	"amoebasim/internal/flip"
 	"amoebasim/internal/metrics"
 	"amoebasim/internal/model"
 	"amoebasim/internal/proc"
+	"amoebasim/internal/sim"
 )
 
 const (
 	// rpcPortBase maps processor ids to Amoeba RPC ports.
 	rpcPortBase akernel.Port = 1000
-	// pandaGID is the Amoeba group used by the kernel-space
-	// implementation.
+	// pandaGID is the Amoeba group of Panda group 0: Panda group g is
+	// kernel group pandaGID + g.
 	pandaGID akernel.GroupID = 7
 	// maxRPCDaemons bounds the server daemon pool. Each guarded
 	// operation that blocks holds one daemon (the paper's "increased
@@ -21,20 +24,45 @@ const (
 	maxRPCDaemons = 64
 )
 
+// seqPtBase is the FLIP address space for the kernel sequencers'
+// point-to-point endpoints (one per group).
+const seqPtBase flip.Address = 0x9000_0000_0000_0000
+
+func seqAddress(g akernel.GroupID) flip.Address { return seqPtBase | flip.Address(g) }
+
+// kernPtBase is the FLIP address space for each kernel's own
+// group-control endpoint (targets of unicast retransmissions).
+const kernPtBase flip.Address = 0xD000_0000_0000_0000
+
+func kernAddress(id int) flip.Address { return kernPtBase | flip.Address(id) }
+
+// kernPlacement names the kernel's group trace events grp.* and traces
+// its retransmission requests. The kernel has the BB method, and its
+// interrupt handler runs both a machine's member and the sequencer it
+// holds. A send nests no frames beyond its system call's.
+var kernPlacement = &Placement{
+	bb: true, seqInHandler: true,
+	grpSend: "grp.send", grpDlv: "grp.dlv", grpSeq: "grp.seq", grpRetr: "grp.retr",
+}
+
 // Kernel is the kernel-space Panda implementation: wrapper routines that
 // make Amoeba's in-kernel RPC and group protocols look like the Panda
 // primitives. The wrapping itself is cheap; the cost shows up when the
 // Orca runtime needs the asynchronous reply that Amoeba's RPC cannot
-// express.
+// express. The group protocol is Panda's group core run by the kernel's
+// interrupt handler over its FLIP stack (kernLink).
 type Kernel struct {
-	id int
-	k  *akernel.Kernel
-	p  *proc.Processor
-	m  *model.CostModel
+	id  int
+	k   *akernel.Kernel
+	p   *proc.Processor
+	m   *model.CostModel
+	sim *sim.Sim
+	st  *flip.Stack
 
 	rpcHandler RPCHandler
 	grpHandler GroupHandler
-	gids       []akernel.GroupID // kernel group id per Panda group, indexed by GID
+	grp        *Groups     // nil without groups
+	kgrps      []kernGroup // indexed by GID; zero for groups not held
 
 	daemons   int
 	available int
@@ -49,64 +77,102 @@ type Kernel struct {
 
 var _ Transport = (*Kernel)(nil)
 
+// kernGroup is what the kernel keeps of one group beside the protocol
+// state: its reassembly, the wires its interrupt handler has queued, and
+// the grp_receive delivery queue.
+type kernGroup struct {
+	grp   *Groups // the instance's group core
+	reasm *flip.Reassembler
+
+	// inbox holds the wires whose protocol interrupt items are queued on
+	// the processor, oldest first. The processor services its interrupt
+	// items in FIFO order, so handleFn, bound once, always finds its wire
+	// at the head and a received packet schedules no closure.
+	inbox    []*Wire
+	handleFn func()
+
+	queue       []delivery
+	waiters     []*recvWaiter
+	freeWaiters []*recvWaiter // waiters whose receive has returned
+}
+
+// delivery is one totally-ordered group message as grp_receive returns it.
+type delivery struct {
+	sender  int
+	seqno   uint64
+	payload any
+	size    int
+}
+
+type recvWaiter struct {
+	t *proc.Thread
+	d delivery
+}
+
 // KernelConfig configures a kernel-space Panda instance.
 type KernelConfig struct {
-	// Groups lists the communication groups (the in-kernel sequencer of
-	// group g runs inside the kernel of its Sequencer). When nil, the
-	// legacy Members/Sequencer fields describe a single group with GID 0.
+	// Groups lists the communication groups. The kernel holds those it is
+	// a member of; the in-kernel sequencer of group g runs inside the
+	// kernel of its Sequencer.
 	Groups []GroupSpec
-	// Members lists the processor ids in the group (empty disables group
-	// communication). The sequencer runs inside the kernel of Sequencer.
-	// Ignored when Groups is set.
-	Members   []int
-	Sequencer int
 }
 
 // NewKernel creates and starts a kernel-space Panda instance on kernel k.
-func NewKernel(k *akernel.Kernel, cfg KernelConfig) (*Kernel, error) {
+func NewKernel(k *akernel.Kernel, cfg KernelConfig) *Kernel {
 	p := k.Processor()
-	w := &Kernel{id: p.ID(), k: k, p: p, m: p.Model()}
-	if reg := p.Sim().Metrics(); reg != nil {
+	w := &Kernel{id: p.ID(), k: k, p: p, m: p.Model(), sim: p.Sim(), st: k.FLIP()}
+	reg := w.sim.Metrics()
+	if reg != nil {
 		l := metrics.L("proc", p.Name())
 		w.mxRelayed = reg.Counter("panda.relayed_replies", l)
 		w.mxDaemons = reg.Gauge("panda.rpc_daemons", l)
 	}
-	specs := cfg.Groups
-	if specs == nil && len(cfg.Members) > 0 {
-		// Legacy single-group configuration.
-		specs = []GroupSpec{{Members: cfg.Members, Sequencer: cfg.Sequencer}}
+	held := make([]GroupSpec, 0, len(cfg.Groups))
+	for _, spec := range cfg.Groups {
+		if slices.Contains(spec.Members, w.id) {
+			held = append(held, spec)
+		}
 	}
-	for _, gs := range specs {
-		inGroup := false
-		for _, m := range gs.Members {
-			if m == w.id {
-				inGroup = true
+	w.grp = NewGroups(p, held, (*kernLink)(w), nil, kernPlacement)
+	if w.grp != nil {
+		w.kgrps = make([]kernGroup, len(w.grp.grps))
+		w.st.Handle(flip.ProtoGroup, w.onPacket)
+	}
+	for _, spec := range held {
+		gid := pandaGID + akernel.GroupID(spec.GID)
+		kg := &w.kgrps[spec.GID]
+		kg.grp, kg.reasm = w.grp, flip.NewReassembler(w.sim, w.m.RetransTimeout)
+		kg.handleFn = kg.handleNext
+		w.grp.byGID(spec.GID).handler = kg.deliver
+		if reg != nil {
+			lp, lg := metrics.L("proc", p.Name()), metrics.L("gid", strconv.Itoa(int(gid)))
+			var history *metrics.Gauge
+			if spec.Sequencer == w.id {
+				history = reg.Gauge("akernel.seq_history", lp, lg)
 			}
+			w.grp.setMetrics(spec.GID, &groupMetrics{
+				pbSends:     reg.Counter("akernel.grp_pb_sends", lp, lg),
+				bbSends:     reg.Counter("akernel.grp_bb_sends", lp, lg),
+				localSends:  reg.Counter("akernel.grp_local_sends", lp, lg),
+				sendRetrans: reg.Counter("akernel.grp_send_retrans", lp, lg),
+				deliveries:  reg.Counter("akernel.grp_deliveries", lp, lg),
+				retransReqs: reg.Counter("akernel.grp_retrans_requests", lp, lg),
+			}, history)
 		}
-		gid := pandaGID + akernel.GroupID(gs.GID)
-		for gs.GID >= len(w.gids) {
-			w.gids = append(w.gids, 0)
+		if spec.Sequencer == w.id {
+			w.st.Register(seqAddress(gid))
 		}
-		w.gids[gs.GID] = gid
-		if !inGroup {
-			continue
-		}
-		if err := k.GroupConfigure(gid, gs.Members, gs.Sequencer); err != nil {
-			return nil, fmt.Errorf("panda: configure group %d: %w", gs.GID, err)
-		}
-		if gs.CausalKind != "" {
-			k.GroupCausalKind(gid, gs.CausalKind)
-		}
+		w.st.Register(kernAddress(w.id))
+		w.st.JoinGroup(akernel.GroupAddress(gid))
 		name := "pan-grp-daemon"
-		if gs.GID > 0 {
-			name = fmt.Sprintf("pan-grp-daemon-g%d", gs.GID)
+		if spec.GID > 0 {
+			name = "pan-grp-daemon-g" + strconv.Itoa(spec.GID)
 		}
-		dgid := gid
-		p.NewThread(name, proc.PrioDaemon, func(t *proc.Thread) { w.groupDaemon(t, dgid) })
+		p.NewThread(name, proc.PrioDaemon, func(t *proc.Thread) { w.groupDaemon(t, kg) })
 	}
 	w.spawnRPCDaemon()
 	w.spawnRPCDaemon()
-	return w, nil
+	return w
 }
 
 // Mode reports KernelSpace.
@@ -133,12 +199,169 @@ func (w *Kernel) GroupSend(t *proc.Thread, payload any, size int) error {
 }
 
 // GroupSendTo broadcasts on a specific group (total order within the
-// group; independent sequence spaces across groups).
+// group; independent sequence spaces across groups). The system call
+// crosses into the kernel before the protocol runs and returns after
+// the sender's message has come back in order: under the register-window
+// model, where Syscall, Call and Return fall relative to Block shows in
+// simulated time.
 func (w *Kernel) GroupSendTo(t *proc.Thread, group int, payload any, size int) error {
-	if group < 0 || group >= len(w.gids) || w.gids[group] == 0 {
-		return fmt.Errorf("panda: group %d not configured", group)
+	g := w.grp.byGID(group)
+	if g == nil {
+		return errNoGroup
 	}
-	return w.k.GrpSend(t, w.gids[group], payload, size)
+	op := t.Op()
+	topLevel := op == 0
+	if topLevel {
+		op = w.sim.CausalBegin(g.kind)
+		t.SetOp(op)
+	}
+	t.Syscall()
+	t.Call(2)
+	err := w.grp.send(t, group, payload, size, true)
+	t.Return(2)
+	if topLevel {
+		w.sim.CausalEnd(op, err != nil)
+		t.SetOp(0)
+	}
+	return err
+}
+
+// kernLink is the kernel-space instance seen as the packet path of the
+// group core: the kernel's FLIP stack, driven from its interrupt handler.
+// Only a sender's first transmission runs in a thread.
+type kernLink Kernel
+
+// SendGroupWire sends w by FLIP: a member's request, retransmission
+// request or status from its kernel's endpoint to the group's sequencer,
+// its BB data to the group, and the sequencer's data, accepts and probes
+// from the sequencer's endpoint to the group or to one kernel's. Data and
+// accepts are sequencer service. A request to the sequencer this kernel
+// runs leaves no wire: the interrupt handler takes it in place.
+func (l *kernLink) SendGroupWire(t *proc.Thread, dest int, w *Wire, msgID uint64) {
+	gid := pandaGID + akernel.GroupID(w.GID)
+	msg := flip.Message{
+		Proto: flip.ProtoGroup, MsgID: msgID, Hdr: l.m.GroupHeaderKernel,
+		Size: w.Size, Payload: w, Op: w.Op,
+	}
+	switch w.Kind {
+	case WireGrpREQ, WireGrpRETR, WireGrpSTATUS:
+		if w.Kind == WireGrpREQ && dest == l.id {
+			kg := &l.kgrps[w.GID]
+			t.Flush()
+			kg.inbox = append(kg.inbox, w)
+			l.p.InterruptTagged(l.m.ProtoGroup, w.Op, sim.PhaseSeqService, kg.handleFn)
+			return
+		}
+		msg.Src, msg.Dst = akernel.RawAddress(l.id), seqAddress(gid)
+	case WireGrpBB:
+		msg.Src, msg.Dst, msg.Multicast = akernel.RawAddress(l.id), akernel.GroupAddress(gid), true
+	default:
+		msg.Src = seqAddress(gid)
+		if w.Kind != WireGrpSYNC {
+			msg.SendPhase = sim.PhaseSeqService
+		}
+		if dest < 0 {
+			msg.Dst, msg.Multicast = akernel.GroupAddress(gid), true
+		} else {
+			msg.Dst = kernAddress(dest)
+		}
+	}
+	if t != nil {
+		l.st.SendFromThread(t, msg)
+		return
+	}
+	l.st.SendFromInterrupt(msg)
+}
+
+func (l *kernLink) NextMsgID() uint64 { return l.st.NextMsgID() }
+
+// WakeCaller makes the sender whose message came back runnable, from the
+// interrupt handler.
+func (l *kernLink) WakeCaller(_, caller *proc.Thread) { caller.Unblock() }
+
+// onPacket processes group packets at interrupt level. Fragment data is
+// copied to the delivery buffer as it arrives; a whole message gets one
+// protocol interrupt item, which is sequencer service when it is the
+// traffic of a sequencer this kernel runs.
+func (w *Kernel) onPacket(pk *flip.Packet) {
+	wire, ok := pk.Payload.(*Wire)
+	if !ok || wire.GID >= len(w.kgrps) || w.kgrps[wire.GID].grp == nil {
+		return
+	}
+	kg := &w.kgrps[wire.GID]
+	if pk.Length > 0 {
+		w.p.InterruptTagged(w.m.Copy(pk.Length), pk.Op, sim.PhaseFrag, nil)
+	}
+	if !kg.reasm.Add(pk) {
+		return
+	}
+	ph := sim.PhaseProtoRecv
+	if toSequencer(wire.Kind) && w.grp.Sequences(wire.GID) {
+		ph = sim.PhaseSeqService
+	}
+	kg.inbox = append(kg.inbox, wire)
+	w.p.InterruptTagged(w.m.ProtoGroup, wire.Op, ph, kg.handleFn)
+}
+
+// handleNext handles the oldest queued wire once its protocol interrupt
+// item has been serviced: BB data goes to the member and then, on the
+// sequencer's kernel, to the sequencer; the rest goes to one side.
+func (kg *kernGroup) handleNext() {
+	w := kg.inbox[0]
+	n := copy(kg.inbox, kg.inbox[1:])
+	kg.inbox[n] = nil
+	kg.inbox = kg.inbox[:n]
+	seq := toSequencer(w.Kind)
+	if !seq || w.Kind == WireGrpBB {
+		kg.grp.OnMember(nil, w)
+	}
+	if seq && kg.grp.Sequences(w.GID) {
+		kg.grp.OnSequencer(nil, w)
+	}
+}
+
+// deliver is the group's delivery upcall, at interrupt level: it hands
+// the message to a thread blocked in grp_receive, or queues it.
+func (kg *kernGroup) deliver(_ *proc.Thread, sender int, seqno uint64, payload any, size int) {
+	d := delivery{sender: sender, seqno: seqno, payload: payload, size: size}
+	if len(kg.waiters) == 0 {
+		kg.queue = append(kg.queue, d)
+		return
+	}
+	rw := kg.waiters[0]
+	kg.waiters = kg.waiters[0:copy(kg.waiters, kg.waiters[1:])]
+	rw.d = d
+	rw.t.Unblock()
+}
+
+// receive is grp_receive: it blocks t until the next totally-ordered
+// message of the group is delivered, crossing into the kernel and back.
+func (kg *kernGroup) receive(t *proc.Thread) delivery {
+	t.Syscall()
+	t.Call(2)
+	if len(kg.queue) > 0 {
+		d := kg.queue[0]
+		kg.queue = kg.queue[0:copy(kg.queue, kg.queue[1:])]
+		t.Return(2)
+		return d
+	}
+	var rw *recvWaiter
+	if n := len(kg.freeWaiters); n > 0 {
+		rw = kg.freeWaiters[n-1]
+		kg.freeWaiters = kg.freeWaiters[:n-1]
+	} else {
+		rw = &recvWaiter{}
+	}
+	rw.t = t
+	kg.waiters = append(kg.waiters, rw)
+	t.Block()
+	// Only deliver wakes a receive waiter, after taking it off the list:
+	// once Block returns nothing else holds rw.
+	d := rw.d
+	*rw = recvWaiter{}
+	kg.freeWaiters = append(kg.freeWaiters, rw)
+	t.Return(2)
+	return d
 }
 
 // kernCtx binds a request to the daemon thread that accepted it, because
@@ -158,7 +381,7 @@ func (w *Kernel) spawnRPCDaemon() {
 	w.daemons++
 	w.available++
 	w.mxDaemons.Set(int64(w.daemons))
-	name := fmt.Sprintf("pan-rpc-daemon-%d", w.daemons)
+	name := "pan-rpc-daemon-" + strconv.Itoa(w.daemons)
 	w.p.NewThread(name, proc.PrioDaemon, w.rpcDaemon)
 }
 
@@ -216,15 +439,13 @@ func (w *Kernel) Reply(t *proc.Thread, ctx *RPCContext, payload any, size int) {
 	kc.daemon.Unblock()
 }
 
-// groupDaemon receives ordered group messages and upcalls the handler.
-func (w *Kernel) groupDaemon(t *proc.Thread, gid akernel.GroupID) {
+// groupDaemon receives the ordered messages of one group and upcalls the
+// handler.
+func (w *Kernel) groupDaemon(t *proc.Thread, kg *kernGroup) {
 	for {
-		d, err := w.k.GrpReceive(t, gid)
-		if err != nil {
-			return
-		}
+		d := kg.receive(t)
 		if w.grpHandler != nil {
-			w.grpHandler(t, d.Sender, d.Seqno, d.Payload, d.Size)
+			w.grpHandler(t, d.sender, d.seqno, d.payload, d.size)
 		}
 	}
 }

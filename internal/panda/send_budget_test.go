@@ -156,3 +156,40 @@ func TestWarmGroupSendBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestWatchdogTickBudget: a sequencer whose watchdog probes a member
+// that cannot answer allocates, per tick, only the probe it sends: the
+// SYNC wire and the packet, or under bypass the descriptor, that the
+// member's dark interface never hands back to its free list. The tick
+// posts one bound probe with the number of stragglers it queued on a
+// buffer the sequencer keeps (before, each tick allocated a closure and
+// a straggler slice in user space and bypass, and the slice in kernel
+// space).
+func TestWatchdogTickBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const budget = 2
+	for _, mode := range panda.AllModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newCluster(t, cluster.Config{Procs: 3, Mode: mode, Group: true, WarmRoutes: true})
+			rpcNIC(c, 2).SetDown(true)
+			c.Procs[1].NewThread("sender", proc.PrioNormal, func(th *proc.Thread) {
+				if err := c.Transports[1].GroupSend(th, nil, 0); err != nil {
+					t.Error(err)
+				}
+			})
+			tick := func() { c.RunUntil(c.Sim.Now().Add(c.Model.RetransTimeout)) }
+			for i := 0; i < 10; i++ {
+				tick() // the send, the first probes and member 1's report
+			}
+			dropped := c.Net.Dropped()
+			got := testing.AllocsPerRun(50, tick)
+			if probes := c.Net.Dropped() - dropped; probes != 51 {
+				t.Fatalf("%d probes reached the dark member in 51 ticks, want 51", probes)
+			}
+			t.Logf("%s: %.2f allocations per watchdog tick", mode, got)
+			if got > budget {
+				t.Fatalf("%s: a watchdog tick allocates %.2f objects, budget is %d", mode, got, budget)
+			}
+		})
+	}
+}

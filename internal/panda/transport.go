@@ -5,13 +5,17 @@
 //     piggybacked acknowledgements, and a sequencer-based totally-ordered
 //     group protocol — running as a user-space library directly on the
 //     kernel's low-level FLIP interface.
-//   - KernelSpace: thin wrapper routines over Amoeba's in-kernel RPC and
-//     group protocols, working around their restrictions (the
+//   - KernelSpace: Amoeba's in-kernel protocols. Thin wrapper routines
+//     over the kernel's 3-way RPC work around its restrictions (the
 //     same-thread get_request/put_reply rule) at the cost of extra
-//     context switches.
+//     context switches, and the same group protocol runs in the
+//     kernel's interrupt handler over its FLIP stack.
 //
-// Both variants implement the same Transport interface, so the Orca RTS
-// and the benchmarks are implementation-agnostic.
+// The RPC and the group protocol are each one state machine (RPC,
+// Groups), which a placement runs over its own packet path (Link); the
+// bypass package runs them over a user-mapped queue pair. Every variant
+// implements the same Transport interface, so the Orca RTS and the
+// benchmarks are implementation-agnostic.
 package panda
 
 import (
@@ -156,38 +160,52 @@ type NonblockingSender interface {
 	GroupSendNB(t *proc.Thread, payload any, size int) error
 }
 
+// GroupLink is the part of a placement's packet path the group core
+// uses.
+type GroupLink interface {
+	// SendGroupWire transmits w, a group protocol message, to processor
+	// dest, or multicasts it on w's group when dest is -1, as message
+	// msgID, charging t for the path; t is nil at interrupt level.
+	SendGroupWire(t *proc.Thread, dest int, w *Wire, msgID uint64)
+	// NextMsgID returns a fresh message id.
+	NextMsgID() uint64
+	// WakeCaller runs in the receive thread t, nil at interrupt level,
+	// once a reply has completed the call of thread caller, or once the
+	// group message of the blocked sender caller came back in order.
+	WakeCaller(t, caller *proc.Thread)
+}
+
 // Link is a placement's packet path beneath the RPC and group cores: the
 // part of a protocol that differs between the placements running it.
 // Timers and protocol costs stay with the cores.
 type Link interface {
+	GroupLink
 	// SendWire transmits w, an RPC request, reply or acknowledgement, to
 	// processor dest as message msgID, charging t for the path.
 	SendWire(t *proc.Thread, dest int, w *Wire, msgID uint64)
-	// SendGroupWire transmits w, a group protocol message, to processor
-	// dest, or multicasts it on w's group when dest is -1, as message
-	// msgID, charging t for the path.
-	SendGroupWire(t *proc.Thread, dest int, w *Wire, msgID uint64)
-	// NextMsgID returns a fresh message id.
-	NextMsgID() uint64
 	// BeforeRetransmit runs, from a timer, before an RPC request to dest
 	// is sent again.
 	BeforeRetransmit(dest int)
-	// WakeCaller runs in the receive thread t once a reply has completed
-	// the call of thread caller, or once the group message of the blocked
-	// sender caller came back in order.
-	WakeCaller(t, caller *proc.Thread)
 }
 
 // Placement is what else a placement fixes at construction: the call
-// depth of its protocol stack, the names of its trace events and whether
-// its group protocol has the BB method. Its strings are built once, so an
-// untraced call or send boxes nothing.
+// depth of its protocol stack, the names of its trace events, whether
+// its group protocol has the BB method and whether its sequencer runs in
+// the member's handler. Its strings are built once, so an untraced call
+// or send boxes nothing.
 type Placement struct {
 	depth                                    int
 	bb                                       bool
 	req, done, fail, ack, upcall, serve, rep string
 	repFmt                                   string // detail format of rep
 	grpSend, grpDlv, grpSeq                  string
+	grpRetr                                  string // "" when retransmission requests are not traced
+	// seqInHandler is set where one handler serves a machine's member and
+	// the sequencer it runs, as the kernel's interrupt handler does. A
+	// send from that machine is then sequenced in place, and the member
+	// keeps the BB data it took itself, so the sequencer does not hand it
+	// the message again.
+	seqInHandler bool
 }
 
 // NewPlacement names the RPC trace events rpc.req, rpc.rep and so on and

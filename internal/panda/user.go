@@ -78,22 +78,10 @@ type RawHandler func(t *proc.Thread, from int, payload any, size int)
 // UserConfig configures a user-space Panda instance.
 type UserConfig struct {
 	// Groups lists the communication groups this instance participates in
-	// (as member, sequencer, or both). When nil, the legacy
-	// Members/Sequencer/HasGroup fields below describe a single group with
-	// GID 0.
+	// (as member, sequencer, or both). A group's sequencer may be a member
+	// (the default setup) or a dedicated machine outside its members (the
+	// paper's "User-space-dedicated" run).
 	Groups []GroupSpec
-	// Members lists the processor ids participating in group
-	// communication (empty disables the group module). A dedicated
-	// sequencer machine is NOT listed here. Ignored when Groups is set.
-	Members []int
-	// Sequencer is the processor id whose instance runs the sequencer
-	// thread. It may be a member (the default setup) or a dedicated
-	// machine outside Members (the paper's "User-space-dedicated" run).
-	// Ignored when Groups is set.
-	Sequencer int
-	// HasGroup enables the group module even for non-members (the
-	// dedicated sequencer machine needs it). Ignored when Groups is set.
-	HasGroup bool
 	// NoPiggyback disables piggybacking reply acknowledgements on the
 	// next request (ablation: every reply gets an immediate explicit
 	// acknowledgement message).
@@ -177,21 +165,26 @@ func NewUser(k *akernel.Kernel, cfg UserConfig) *User {
 		u.reasm.SetTimeoutCounter(u.mx.reasmTimeouts)
 	}
 	k.RawRegister()
-	specs := cfg.Groups
-	if specs == nil && (len(cfg.Members) > 0 || cfg.HasGroup) {
-		// Legacy single-group configuration.
-		specs = []GroupSpec{{Members: cfg.Members, Sequencer: cfg.Sequencer}}
-	}
-	for _, gs := range specs {
+	for _, gs := range cfg.Groups {
 		k.RawJoinGroup(groupAddr(gs.GID))
 	}
 	u.helper = NewHelper(p, "pan-timer")
-	u.Groups = NewGroups(p, specs, (*userLink)(u), u.helper, userPlacement)
+	u.Groups = NewGroups(p, cfg.Groups, (*userLink)(u), u.helper, userPlacement)
 	InitRPC(&u.RPC, p, k.FLIP().Network(), (*userLink)(u), u.helper, userPlacement)
 	u.RPC.noPiggyback = cfg.NoPiggyback
 	if u.mx != nil {
 		u.RPC.mx = &u.mx.rpc
-		u.Groups.setMetrics(&u.mx.grp)
+		for _, gs := range cfg.Groups {
+			var history *metrics.Gauge
+			if u.Sequences(gs.GID) {
+				ls := []metrics.Label{metrics.L("proc", p.Name())}
+				if gs.GID > 0 {
+					ls = append(ls, metrics.L("gid", strconv.Itoa(gs.GID)))
+				}
+				history = u.sim.Metrics().Gauge("panda.seq_history", ls...)
+			}
+			u.setMetrics(gs.GID, &u.mx.grp, history)
+		}
 	}
 	if cfg.InterfaceDaemon {
 		u.iface = NewHelper(p, "pan-iface")
@@ -323,19 +316,25 @@ func (u *User) dispatch(t *proc.Thread, w *Wire) {
 	}
 }
 
+// toSequencer reports whether group messages of kind k go to the
+// sequencer.
+func toSequencer(k WireKind) bool {
+	switch k {
+	case WireGrpREQ, WireGrpBB, WireGrpRETR, WireGrpSTATUS:
+		return true
+	default:
+		return false
+	}
+}
+
 // seqTraffic reports whether pk carries sequencer-bound group protocol
 // traffic, and for which group.
 func seqTraffic(pk *flip.Packet) (gid int, ok bool) {
 	w, isW := pk.Payload.(*Wire)
-	if !isW {
+	if !isW || !toSequencer(w.Kind) {
 		return 0, false
 	}
-	switch w.Kind {
-	case WireGrpREQ, WireGrpBB, WireGrpRETR, WireGrpSTATUS:
-		return w.GID, true
-	default:
-		return 0, false
-	}
+	return w.GID, true
 }
 
 // ownsSeqTraffic reports whether pk is sequencer traffic for a group this
@@ -414,8 +413,13 @@ func (h *Helper) loop(t *proc.Thread) {
 }
 
 // Post enqueues fn(helper thread, arg) from driver context (a timer
-// callback).
+// callback). A nil Helper runs fn at once with no thread: kernel space's
+// timers act at interrupt level.
 func (h *Helper) Post(fn func(t *proc.Thread, arg uint64), arg uint64) {
+	if h == nil {
+		fn(nil, arg)
+		return
+	}
 	h.q = append(h.q, helperAction{fn: fn, arg: arg})
 	h.sem.UpFromDriver()
 }

@@ -9,8 +9,8 @@ const (
 	WireACK                           // explicit acknowledgement of an RPC reply
 	WireGrpREQ                        // member → sequencer: ordering request (PB method)
 	WireGrpDATA                       // sequencer → members: ordered data
-	WireGrpBB                         // member → all: data of the BB method (user space)
-	WireGrpACCEPT                     // sequencer → members: BB-method accept (user space)
+	WireGrpBB                         // member → all: data of the BB method
+	WireGrpACCEPT                     // sequencer → members: BB-method accept
 	WireGrpRETR                       // member → sequencer: retransmission request
 	WireGrpSYNC                       // sequencer → member: status probe
 	WireGrpSTATUS                     // member → sequencer: delivery watermark
@@ -18,7 +18,7 @@ const (
 )
 
 // Wire is one Panda protocol message, header and payload, as each
-// placement that runs Panda's own protocols carries it: over raw FLIP in
+// placement carries it: in the kernel's FLIP packets, over raw FLIP in
 // user space, and by reference in queue-pair descriptors under bypass.
 type Wire struct {
 	Kind    WireKind
@@ -28,6 +28,7 @@ type Wire struct {
 	AckSeq  uint64
 	TmpID   uint64
 	Lo, Hi  uint64
+	Op      uint64 // a group request's causal operation, copied into its data and accept
 	Payload any
 	Size    int
 }
