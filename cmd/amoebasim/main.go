@@ -15,10 +15,10 @@
 //	amoebasim -fault-seed N     fault-schedule seed (default: derived from -seed)
 //	amoebasim -jobs N           worker-pool width for sweeps (default: NumCPU)
 //	amoebasim -bench-json F     full Table 1-3 sweep to BENCH artifact F ("auto": BENCH_<date>.json)
-//	amoebasim -baseline F       regression gate: compare the sweep against baseline F
-//	amoebasim -wall-budget D    fail the gate if the sweep's wall-clock exceeds D
+//	amoebasim -baseline F       zero-drift gate: compare the run's artifact of F's kind against F
+//	                            (alone: the BENCH sweep)
+//	amoebasim -wall-budget D    fail if the run's host wall-clock exceeds D
 //	amoebasim -decomp-json F    causal latency decomposition to DECOMP artifact F ("auto": DECOMP_<date>.json)
-//	amoebasim -decomp-baseline F  zero-drift gate: compare the decomposition against baseline F
 //	amoebasim -chrome-trace F   Chrome trace-event JSON (Perfetto-loadable) of a traced run to F
 //	amoebasim -trace-cap N      trace ring-buffer capacity in events (default 65536)
 //	amoebasim -workload open    latency-vs-offered-load curves for all three modes
@@ -33,11 +33,9 @@
 //	amoebasim -workload-json F  workload curves as a JSON artifact ("auto": WORKLOAD_<date>.json)
 //	amoebasim -scalability      knee-vs-cluster-size sweep across sequencer strategies
 //	amoebasim -scalability-json F  scalability sweep as a JSON artifact ("auto": SCALE_<date>.json)
-//	amoebasim -scalability-baseline F  zero-drift gate against a committed SCALE_*.json
 //	amoebasim -perf             single-run performance cells (events/sec)
 //	amoebasim -par N            partitioned-engine worker count for -perf (default 1)
 //	amoebasim -perf-json F      perf cells as a PERF artifact ("auto": PERF_<date>.json)
-//	amoebasim -perf-baseline F  zero-drift gate on the perf cells' simulated results
 //	amoebasim -cpuprofile F     write a pprof CPU profile of the run to F
 //	amoebasim -memprofile F     write a pprof heap profile at exit to F
 //	amoebasim -all              everything
@@ -85,8 +83,8 @@ func main() {
 		faultSeed  = flag.Uint64("fault-seed", 0, "fault-schedule seed (0: derived from -seed)")
 		jobs       = flag.Int("jobs", bench.DefaultWorkers(), "worker-pool width for parallel sweeps")
 		benchJSON  = flag.String("bench-json", "", "run the full Table 1-3 sweep and write the BENCH artifact here ('auto': BENCH_<date>.json)")
-		baseline   = flag.String("baseline", "", "compare the -bench-json sweep against this committed BENCH_*.json baseline (zero drift tolerance)")
-		wallBudget = flag.Duration("wall-budget", 0, "with -baseline: fail if the sweep's host wall-clock exceeds this duration (0: no check)")
+		baseline   = flag.String("baseline", "", "compare the run's artifact of this file's kind against it, zero drift tolerance (alone: run the BENCH sweep)")
+		wallBudget = flag.Duration("wall-budget", 0, "fail if the run's host wall-clock exceeds this duration (0: no check)")
 		workloadF  = flag.String("workload", "", "run the workload engine: open (offered-load curves) or closed (population with think time)")
 		loads      = flag.String("load", "", "comma-separated open-loop offered loads in ops/sec (default 400,1300,2400)")
 		clients    = flag.Int("clients", 0, "workload client-population size (default 2x workers)")
@@ -108,9 +106,7 @@ func main() {
 		workloadJ  = flag.String("workload-json", "", "write the workload curves as a JSON artifact ('auto': WORKLOAD_<date>.json)")
 		scalab     = flag.Bool("scalability", false, "run the knee-vs-cluster-size sweep across sequencer strategies")
 		scalabJ    = flag.String("scalability-json", "", "write the scalability sweep as a JSON artifact ('auto': SCALE_<date>.json)")
-		scalabBase = flag.String("scalability-baseline", "", "compare the scalability sweep against this committed SCALE_*.json baseline (zero drift tolerance)")
 		decompJSON = flag.String("decomp-json", "", "write the causal latency-decomposition artifact here ('auto': DECOMP_<date>.json)")
-		decompBase = flag.String("decomp-baseline", "", "compare the -decomp-json sweep against this committed DECOMP_*.json baseline (zero drift tolerance)")
 		chromeTr   = flag.String("chrome-trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of a traced run to this file")
 		traceCap   = flag.Int("trace-cap", 0, "trace ring-buffer capacity in events (0: 65536 default)")
 		wlDecomp   = flag.Bool("wl-decomp", false, "with -workload: collect per-phase latency breakdowns at each load point")
@@ -118,50 +114,53 @@ func main() {
 		par        = flag.Int("par", 1, "partitioned-engine worker count for single-run parallel execution (<=1: single-queue engine)")
 		perfF      = flag.Bool("perf", false, "run the single-run performance cells (events/sec at -par workers)")
 		perfJSON   = flag.String("perf-json", "", "write the perf cells as a PERF artifact ('auto': PERF_<date>.json)")
-		perfBase   = flag.String("perf-baseline", "", "compare the perf cells against this committed PERF_*.json baseline (zero drift on simulated results)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
 	// Profiling teardown must run on every exit path, so the flag
 	// families dispatch through a closure that returns instead of exiting.
-	dispatch := func() error {
+	dispatch := func() ([]artifact, error) {
 		disp, err := bypass.ParseDispatch(*dispatchF)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if *perfF || *perfJSON != "" || *perfBase != "" {
-			return runPerf(*perfJSON, *perfBase, *par, *seed, *wallBudget)
+		if *perfF || *perfJSON != "" {
+			return runPerf(*par, *seed)
 		}
-		if *scalab || *scalabJ != "" || *scalabBase != "" {
-			return runScalability(*scalabJ, *scalabBase, *mixFlag, *distFlag, *wlWindow, *wlFanIn, disp, *seed, *jobs)
+		if *scalab || *scalabJ != "" {
+			return runScalability(*mixFlag, *distFlag, *wlWindow, *wlFanIn, disp, *seed, *jobs)
 		}
 		if *workloadF != "" || *workloadJ != "" || *repTrace != "" || *recTrace != "" {
 			return runWorkload(workloadArgs{
 				loop: *workloadF, loads: *loads, clients: *clients, mix: *mixFlag,
 				dist: *distFlag, arrival: *arrival, think: *think, procs: *wlProcs,
 				window: *wlWindow, warmup: *wlWarmup, knee: *knee,
-				jsonPath: *workloadJ, seed: *seed, jobs: *jobs,
+				seed: *seed, jobs: *jobs,
 				seqShards: *seqShards, segments: *wlSegments, fanIn: *wlFanIn,
 				classes: *classesF, shape: *shapeFlag, dispatch: disp,
 				recordTrace: *recTrace, replayTrace: *repTrace,
-				decomp: *wlDecomp || *decompJSON != "", decompPath: *decompJSON,
+				decomp: *wlDecomp || *decompJSON != "", decompArtifact: *decompJSON != "",
 			})
 		}
 		if *faultsF != "" {
-			return runFaults(*faultsF, *seed, *faultSeed, *jobs)
+			return nil, runFaults(*faultsF, *seed, *faultSeed, *jobs)
 		}
-		if *decompJSON != "" || *decompBase != "" {
-			return runDecomp(*decompJSON, *decompBase, *seed, *jobs)
+		if *decompJSON != "" {
+			return runDecomp(*seed, *jobs)
 		}
 		if *benchJSON != "" || *baseline != "" {
-			return runBenchSweep(*benchJSON, *baseline, *scale, *appsFlag, *procsFlag, *seed, *jobs, *wallBudget)
+			return runBenchSweep(*scale, *appsFlag, *procsFlag, *seed, *jobs)
 		}
-		return run(*table, *decompose, *traceFlag, *all, *sweep, *scale, *appsFlag, *procsFlag, *seed, *metricsF, *metricsJ, *traceJ, *chromeTr, *traceCap, *jobs)
+		return nil, run(*table, *decompose, *traceFlag, *all, *sweep, *scale, *appsFlag, *procsFlag, *seed, *metricsF, *metricsJ, *traceJ, *chromeTr, *traceCap, *jobs)
+	}
+	outputs := map[string]string{
+		"BENCH": *benchJSON, "WORKLOAD": *workloadJ, "DECOMP": *decompJSON,
+		"SCALE": *scalabJ, "PERF": *perfJSON,
 	}
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err == nil {
-		err = dispatch()
+		err = finish(dispatch, outputs, *baseline, *wallBudget)
 		if perr := stopProfiles(); err == nil {
 			err = perr
 		}
@@ -170,6 +169,74 @@ func main() {
 		fmt.Fprintln(os.Stderr, "amoebasim:", err)
 		os.Exit(1)
 	}
+}
+
+// artifact is one JSON artifact a run built. Its kind names it: the key
+// of its output flag and the prefix of an "auto" file name.
+type artifact struct {
+	kind string
+	v    any
+}
+
+// finish runs the dispatched mode, writes each artifact it built to the
+// file its output flag names, gates the one the -baseline file decodes
+// into, and checks the run's host wall-clock against the budget.
+func finish(dispatch func() ([]artifact, error), outputs map[string]string, baseline string, wallBudget time.Duration) error {
+	start := time.Now()
+	arts, err := dispatch()
+	took := time.Since(start)
+	if err != nil {
+		return err
+	}
+	var base []byte
+	if baseline != "" {
+		if base, err = os.ReadFile(baseline); err != nil {
+			return err
+		}
+	}
+	gated := false
+	for _, a := range arts {
+		path := outputs[a.kind]
+		if path == "auto" {
+			path = a.kind + "_" + time.Now().UTC().Format("2006-01-02") + ".json"
+		}
+		out, err := writeJSON(path, a.v)
+		if err != nil {
+			return err
+		}
+		if path != "" {
+			fmt.Printf("wrote %s\n", path)
+		}
+		if base == nil || gated {
+			continue
+		}
+		if gated, err = bench.Gate(base, out, a.v); err != nil {
+			return fmt.Errorf("baseline %s: %w", baseline, err)
+		}
+		if gated {
+			fmt.Printf("baseline %s: no drift\n", baseline)
+		}
+	}
+	if base != nil && !gated {
+		return fmt.Errorf("baseline %s: the run built no artifact of its kind", baseline)
+	}
+	if wallBudget > 0 && took > wallBudget {
+		return fmt.Errorf("wall-clock: the run took %v, budget %v", took.Round(time.Millisecond), wallBudget)
+	}
+	return nil
+}
+
+// writeJSON formats v with the artifact writer and, when path is set,
+// writes it there. It returns the bytes either way.
+func writeJSON(path string, v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := bench.Write(&buf, v); err != nil {
+		return nil, err
+	}
+	if path == "" {
+		return buf.Bytes(), nil
+	}
+	return buf.Bytes(), os.WriteFile(path, buf.Bytes(), 0o666)
 }
 
 // startProfiles arms the -cpuprofile / -memprofile collection and returns
@@ -261,15 +328,7 @@ func run(table int, decompose, traceFlag, all bool, sweep, scale, appsFlag, proc
 			fmt.Println()
 		}
 		if metricsJ != "" {
-			f, err := os.Create(metricsJ)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteObservabilityJSON(f, appendix); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if _, err := writeJSON(metricsJ, appendix); err != nil {
 				return err
 			}
 		}
@@ -386,23 +445,22 @@ func parseProcs(procsFlag string) ([]int, error) {
 	return procs, nil
 }
 
-// runBenchSweep runs the full Table 1-3 sweep on the worker pool, writes
-// the machine-readable BENCH artifact, and applies the regression gate
-// against a committed baseline.
-func runBenchSweep(benchJSON, baseline, scale, appsFlag, procsFlag string, seed uint64, jobs int, wallBudget time.Duration) error {
+// runBenchSweep runs the full Table 1-3 sweep on the worker pool, prints
+// the tables and returns the BENCH artifact.
+func runBenchSweep(scale, appsFlag, procsFlag string, seed uint64, jobs int) ([]artifact, error) {
 	appList, err := resolveApps(appsFlag, scale)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	procs, err := parseProcs(procsFlag)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := bench.RunSweep(bench.SweepConfig{
 		Scale: scale, Apps: appList, Procs: procs, Seed: seed, Workers: jobs,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bench.PrintTable1(os.Stdout, res.Table1)
 	fmt.Println()
@@ -412,50 +470,22 @@ func runBenchSweep(benchJSON, baseline, scale, appsFlag, procsFlag string, seed 
 	art := bench.NewArtifact(res)
 	fmt.Printf("(%d jobs in %v on %d workers, %.1f jobs/sec)\n",
 		len(res.Jobs), res.Wall.Round(time.Millisecond), art.Wall.Workers, art.Wall.JobsPerSec)
-
-	if benchJSON != "" {
-		if benchJSON == "auto" {
-			benchJSON = "BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(benchJSON)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteArtifact(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", benchJSON)
-	}
-	if baseline != "" {
-		base, err := bench.LoadArtifact(baseline)
-		if err != nil {
-			return err
-		}
-		if err := bench.CompareArtifacts(base, art, wallBudget); err != nil {
-			return err
-		}
-		fmt.Printf("baseline %s: no drift\n", baseline)
-	}
-	return nil
+	return []artifact{{"BENCH", art}}, nil
 }
 
 // workloadArgs collects the -workload flag family.
 type workloadArgs struct {
-	loop, loads, mix, dist, arrival, jsonPath string
-	classes, shape                            string // multi-tenant population + load-shape specs
-	recordTrace, replayTrace                  string // TRACE_*.json record / replay paths
-	clients, procs, jobs                      int
-	seqShards, segments, fanIn                int
-	think, window, warmup                     time.Duration
-	knee                                      bool
-	seed                                      uint64
-	dispatch                                  bypass.Dispatch // bypass receive dispatch mode
-	decomp                                    bool            // collect per-load-point phase breakdowns
-	decompPath                                string          // also write the DECOMP artifact (cells + load points)
+	loop, loads, mix, dist, arrival string
+	classes, shape                  string // multi-tenant population + load-shape specs
+	recordTrace, replayTrace        string // TRACE_*.json record / replay paths
+	clients, procs, jobs            int
+	seqShards, segments, fanIn      int
+	think, window, warmup           time.Duration
+	knee                            bool
+	seed                            uint64
+	dispatch                        bypass.Dispatch // bypass receive dispatch mode
+	decomp                          bool            // collect per-load-point phase breakdowns
+	decompArtifact                  bool            // also build the DECOMP artifact (cells + load points)
 }
 
 // workloadSweepConfig validates the flag family and assembles the sweep
@@ -545,16 +575,15 @@ func workloadSweepConfig(a workloadArgs) (bench.WorkloadSweepConfig, error) {
 }
 
 // runScalability drives the knee-vs-cluster-size sweep over the sequencer
-// strategies, prints the curves, and optionally writes the machine-readable
-// artifact and applies the zero-drift gate against a committed baseline.
-func runScalability(jsonPath, baseline, mixFlag, distFlag string, window time.Duration, fanIn int, disp bypass.Dispatch, seed uint64, jobs int) error {
+// strategies, prints the curves and returns the SCALE artifact.
+func runScalability(mixFlag, distFlag string, window time.Duration, fanIn int, disp bypass.Dispatch, seed uint64, jobs int) ([]artifact, error) {
 	mix, err := workload.ParseMix(mixFlag)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dist, err := workload.ParseSizeDist(distFlag)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := bench.ScalabilitySweep(bench.ScalabilitySweepConfig{
 		Base:        workload.Config{Mix: mix, Sizes: dist, Window: window, Seed: seed, Dispatch: disp},
@@ -562,55 +591,27 @@ func runScalability(jsonPath, baseline, mixFlag, distFlag string, window time.Du
 		Workers:     jobs,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bench.PrintScalability(os.Stdout, res)
 	fmt.Printf("(%d jobs in %v on %d workers)\n",
 		len(res.Jobs), res.Wall.Round(time.Millisecond), jobs)
-	art := bench.NewScalabilityArtifact(res)
-	if jsonPath != "" {
-		path := jsonPath
-		if path == "auto" {
-			path = "SCALE_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteScalabilityArtifact(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if baseline != "" {
-		base, err := bench.LoadScalabilityArtifact(baseline)
-		if err != nil {
-			return err
-		}
-		if err := bench.CompareScalability(base, art); err != nil {
-			return err
-		}
-		fmt.Printf("baseline %s: no drift\n", baseline)
-	}
-	return nil
+	return []artifact{{"SCALE", bench.NewScalabilityArtifact(res)}}, nil
 }
 
 // runWorkload drives the traffic generator over the offered-load grid in
 // all three implementation configurations, prints the
-// latency-vs-offered-load curves (with the bisected knees), and optionally
-// writes the machine-readable artifact.
-func runWorkload(a workloadArgs) error {
+// latency-vs-offered-load curves (with the bisected knees), records the
+// trace if asked, and returns the WORKLOAD artifact, preceded by the
+// DECOMP artifact when a.decompArtifact is set.
+func runWorkload(a workloadArgs) ([]artifact, error) {
 	cfg, err := workloadSweepConfig(a)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := bench.WorkloadSweep(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bench.PrintWorkload(os.Stdout, res)
 	fmt.Printf("(%d jobs in %v on %d workers)\n",
@@ -618,91 +619,52 @@ func runWorkload(a workloadArgs) error {
 
 	if a.recordTrace != "" {
 		if res.Trace == nil {
-			return fmt.Errorf("-record-trace: the sweep recorded no trace")
+			return nil, fmt.Errorf("-record-trace: the sweep recorded no trace")
 		}
 		path := a.recordTrace
 		if path == "auto" {
 			path = "TRACE_" + time.Now().UTC().Format("2006-01-02") + ".json"
 		}
 		if err := workload.SaveTrace(path, res.Trace); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("wrote %s (%d events, %s)\n", path, len(res.Trace.Events), res.Trace.RecordedMode)
 	}
 
-	if a.decompPath != "" {
-		// The workload-integrated decomposition artifact: the fixed
-		// §4.2/§4.3 cells plus one decomposed cell per load point.
-		art, err := bench.RunDecomposition(bench.DecompConfig{Seed: a.seed, Workers: a.jobs})
-		if err != nil {
-			return err
+	var arts []artifact
+	if a.decomp {
+		decomp := &causal.Artifact{}
+		if a.decompArtifact {
+			// The workload-integrated decomposition artifact: the fixed
+			// §4.2/§4.3 cells plus one decomposed cell per load point.
+			if decomp, err = bench.RunDecomposition(bench.DecompConfig{Seed: a.seed, Workers: a.jobs}); err != nil {
+				return nil, err
+			}
+			arts = append(arts, artifact{"DECOMP", decomp})
 		}
-		art.Workload = bench.WorkloadDecomp(res)
-		if err := art.CheckConservation(); err != nil {
-			return err
+		decomp.Workload = bench.WorkloadDecomp(res)
+		if err := decomp.CheckConservation(); err != nil {
+			return nil, err
 		}
-		bench.PrintLatencyDecomp(os.Stdout, art)
-		path := a.decompPath
-		if path == "auto" {
-			path = "DECOMP_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := causal.Write(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	} else if a.decomp {
-		art := &causal.Artifact{Workload: bench.WorkloadDecomp(res)}
-		if err := art.CheckConservation(); err != nil {
-			return err
-		}
-		bench.PrintLatencyDecomp(os.Stdout, art)
+		bench.PrintLatencyDecomp(os.Stdout, decomp)
 	}
-
-	if a.jsonPath != "" {
-		path := a.jsonPath
-		if path == "auto" {
-			path = "WORKLOAD_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		art := &bench.Artifact{
-			SchemaVersion: bench.ArtifactSchemaVersion,
-			GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-			Scale:         "workload",
-			Seed:          a.seed,
-			Workload:      bench.NewWorkloadArtifact(res),
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteArtifact(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	return nil
+	return append(arts, artifact{"WORKLOAD", &bench.Artifact{
+		SchemaVersion: bench.ArtifactSchemaVersion,
+		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
+		Scale:         "workload",
+		Seed:          a.seed,
+		Workload:      bench.NewWorkloadArtifact(res),
+	}}), nil
 }
 
 // runPerf runs the single-run performance cells at the -par worker
-// count, prints the events/sec table, writes the PERF artifact, and
-// gates the simulated results against a committed baseline. The gate
-// ignores the worker count: a -par 4 run must produce the simulated
+// count, prints the events/sec table and returns the PERF artifact. The
+// gate ignores the worker count: a -par 4 run must produce the simulated
 // results of the -par 1 baseline, byte for byte.
-func runPerf(jsonPath, baseline string, par int, seed uint64, wallBudget time.Duration) error {
+func runPerf(par int, seed uint64) ([]artifact, error) {
 	art, err := bench.RunPerf(bench.PerfConfig{Par: par, Seed: seed})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bench.PrintPerf(os.Stdout, art)
 	for _, c := range art.Cells {
@@ -710,35 +672,7 @@ func runPerf(jsonPath, baseline string, par int, seed uint64, wallBudget time.Du
 			fmt.Printf("note: %s fell back to the single-queue engine (no safe partitioning)\n", c.Name)
 		}
 	}
-	if jsonPath != "" {
-		path := jsonPath
-		if path == "auto" {
-			path = "PERF_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := bench.WritePerfArtifact(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if baseline != "" {
-		base, err := bench.LoadPerfArtifact(baseline)
-		if err != nil {
-			return err
-		}
-		if err := bench.ComparePerf(base, art, wallBudget); err != nil {
-			return err
-		}
-		fmt.Printf("perf baseline %s: no drift\n", baseline)
-	}
-	return nil
+	return []artifact{{"PERF", art}}, nil
 }
 
 // runFaults runs the fault-injection soak workload (verified echo RPCs,
@@ -854,42 +788,14 @@ func rpcTrace(mode panda.Mode, cap int) (*trace.Log, error) {
 }
 
 // runDecomp runs the causal latency-decomposition sweep, prints the
-// §4.2/§4.3 tables, writes the DECOMP artifact, and applies the zero-drift
-// gate against a committed baseline.
-func runDecomp(path, baseline string, seed uint64, jobs int) error {
+// §4.2/§4.3 tables and returns the DECOMP artifact.
+func runDecomp(seed uint64, jobs int) ([]artifact, error) {
 	art, err := bench.RunDecomposition(bench.DecompConfig{Seed: seed, Workers: jobs})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bench.PrintLatencyDecomp(os.Stdout, art)
-	if path != "" {
-		if path == "auto" {
-			path = "DECOMP_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := causal.Write(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if baseline != "" {
-		base, err := causal.Load(baseline)
-		if err != nil {
-			return err
-		}
-		if err := causal.Compare(base, art); err != nil {
-			return err
-		}
-		fmt.Printf("baseline %s: no drift\n", baseline)
-	}
-	return nil
+	return []artifact{{"DECOMP", art}}, nil
 }
 
 // writeChromeTrace runs a fully traced scenario — a user-space 3-member
@@ -961,15 +867,6 @@ func writeTraceJSON(path string, cap int) error {
 			docs.Bypass = raw
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(docs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	_, err := writeJSON(path, docs)
+	return err
 }

@@ -2,11 +2,15 @@ package main
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"amoebasim/internal/bench"
+	"amoebasim/internal/causal"
 	"amoebasim/internal/panda"
 	"amoebasim/internal/workload"
 )
@@ -258,5 +262,82 @@ func TestWorkloadSweepConfigMultiTenant(t *testing.T) {
 		if _, err := workloadSweepConfig(bad); err == nil {
 			t.Errorf("workloadSweepConfig(%+v) accepted a malformed value", bad)
 		}
+	}
+}
+
+// TestFinishGatesEveryKind: main writes and gates each artifact kind in
+// one place. A run gates clean against its own output file, whatever the
+// host fields say; a drifted field fails and is named with the file; a
+// baseline of a kind the run did not build fails and names the file; a
+// run over the wall budget fails.
+func TestFinishGatesEveryKind(t *testing.T) {
+	const stamp = "2026-01-01T00:00:00Z"
+	for _, a := range []artifact{
+		{"BENCH", &bench.Artifact{SchemaVersion: bench.ArtifactSchemaVersion, GeneratedAt: stamp,
+			Scale: "quick", Seed: 5,
+			Table3: []bench.Table3Cell{{App: "sor", Impl: "user-space", Procs: 4, SimNS: 200, Answer: 7}}}},
+		{"WORKLOAD", &bench.Artifact{SchemaVersion: bench.ArtifactSchemaVersion, GeneratedAt: stamp,
+			Scale: "workload", Seed: 5,
+			Workload: &bench.WorkloadArtifact{Version: bench.WorkloadSchemaVersion, Loop: "open",
+				Points: []bench.WorkloadCell{{Impl: "user-space", OfferedOps: 400, Completed: 80}}}}},
+		{"DECOMP", &causal.Artifact{SchemaVersion: causal.SchemaVersion, GeneratedAt: stamp,
+			Seed: 5, Rounds: 50, Procs: 2,
+			Cells: []causal.Cell{{Impl: "kernel-space", Op: "rpc", Ops: 50, TotalNS: 1000,
+				Phases: causal.PhasesNS{WireNS: 1000}}}}},
+		{"SCALE", &bench.ScalabilityArtifact{SchemaVersion: bench.ScalabilitySchemaVersion, GeneratedAt: stamp,
+			Seed: 5, Mix: "group",
+			Cells: []bench.ScalabilityCell{{Strategy: "single", Procs: 16, KneeOps: 1000}}}},
+		{"PERF", &bench.PerfArtifact{SchemaVersion: bench.PerfSchemaVersion, GeneratedAt: stamp,
+			Seed: 5, Par: 1,
+			Cells: []bench.PerfCell{{Name: "perf/32proc", Procs: 32, Ops: 100, Checksum: 14926440533338159846}}}},
+	} {
+		t.Run(a.kind, func(t *testing.T) {
+			dir := t.TempDir()
+			out := filepath.Join(dir, a.kind+".json")
+			built := func() ([]artifact, error) { return []artifact{a}, nil }
+			if err := finish(built, map[string]string{a.kind: out}, "", 0); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited := func(old, new string) string {
+				if !strings.Contains(string(b), old) {
+					t.Fatalf("%s lacks %s", out, old)
+				}
+				path := filepath.Join(dir, "edited.json")
+				if err := os.WriteFile(path, []byte(strings.Replace(string(b), old, new, 1)), 0o666); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
+
+			if err := finish(built, nil, edited(stamp, "2027-07-07T00:00:00Z"), 0); err != nil {
+				t.Errorf("a host field gated: %v", err)
+			}
+			drifted := edited(`"seed": 5`, `"seed": 6`)
+			err = finish(built, nil, drifted, 0)
+			if err == nil || !strings.Contains(err.Error(), drifted) || !strings.Contains(err.Error(), "seed: 5, baseline 6") {
+				t.Errorf("drifted seed not reported with the file: %v", err)
+			}
+			var other any = &bench.PerfArtifact{}
+			if a.kind == "PERF" {
+				other = &causal.Artifact{}
+			}
+			for _, arts := range [][]artifact{nil, {{"OTHER", other}}} {
+				elsewhere := func() ([]artifact, error) { return arts, nil }
+				if err := finish(elsewhere, nil, out, 0); err == nil || !strings.Contains(err.Error(), out) {
+					t.Errorf("a baseline of a kind the run did not build: %v", err)
+				}
+			}
+			slow := func() ([]artifact, error) { time.Sleep(2 * time.Millisecond); return built() }
+			if err := finish(slow, nil, out, time.Millisecond); err == nil || !strings.Contains(err.Error(), "wall-clock") {
+				t.Errorf("a run over the wall budget passed: %v", err)
+			}
+			if err := finish(slow, nil, out, time.Hour); err != nil {
+				t.Errorf("a run inside the wall budget failed: %v", err)
+			}
+		})
 	}
 }

@@ -3,12 +3,9 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // quickSweep is the reduced configuration the artifact tests run: small
@@ -60,7 +57,7 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 	// And the flattened artifacts must gate cleanly against each other.
-	if err := CompareArtifacts(NewArtifact(seq), NewArtifact(par), 0); err != nil {
+	if err := Compare(roundTrip(t, NewArtifact(seq)), roundTrip(t, NewArtifact(par))); err != nil {
 		t.Errorf("artifacts drift across worker counts: %v", err)
 	}
 }
@@ -98,7 +95,7 @@ func TestArtifactSchema(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteArtifact(&buf, art); err != nil {
+	if err := Write(&buf, art); err != nil {
 		t.Fatal(err)
 	}
 	var keys map[string]json.RawMessage
@@ -111,26 +108,22 @@ func TestArtifactSchema(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadArtifact(path)
-	if err != nil {
+	back := new(Artifact)
+	if err := Decode(buf.Bytes(), back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(art, back) {
 		t.Error("artifact did not round-trip losslessly")
 	}
-	if err := CompareArtifacts(back, art, 0); err != nil {
+	if err := Compare(back, art); err != nil {
 		t.Errorf("self-comparison must be drift-free: %v", err)
 	}
 }
 
-// TestCompareArtifactsDetectsDrift: any changed cell fails the gate and
-// is named in the error; wall-clock only trips an explicit budget.
+// TestCompareArtifactsDetectsDrift: the gate's contract on the BENCH
+// artifact.
 func TestCompareArtifactsDetectsDrift(t *testing.T) {
-	base := &Artifact{
+	checkGate(t, &Artifact{
 		SchemaVersion: ArtifactSchemaVersion,
 		Scale:         "quick",
 		Seed:          5,
@@ -138,57 +131,15 @@ func TestCompareArtifactsDetectsDrift(t *testing.T) {
 		Table2:        []Table2Cell{{Op: "rpc", Impl: "user-space", BytesPerSec: 1000}},
 		Table3:        []Table3Cell{{App: "sor", Impl: "user-space", Procs: 4, SimNS: 200, Answer: 7}},
 		Wall:          WallStats{TotalMS: 50},
-	}
-	clone := func() *Artifact {
-		b, _ := json.Marshal(base)
-		var a Artifact
-		_ = json.Unmarshal(b, &a)
-		return &a
-	}
-
-	if err := CompareArtifacts(base, clone(), 0); err != nil {
-		t.Fatalf("identical artifacts must pass: %v", err)
-	}
-
-	cur := clone()
-	cur.Table1[0].SimNS = 101
-	cur.Table3[0].Answer = 8
-	err := CompareArtifacts(base, cur, 0)
-	if err == nil {
-		t.Fatal("drift not detected")
-	}
-	for _, want := range []string{"table1/0/unicast", "table3/sor/user-space/p=4", "answer 8"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("drift report missing %q:\n%v", want, err)
-		}
-	}
-
-	slow := clone()
-	slow.Wall.TotalMS = 10_000
-	if err := CompareArtifacts(base, slow, 0); err != nil {
-		t.Errorf("wall-clock must not gate without a budget: %v", err)
-	}
-	if err := CompareArtifacts(base, slow, 5*time.Second); err == nil {
-		t.Error("wall budget overrun not detected")
-	}
-
-	wrongCfg := clone()
-	wrongCfg.Seed = 6
-	if err := CompareArtifacts(base, wrongCfg, 0); err == nil {
-		t.Error("config mismatch not detected")
-	}
-
-	wrongSchema := clone()
-	wrongSchema.SchemaVersion++
-	if err := CompareArtifacts(base, wrongSchema, 0); err == nil {
-		t.Error("schema mismatch not detected")
-	}
-
-	missing := clone()
-	missing.Table3 = nil
-	if err := CompareArtifacts(base, missing, 0); err == nil {
-		t.Error("missing cells not detected")
-	}
+	}, gateEdits[Artifact]{
+		drift: func(a *Artifact) string { a.Table3[0].Answer = 8; return "table3[0].answer" },
+		host: func(a *Artifact) {
+			a.GeneratedAt = "2026-01-01T00:00:00Z"
+			a.Wall = WallStats{Workers: 8, TotalMS: 10_000, PerJob: []JobWall{{Name: "x", WallMS: 1}}}
+		},
+		bump: func(a *Artifact) { a.SchemaVersion++ },
+		drop: func(a *Artifact) { a.Table1 = nil },
+	})
 }
 
 // TestCommittedBaselineHasNoDrift is the regression gate in test form:
@@ -200,15 +151,13 @@ func TestCommittedBaselineHasNoDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-scale sweep")
 	}
-	base, err := LoadArtifact(filepath.Join("..", "..", "BENCH_baseline.json"))
-	if err != nil {
-		t.Fatalf("committed baseline missing: %v", err)
-	}
+	base := new(Artifact)
+	loadBaseline(t, "BENCH_baseline.json", base)
 	res, err := RunSweep(SweepConfig{Scale: base.Scale, Seed: base.Seed, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CompareArtifacts(base, NewArtifact(res), 0); err != nil {
+	if err := Compare(base, roundTrip(t, NewArtifact(res))); err != nil {
 		t.Errorf("drift against committed baseline:\n%v", err)
 	}
 }

@@ -116,7 +116,7 @@ func TestDecompositionJobsInvariance(t *testing.T) {
 		}
 		a.GeneratedAt = "" // the only non-deterministic field
 		var buf bytes.Buffer
-		if err := causal.Write(&buf, a); err != nil {
+		if err := Write(&buf, a); err != nil {
 			t.Fatal(err)
 		}
 		blobs = append(blobs, buf.Bytes())

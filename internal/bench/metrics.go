@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -78,16 +77,4 @@ func PrintObservability(w io.Writer, runs []ModeObservability) error {
 		}
 	}
 	return nil
-}
-
-// WriteObservabilityJSON dumps the appendix as indented JSON. Output is
-// deterministic for a given seed (series are sorted by canonical id).
-func WriteObservabilityJSON(w io.Writer, runs []ModeObservability) error {
-	b, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
 }

@@ -44,7 +44,7 @@ func TestObservabilityRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteObservabilityJSON(&buf, runs); err != nil {
+	if err := Write(&buf, runs); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	var back []ModeObservability

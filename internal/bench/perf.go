@@ -10,11 +10,8 @@ package bench
 // only the wall-clock and events/sec fields are host-dependent.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -31,12 +28,12 @@ const PerfSchemaVersion = 1
 
 // PerfArtifact is the machine-readable single-run performance baseline
 // (PERF_*.json). The per-cell simulated fields are gated with zero drift
-// tolerance; Par, WallMS and EventsPerSec are informational.
+// tolerance; the worker count and the host measurements are not.
 type PerfArtifact struct {
 	SchemaVersion int        `json:"schema_version"`
-	GeneratedAt   string     `json:"generated_at,omitempty"` // RFC 3339, informational
+	GeneratedAt   string     `json:"generated_at,omitempty" gate:"host"` // RFC 3339
 	Seed          uint64     `json:"seed"`
-	Par           int        `json:"par"` // worker count the run used, informational
+	Par           int        `json:"par" gate:"host"` // worker count the run used
 	Cells         []PerfCell `json:"cells"`
 }
 
@@ -57,9 +54,9 @@ type PerfCell struct {
 	Checksum uint64 `json:"checksum"`
 
 	// Host-dependent measurements, never gated.
-	Partitions   int     `json:"partitions"`     // engaged event-queue partitions
-	WallMS       float64 `json:"wall_ms"`        // host time for the window
-	EventsPerSec float64 `json:"events_per_sec"` // Events / wall seconds
+	Partitions   int     `json:"partitions" gate:"host"`     // engaged event-queue partitions
+	WallMS       float64 `json:"wall_ms" gate:"host"`        // host time for the window
+	EventsPerSec float64 `json:"events_per_sec" gate:"host"` // Events / wall seconds
 }
 
 // PerfConfig parameterizes the perf run.
@@ -186,89 +183,4 @@ func PrintPerf(w io.Writer, art *PerfArtifact) {
 			c.WallMS, c.EventsPerSec/1e6)
 	}
 	tw.Flush()
-}
-
-// WritePerfArtifact emits the artifact as indented JSON.
-func WritePerfArtifact(w io.Writer, art *PerfArtifact) error {
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// LoadPerfArtifact reads a PERF_*.json baseline from disk.
-func LoadPerfArtifact(path string) (*PerfArtifact, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var a PerfArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("parse perf baseline %s: %w", path, err)
-	}
-	return &a, nil
-}
-
-// ComparePerf is the perf regression gate: every deterministic field of
-// every cell must exactly equal the baseline — regardless of the worker
-// count either side ran with, since parallel execution is required to be
-// result-identical. Wall-clock and events/sec are host-dependent and
-// only checked against wallBudget (the summed wall of all cells; 0
-// disables the check).
-func ComparePerf(baseline, current *PerfArtifact, wallBudget time.Duration) error {
-	if baseline.SchemaVersion != current.SchemaVersion {
-		return fmt.Errorf("perf baseline schema v%d != current v%d: regenerate the baseline",
-			baseline.SchemaVersion, current.SchemaVersion)
-	}
-	if baseline.Seed != current.Seed {
-		return fmt.Errorf("perf config mismatch: baseline seed=%d vs current seed=%d",
-			baseline.Seed, current.Seed)
-	}
-	var drifts []string
-	drift := func(format string, args ...any) {
-		drifts = append(drifts, fmt.Sprintf(format, args...))
-	}
-	cells := make(map[string]PerfCell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		cells[c.Name] = c
-	}
-	if len(baseline.Cells) != len(current.Cells) {
-		drift("perf: %d cells, baseline has %d", len(current.Cells), len(baseline.Cells))
-	}
-	var wall float64
-	for _, c := range current.Cells {
-		wall += c.WallMS
-		want, ok := cells[c.Name]
-		if !ok {
-			drift("%s: cell missing from baseline", c.Name)
-			continue
-		}
-		if c.Procs != want.Procs || c.Segments != want.Segments || c.WindowMS != want.WindowMS {
-			drift("%s: shape (procs=%d segs=%d win=%gms), baseline (procs=%d segs=%d win=%gms)",
-				c.Name, c.Procs, c.Segments, c.WindowMS, want.Procs, want.Segments, want.WindowMS)
-			continue
-		}
-		if c.Ops != want.Ops {
-			drift("%s: ops %d, baseline %d", c.Name, c.Ops, want.Ops)
-		}
-		if c.Events != want.Events {
-			drift("%s: events %d, baseline %d", c.Name, c.Events, want.Events)
-		}
-		if c.SimNS != want.SimNS {
-			drift("%s: sim clock %dns, baseline %dns", c.Name, c.SimNS, want.SimNS)
-		}
-		if c.Checksum != want.Checksum {
-			drift("%s: client checksum %x, baseline %x", c.Name, c.Checksum, want.Checksum)
-		}
-	}
-	if wallBudget > 0 && wall > msFloat(wallBudget) {
-		drift("wall-clock: perf cells took %.0fms, budget %v", wall, wallBudget)
-	}
-	if len(drifts) > 0 {
-		return fmt.Errorf("perf baseline drift (%d):\n  %s", len(drifts), strings.Join(drifts, "\n  "))
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -28,32 +27,25 @@ func TestPerfCellParIdentity(t *testing.T) {
 	}
 }
 
-// TestComparePerfCatchesDrift: the gate flags a changed deterministic
-// field and ignores the host-dependent ones.
+// TestComparePerfCatchesDrift: the gate's contract on the PERF artifact,
+// whose host fields include the worker count and every cell's timing.
 func TestComparePerfCatchesDrift(t *testing.T) {
-	mk := func() *PerfArtifact {
-		return &PerfArtifact{
-			SchemaVersion: PerfSchemaVersion, Seed: 5, Par: 1,
-			Cells: []PerfCell{{
-				Name: "perf/32proc", Procs: 32, Segments: 4, WindowMS: 200,
-				Ops: 100, Events: 5000, SimNS: 42, Checksum: 7,
-				Partitions: 1, WallMS: 12, EventsPerSec: 1e6,
-			}},
-		}
-	}
-	base, cur := mk(), mk()
-	cur.Par = 4
-	cur.Cells[0].Partitions = 4
-	cur.Cells[0].WallMS = 99
-	cur.Cells[0].EventsPerSec = 5e6
-	if err := ComparePerf(base, cur, 0); err != nil {
-		t.Fatalf("host-dependent fields must not gate: %v", err)
-	}
-	cur.Cells[0].Events++
-	err := ComparePerf(base, cur, 0)
-	if err == nil || !strings.Contains(err.Error(), "events") {
-		t.Fatalf("drifted event count not caught: %v", err)
-	}
+	checkGate(t, &PerfArtifact{
+		SchemaVersion: PerfSchemaVersion, Seed: 5, Par: 1,
+		Cells: []PerfCell{{
+			Name: "perf/32proc", Procs: 32, Segments: 4, WindowMS: 200,
+			Ops: 100, Events: 5000, SimNS: 42, Checksum: 14926440533338159846,
+			Partitions: 1, WallMS: 12, EventsPerSec: 1e6,
+		}},
+	}, gateEdits[PerfArtifact]{
+		drift: func(a *PerfArtifact) string { a.Cells[0].Checksum--; return "cells[0].checksum" },
+		host: func(a *PerfArtifact) {
+			a.GeneratedAt, a.Par = "2026-01-01T00:00:00Z", 4
+			a.Cells[0].Partitions, a.Cells[0].WallMS, a.Cells[0].EventsPerSec = 4, 99, 5e6
+		},
+		bump: func(a *PerfArtifact) { a.SchemaVersion++ },
+		drop: func(a *PerfArtifact) { a.Cells = a.Cells[:0] },
+	})
 }
 
 // BenchmarkBigRun1000Procs is the macro benchmark: the 1000-processor,

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
 
 	"amoebasim/internal/cluster"
@@ -187,14 +184,14 @@ const ScalabilitySchemaVersion = 1
 // GeneratedAt and Wall is a pure function of the configuration and seed.
 type ScalabilityArtifact struct {
 	SchemaVersion int               `json:"schema_version"`
-	GeneratedAt   string            `json:"generated_at,omitempty"` // RFC 3339, informational
+	GeneratedAt   string            `json:"generated_at,omitempty" gate:"host"` // RFC 3339
 	Seed          uint64            `json:"seed"`
 	Mix           string            `json:"mix"`
 	Dist          string            `json:"dist"`
 	WindowMS      float64           `json:"window_ms"`
 	SwitchFanIn   int               `json:"switch_fan_in"`
 	Cells         []ScalabilityCell `json:"cells"`
-	Wall          WallStats         `json:"wall"`
+	Wall          WallStats         `json:"wall" gate:"host"`
 }
 
 // ScalabilityCell is one (strategy, cluster size) knee.
@@ -233,85 +230,8 @@ func NewScalabilityArtifact(res *ScalabilitySweepResult) *ScalabilityArtifact {
 			Bracketed:   p.Knee.Bracketed,
 		})
 	}
-	workers := res.Config.Workers
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	a.Wall = WallStats{Workers: workers, TotalMS: msFloat(res.Wall)}
-	if res.Wall > 0 {
-		a.Wall.JobsPerSec = float64(len(res.Jobs)) / res.Wall.Seconds()
-	}
-	for _, j := range res.Jobs {
-		a.Wall.PerJob = append(a.Wall.PerJob, JobWall{Name: j.Name, WallMS: msFloat(j.Wall)})
-	}
+	a.Wall = newWallStats(res.Config.Workers, res.Wall, res.Jobs)
 	return a
-}
-
-// WriteScalabilityArtifact emits the artifact as indented JSON.
-func WriteScalabilityArtifact(w io.Writer, a *ScalabilityArtifact) error {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// LoadScalabilityArtifact reads a SCALE_*.json baseline from disk.
-func LoadScalabilityArtifact(path string) (*ScalabilityArtifact, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var a ScalabilityArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("parse scalability baseline %s: %w", path, err)
-	}
-	return &a, nil
-}
-
-// CompareScalability is the regression gate: every knee cell of current
-// must exactly equal its baseline counterpart (zero drift tolerance).
-// GeneratedAt and Wall are host-dependent and never diffed.
-func CompareScalability(baseline, current *ScalabilityArtifact) error {
-	if baseline.SchemaVersion != current.SchemaVersion {
-		return fmt.Errorf("scalability baseline schema v%d != current v%d: regenerate the baseline",
-			baseline.SchemaVersion, current.SchemaVersion)
-	}
-	if baseline.Seed != current.Seed || baseline.Mix != current.Mix ||
-		baseline.Dist != current.Dist || baseline.WindowMS != current.WindowMS ||
-		baseline.SwitchFanIn != current.SwitchFanIn {
-		return fmt.Errorf("scalability config mismatch: baseline (seed=%d mix=%s dist=%s window=%gms fanin=%d) vs current (seed=%d mix=%s dist=%s window=%gms fanin=%d)",
-			baseline.Seed, baseline.Mix, baseline.Dist, baseline.WindowMS, baseline.SwitchFanIn,
-			current.Seed, current.Mix, current.Dist, current.WindowMS, current.SwitchFanIn)
-	}
-	var drifts []string
-	drift := func(format string, args ...any) {
-		drifts = append(drifts, fmt.Sprintf(format, args...))
-	}
-	cells := make(map[string]ScalabilityCell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		cells[fmt.Sprintf("%s/p=%d", c.Strategy, c.Procs)] = c
-	}
-	if len(baseline.Cells) != len(current.Cells) {
-		drift("scalability: %d cells, baseline has %d", len(current.Cells), len(baseline.Cells))
-	}
-	for _, c := range current.Cells {
-		key := fmt.Sprintf("%s/p=%d", c.Strategy, c.Procs)
-		want, ok := cells[key]
-		if !ok {
-			drift("scalability/%s: cell missing from baseline", key)
-			continue
-		}
-		if c != want {
-			drift("scalability/%s: %+v, baseline %+v", key, c, want)
-		}
-	}
-	if len(drifts) > 0 {
-		return fmt.Errorf("scalability baseline drift (%d):\n  %s", len(drifts), strings.Join(drifts, "\n  "))
-	}
-	return nil
 }
 
 // PrintScalability renders the knee-vs-cluster-size curves per strategy.

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -58,11 +55,10 @@ func TestScalabilitySweepBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestScalabilityCompareDetectsDrift: the zero-tolerance gate accepts an
-// artifact against itself, and rejects knee drift, missing cells and
-// configuration mismatches.
+// TestScalabilityCompareDetectsDrift: the gate's contract on the SCALE
+// artifact.
 func TestScalabilityCompareDetectsDrift(t *testing.T) {
-	base := &ScalabilityArtifact{
+	checkGate(t, &ScalabilityArtifact{
 		SchemaVersion: ScalabilitySchemaVersion,
 		Seed:          5, Mix: "group", Dist: "fixed:256",
 		WindowMS: 200, SwitchFanIn: 8,
@@ -70,51 +66,15 @@ func TestScalabilityCompareDetectsDrift(t *testing.T) {
 			{Strategy: "single", Procs: 16, Shards: 1, Segments: 2, KneeOps: 1000, Unsustained: 1100, Probes: 7, Bracketed: true},
 			{Strategy: "sharded", Procs: 16, Shards: 8, Segments: 2, KneeOps: 1500, Unsustained: 1600, Probes: 7, Bracketed: true},
 		},
-	}
-	if err := CompareScalability(base, base); err != nil {
-		t.Fatalf("artifact drifted against itself: %v", err)
-	}
-
-	drifted := *base
-	drifted.Cells = append([]ScalabilityCell(nil), base.Cells...)
-	drifted.Cells[1].KneeOps = 1450
-	err := CompareScalability(base, &drifted)
-	if err == nil || !strings.Contains(err.Error(), "sharded/p=16") {
-		t.Fatalf("knee drift not flagged: %v", err)
-	}
-
-	missing := *base
-	missing.Cells = base.Cells[:1]
-	if err := CompareScalability(base, &missing); err == nil {
-		t.Fatal("missing cell not flagged")
-	}
-
-	reseeded := *base
-	reseeded.Seed = 6
-	err = CompareScalability(base, &reseeded)
-	if err == nil || !strings.Contains(err.Error(), "config mismatch") {
-		t.Fatalf("config mismatch not flagged: %v", err)
-	}
-
-	// Round trip through disk.
-	path := filepath.Join(t.TempDir(), "SCALE_test.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteScalabilityArtifact(f, base); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadScalabilityArtifact(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompareScalability(base, loaded); err != nil {
-		t.Fatalf("round-tripped artifact drifted: %v", err)
-	}
+	}, gateEdits[ScalabilityArtifact]{
+		drift: func(a *ScalabilityArtifact) string { a.Cells[1].KneeOps = 1450; return "cells[1].knee_ops_per_sec" },
+		host: func(a *ScalabilityArtifact) {
+			a.GeneratedAt = "2026-01-01T00:00:00Z"
+			a.Wall = WallStats{Workers: 4, TotalMS: 99}
+		},
+		bump: func(a *ScalabilityArtifact) { a.SchemaVersion++ },
+		drop: func(a *ScalabilityArtifact) { a.Cells = a.Cells[:1] },
+	})
 }
 
 // TestCommittedScalabilityBaselineShardedScaling is the PR's acceptance
@@ -124,10 +84,8 @@ func TestScalabilityCompareDetectsDrift(t *testing.T) {
 // regenerated with
 // `go run ./cmd/amoebasim -scalability -scalability-json SCALE_baseline.json`.
 func TestCommittedScalabilityBaselineShardedScaling(t *testing.T) {
-	a, err := LoadScalabilityArtifact(filepath.Join("..", "..", "SCALE_baseline.json"))
-	if err != nil {
-		t.Fatalf("committed scalability baseline missing: %v", err)
-	}
+	a := new(ScalabilityArtifact)
+	loadBaseline(t, "SCALE_baseline.json", a)
 	if a.SchemaVersion != ScalabilitySchemaVersion {
 		t.Fatalf("baseline schema v%d, want v%d", a.SchemaVersion, ScalabilitySchemaVersion)
 	}

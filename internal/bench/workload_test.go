@@ -257,112 +257,46 @@ func TestBypassKneeOrdering(t *testing.T) {
 	}
 }
 
-// TestArtifactV1BaselineBackCompat: schema-v1 baselines written before
-// the workload engine existed (no "workload" key) must load, round-trip
-// without growing the key, and still gate cleanly — including against a
-// current run that does carry a workload section.
-func TestArtifactV1BaselineBackCompat(t *testing.T) {
-	v1 := []byte(`{
-	  "schema_version": 1,
-	  "scale": "quick",
-	  "seed": 5,
-	  "table1": [{"size_bytes": 0, "column": "unicast", "sim_ns": 100}],
-	  "table2": [{"op": "rpc", "impl": "user-space", "bytes_per_sec": 1000}],
-	  "table3": [{"app": "sor", "impl": "user-space", "procs": 4, "sim_ns": 200, "answer": 7}],
-	  "wall": {"workers": 1, "total_ms": 10, "jobs_per_sec": 1, "per_job": null}
-	}`)
-	var base Artifact
-	if err := json.Unmarshal(v1, &base); err != nil {
-		t.Fatal(err)
-	}
-	if base.Workload != nil {
-		t.Fatal("pre-workload baseline decoded with a workload section")
-	}
-	out, err := json.Marshal(&base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(out), `"workload"`) {
-		t.Errorf("re-marshaled v1 baseline grew a workload key:\n%s", out)
-	}
-	if err := CompareArtifacts(&base, &base, 0); err != nil {
-		t.Errorf("v1 baseline self-comparison must pass: %v", err)
-	}
-
-	// A current run that has gained a workload section still passes
-	// against the old baseline: the section is only compared when the
-	// baseline carries one.
-	cur := base
-	cur.Workload = &WorkloadArtifact{
-		Version: WorkloadSchemaVersion,
-		Loop:    "open", Mix: "group", Dist: "fixed:256",
-		Clients: 8, Procs: 4, WindowMS: 400, Seed: 1,
-		Points: []WorkloadCell{{Impl: "user-space", OfferedOps: 400, AchievedOps: 398, Issued: 80, Completed: 80}},
-	}
-	if err := CompareArtifacts(&base, &cur, 0); err != nil {
-		t.Errorf("old baseline vs workload-bearing run must pass: %v", err)
-	}
-
-	// The reverse — a baseline with a section the current run dropped —
-	// is drift.
-	if err := CompareArtifacts(&cur, &base, 0); err == nil {
-		t.Error("dropped workload section not detected")
-	} else if !strings.Contains(err.Error(), "workload") {
-		t.Errorf("drift report does not name the workload section: %v", err)
-	}
-}
-
-// TestCompareWorkloadDetectsDrift: changed workload cells fail the gate
-// and are named; a section version mismatch refuses comparison outright.
+// TestCompareWorkloadDetectsDrift: the gate's contract on the WORKLOAD
+// artifact, whose workload section carries its own version; a nil
+// per-class list gates equal to an empty one.
 func TestCompareWorkloadDetectsDrift(t *testing.T) {
-	mk := func() *Artifact {
-		return &Artifact{
-			SchemaVersion: ArtifactSchemaVersion,
-			Scale:         "quick",
-			Seed:          5,
-			Workload: &WorkloadArtifact{
-				Version: WorkloadSchemaVersion,
-				Loop:    "open", Mix: "group", Dist: "fixed:256",
-				Clients: 8, Procs: 4, WindowMS: 400, Seed: 7,
-				Points: []WorkloadCell{
-					{Impl: "kernel-space", OfferedOps: 400, AchievedOps: 398, Issued: 80, Completed: 80, P50US: 900, P99US: 2100},
-					{Impl: "user-space", OfferedOps: 400, AchievedOps: 395, Issued: 80, Completed: 79, P50US: 1400, P99US: 3300},
-				},
-				Knees: []WorkloadKneeCell{
-					{Impl: "kernel-space", OpsPerSec: 1650, Unsustained: 1700, Probes: 8},
-					{Impl: "user-space", OpsPerSec: 1112, Unsustained: 1150, Probes: 8},
-				},
+	base := &Artifact{
+		SchemaVersion: ArtifactSchemaVersion,
+		Scale:         "workload",
+		Seed:          5,
+		Workload: &WorkloadArtifact{
+			Version: WorkloadSchemaVersion,
+			Loop:    "open", Mix: "group", Dist: "fixed:256",
+			Clients: 8, Procs: 4, WindowMS: 400, Seed: 7,
+			Points: []WorkloadCell{
+				{Impl: "kernel-space", OfferedOps: 400, AchievedOps: 398, Issued: 80, Completed: 80, P50US: 900, P99US: 2100},
+				{Impl: "user-space", OfferedOps: 400, AchievedOps: 395, Issued: 80, Completed: 79, P50US: 1400, P99US: 3300},
 			},
-		}
+			Knees: []WorkloadKneeCell{
+				{Impl: "kernel-space", OpsPerSec: 1650, Unsustained: 1700, Probes: 8},
+				{Impl: "user-space", OpsPerSec: 1112, Unsustained: 1150, Probes: 8},
+			},
+		},
 	}
-	base := mk()
-	if err := CompareArtifacts(base, mk(), 0); err != nil {
-		t.Fatalf("identical workload sections must pass: %v", err)
-	}
+	checkGate(t, base, gateEdits[Artifact]{
+		drift: func(a *Artifact) string { a.Workload.Points[1].P99US = 3400; return "workload.points[1].p99_us" },
+		host: func(a *Artifact) {
+			a.GeneratedAt = "2026-01-01T00:00:00Z"
+			a.Wall.TotalMS = 10
+		},
+		bump: func(a *Artifact) { a.Workload.Version++ },
+		drop: func(a *Artifact) { a.Workload.Knees = a.Workload.Knees[1:] },
+	})
 
-	cur := mk()
-	cur.Workload.Points[1].P99US = 3400
-	cur.Workload.Knees[0].OpsPerSec = 1600
-	err := CompareArtifacts(base, cur, 0)
-	if err == nil {
-		t.Fatal("workload drift not detected")
+	empty := roundTrip(t, base)
+	empty.Workload.Points[0].PerClass = []WorkloadClassCell{}
+	if err := Compare(base, empty); err != nil {
+		t.Errorf("an empty per-class list drifted from a nil one: %v", err)
 	}
-	for _, want := range []string{"workload/user-space/load=400", "workload/knee/kernel-space"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("drift report missing %q:\n%v", want, err)
-		}
-	}
-
-	shape := mk()
-	shape.Workload.Mix = "rpc"
-	if err := CompareArtifacts(base, shape, 0); err == nil {
-		t.Error("workload shape mismatch not detected")
-	}
-
-	ver := mk()
-	ver.Workload.Version++
-	err = CompareArtifacts(base, ver, 0)
-	if err == nil || !strings.Contains(err.Error(), "regenerate") {
-		t.Errorf("workload version mismatch must refuse comparison: %v", err)
+	dropped := roundTrip(t, base)
+	dropped.Workload = nil
+	if err := Compare(base, dropped); err == nil || !strings.Contains(err.Error(), "workload: missing from the run") {
+		t.Errorf("a dropped workload section not reported: %v", err)
 	}
 }

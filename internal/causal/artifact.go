@@ -1,10 +1,7 @@
 package causal
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 
 	"amoebasim/internal/sim"
@@ -17,8 +14,7 @@ import (
 const SchemaVersion = 2
 
 // PhasesNS is the closed phase set in nanoseconds of simulated time. The
-// struct is flat and `==`-comparable on purpose: the comparison gate
-// diffs cells with zero drift tolerance.
+// comparison gate diffs every phase with zero drift tolerance.
 type PhasesNS struct {
 	ClientNS     int64 `json:"client_ns"`
 	CrossingNS   int64 `json:"crossing_ns"`
@@ -96,11 +92,11 @@ type LoadCell struct {
 // Artifact is the machine-readable latency decomposition (DECOMP_*.json):
 // the §4.2/§4.3 tables in simulated time. Every cell is a pure function
 // of (seed, rounds, size, procs) — the simulation is deterministic — so
-// Compare diffs with zero drift tolerance. GeneratedAt is informational
-// and never compared.
+// the regression gate compares them with zero drift tolerance.
+// GeneratedAt is host data and never compared.
 type Artifact struct {
 	SchemaVersion int        `json:"schema_version"`
-	GeneratedAt   string     `json:"generated_at,omitempty"`
+	GeneratedAt   string     `json:"generated_at,omitempty" gate:"host"`
 	Seed          uint64     `json:"seed"`
 	Rounds        int        `json:"rounds"`
 	SizeBytes     int        `json:"size_bytes"`
@@ -126,85 +122,6 @@ func (a *Artifact) CheckConservation() error {
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("causal: conservation violated (%d):\n  %s", len(bad), strings.Join(bad, "\n  "))
-	}
-	return nil
-}
-
-// Write emits the artifact as indented JSON.
-func Write(w io.Writer, a *Artifact) error {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// Load reads a DECOMP_*.json artifact from disk.
-func Load(path string) (*Artifact, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var a Artifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("parse decomposition %s: %w", path, err)
-	}
-	return &a, nil
-}
-
-// Compare is the regression gate: every deterministic cell of current
-// must exactly equal its baseline counterpart (zero drift tolerance).
-func Compare(baseline, current *Artifact) error {
-	if baseline.SchemaVersion != current.SchemaVersion {
-		return fmt.Errorf("baseline schema v%d != current v%d: regenerate the baseline",
-			baseline.SchemaVersion, current.SchemaVersion)
-	}
-	if baseline.Seed != current.Seed || baseline.Rounds != current.Rounds ||
-		baseline.SizeBytes != current.SizeBytes || baseline.Procs != current.Procs {
-		return fmt.Errorf("config mismatch: baseline (seed=%d rounds=%d size=%d procs=%d) vs current (seed=%d rounds=%d size=%d procs=%d)",
-			baseline.Seed, baseline.Rounds, baseline.SizeBytes, baseline.Procs,
-			current.Seed, current.Rounds, current.SizeBytes, current.Procs)
-	}
-	var drifts []string
-	drift := func(format string, args ...any) {
-		drifts = append(drifts, fmt.Sprintf(format, args...))
-	}
-	cells := make(map[string]Cell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		cells[c.Impl+"/"+c.Op] = c
-	}
-	if len(baseline.Cells) != len(current.Cells) {
-		drift("cells: %d, baseline has %d", len(current.Cells), len(baseline.Cells))
-	}
-	for _, c := range current.Cells {
-		key := c.Impl + "/" + c.Op
-		want, ok := cells[key]
-		if !ok {
-			drift("%s: cell missing from baseline", key)
-		} else if c != want {
-			drift("%s: %+v, baseline %+v", key, c, want)
-		}
-	}
-	pts := make(map[string]LoadCell, len(baseline.Workload))
-	for _, c := range baseline.Workload {
-		pts[fmt.Sprintf("%s/load=%g/%s", c.Impl, c.OfferedOps, c.Op)] = c
-	}
-	if len(baseline.Workload) != len(current.Workload) {
-		drift("workload: %d points, baseline has %d", len(current.Workload), len(baseline.Workload))
-	}
-	for _, c := range current.Workload {
-		key := fmt.Sprintf("%s/load=%g/%s", c.Impl, c.OfferedOps, c.Op)
-		want, ok := pts[key]
-		if !ok {
-			drift("workload/%s: point missing from baseline", key)
-		} else if c != want {
-			drift("workload/%s: %+v, baseline %+v", key, c, want)
-		}
-	}
-	if len(drifts) > 0 {
-		return fmt.Errorf("decomposition drift (%d):\n  %s", len(drifts), strings.Join(drifts, "\n  "))
 	}
 	return nil
 }

@@ -180,38 +180,6 @@ func TestArtifactConservationGate(t *testing.T) {
 	}
 }
 
-// TestArtifactCompare: the zero-drift gate flags any cell change but
-// ignores the informational GeneratedAt stamp.
-func TestArtifactCompare(t *testing.T) {
-	mk := func() *Artifact {
-		return &Artifact{SchemaVersion: SchemaVersion, Seed: 1, Rounds: 50, Procs: 2,
-			Cells: []Cell{{Impl: "kernel-space", Op: "rpc", Ops: 50, TotalNS: 1000,
-				Phases: PhasesNS{WireNS: 1000}}},
-			Workload: []LoadCell{{Impl: "user-space", OfferedOps: 400, Op: "group",
-				Ops: 10, TotalNS: 500, Phases: PhasesNS{SeqServiceNS: 500}}},
-		}
-	}
-	base, cur := mk(), mk()
-	base.GeneratedAt, cur.GeneratedAt = "2026-01-01T00:00:00Z", "2026-02-02T00:00:00Z"
-	if err := Compare(base, cur); err != nil {
-		t.Fatalf("identical artifacts drifted: %v", err)
-	}
-	cur.Cells[0].TotalNS++
-	if err := Compare(base, cur); err == nil {
-		t.Fatal("cell drift not detected")
-	}
-	cur = mk()
-	cur.Workload[0].Phases.SeqServiceNS--
-	if err := Compare(base, cur); err == nil {
-		t.Fatal("workload drift not detected")
-	}
-	cur = mk()
-	cur.SchemaVersion++
-	if err := Compare(base, cur); err == nil {
-		t.Fatal("schema mismatch not detected")
-	}
-}
-
 // TestChromeExportWellFormed: a clean span log exports to parseable
 // Chrome trace-event JSON with one process per source, paired slices,
 // and a flow chain following the correlation id across sources, ordered

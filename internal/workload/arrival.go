@@ -69,12 +69,17 @@ func (s ArrivalSpec) shape() float64 {
 	return s.Shape
 }
 
+// finite reports whether v is neither NaN nor infinite. Every rate,
+// weight and shape parameter of a workload spec must be: NaN passes any
+// sign check, since every comparison with it is false.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 func (s ArrivalSpec) validate() error {
 	switch s.Kind {
 	case Poisson, UniformArrival, FixedArrival:
 		return nil
 	case GammaArrival, WeibullArrival:
-		if s.shape() <= 0 || math.IsNaN(s.Shape) || math.IsInf(s.Shape, 0) {
+		if !finite(s.Shape) || s.shape() <= 0 {
 			return fmt.Errorf("workload: %s arrival needs a positive shape, got %g", s.Kind, s.Shape)
 		}
 		return nil

@@ -111,10 +111,10 @@ func (s LoadShape) validate() error {
 		if s.Period < 0 {
 			return fmt.Errorf("workload: negative shape period %v", s.Period)
 		}
-		if d := s.duty(); d <= 0 || d >= 1 {
+		if d := s.duty(); !finite(d) || d <= 0 || d >= 1 {
 			return fmt.Errorf("workload: bursty duty %g outside (0, 1)", d)
 		}
-		if a := s.amplitude(); a <= 1 {
+		if a := s.amplitude(); !finite(a) || a <= 1 {
 			return fmt.Errorf("workload: bursty amplitude %g must exceed 1 (on/off rate ratio)", a)
 		}
 		return nil
@@ -122,7 +122,7 @@ func (s LoadShape) validate() error {
 		if s.Period < 0 {
 			return fmt.Errorf("workload: negative shape period %v", s.Period)
 		}
-		if a := s.amplitude(); a <= 0 || a >= 1 {
+		if a := s.amplitude(); !finite(a) || a <= 0 || a >= 1 {
 			return fmt.Errorf("workload: diurnal amplitude %g outside (0, 1)", a)
 		}
 		return nil
@@ -199,7 +199,7 @@ func ParseShape(s string) (LoadShape, error) {
 			continue // keep the default for this position
 		}
 		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
+		if err != nil || !finite(v) {
 			return LoadShape{}, fmt.Errorf("workload: bad shape parameter %q", raw)
 		}
 		*dst[i] = v
@@ -247,8 +247,8 @@ func (c Class) validate(procs int) error {
 	if c.Clients < 1 {
 		return fmt.Errorf("workload: class %s needs at least 1 client, got %d", c.Name, c.Clients)
 	}
-	if c.OfferedLoad < 0 {
-		return fmt.Errorf("workload: class %s has negative offered load %g", c.Name, c.OfferedLoad)
+	if !finite(c.OfferedLoad) || c.OfferedLoad < 0 {
+		return fmt.Errorf("workload: class %s has bad offered load %g (want a finite, non-negative number)", c.Name, c.OfferedLoad)
 	}
 	if c.ThinkTime < 0 {
 		return fmt.Errorf("workload: class %s has negative think time %v", c.Name, c.ThinkTime)
@@ -412,7 +412,7 @@ func ParseClasses(s string) ([]Class, error) {
 				}
 			case "load":
 				c.OfferedLoad, err = strconv.ParseFloat(v, 64)
-				if err != nil || c.OfferedLoad < 0 {
+				if err != nil || !finite(c.OfferedLoad) || c.OfferedLoad < 0 {
 					return nil, fmt.Errorf("workload: class %s: bad load %q", name, v)
 				}
 			case "mix":

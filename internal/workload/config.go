@@ -55,8 +55,8 @@ func (m Mix) total() float64 {
 
 func (m Mix) validate() error {
 	for op, w := range m.weights() {
-		if w < 0 {
-			return fmt.Errorf("workload: negative %s weight %g", Op(op), w)
+		if !finite(w) || w < 0 {
+			return fmt.Errorf("workload: bad %s weight %g (want a finite, non-negative number)", Op(op), w)
 		}
 	}
 	if m.total() <= 0 {
@@ -150,8 +150,8 @@ func ParseMix(s string) (Mix, error) {
 			return Mix{}, fmt.Errorf("workload: %w: bad element %q (want op=weight or a named mix: rpc, group, orca, mixed)", ErrInvalidMix, part)
 		}
 		w, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return Mix{}, fmt.Errorf("workload: %w: unparseable weight in %q", ErrInvalidMix, part)
+		if err != nil || !finite(w) {
+			return Mix{}, fmt.Errorf("workload: %w: weight in %q is not a finite number", ErrInvalidMix, part)
 		}
 		if w <= 0 {
 			return Mix{}, fmt.Errorf("workload: %w: weight in %q must be positive (omit the op instead of zeroing it)", ErrInvalidMix, part)
@@ -258,8 +258,8 @@ func ParseLoads(s string) ([]float64, error) {
 	var loads []float64
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("workload: bad load %q (want positive ops/sec)", f)
+		if err != nil || !finite(v) || v <= 0 {
+			return nil, fmt.Errorf("workload: bad load %q (want finite, positive ops/sec)", f)
 		}
 		loads = append(loads, v)
 	}
@@ -418,6 +418,9 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Window <= 0 || cfg.Warmup < 0 {
 		return fmt.Errorf("workload: bad warmup/window (%v/%v)", cfg.Warmup, cfg.Window)
+	}
+	if !finite(cfg.OfferedLoad) {
+		return fmt.Errorf("workload: offered load %g is not a finite number", cfg.OfferedLoad)
 	}
 	if len(cfg.Classes) == 0 {
 		if cfg.Clients < 1 {
