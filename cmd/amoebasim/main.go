@@ -8,7 +8,7 @@
 //	amoebasim -trace            protocol timeline of one null RPC per mode
 //	amoebasim -sweep latency    CSV latency-vs-size sweep (plottable)
 //	amoebasim -sweep speedup    CSV speedup curve for one app (-apps, -scale)
-//	amoebasim -metrics          per-layer metrics tables for both modes
+//	amoebasim -metrics          per-layer metrics tables for all three implementations
 //	amoebasim -metrics-json F   machine-readable metrics appendix to file F
 //	amoebasim -trace-json F     null-RPC span timelines as JSON to file F
 //	amoebasim -faults S         fault-injection soak under scenario S (list|all|name)
@@ -49,6 +49,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -76,7 +77,7 @@ func main() {
 		appsFlag   = flag.String("apps", "", "comma-separated subset of apps for table 3 (tsp,asp,ab,rl,sor,leq)")
 		procsFlag  = flag.String("procs", "", "comma-separated processor counts for table 3 (default 1,8,16,32)")
 		seed       = flag.Uint64("seed", 5, "workload seed")
-		metricsF   = flag.Bool("metrics", false, "print per-layer metrics tables for both implementations")
+		metricsF   = flag.Bool("metrics", false, "print per-layer metrics tables for all three implementations")
 		metricsJ   = flag.String("metrics-json", "", "write the metrics appendix as JSON to this file")
 		traceJ     = flag.String("trace-json", "", "write the null-RPC span timelines as JSON to this file")
 		faultsF    = flag.String("faults", "", "run the fault-injection soak: a scenario name, 'all', or 'list'")
@@ -119,19 +120,30 @@ func main() {
 	)
 	flag.Parse()
 	// Profiling teardown must run on every exit path, so the flag
-	// families dispatch through a closure that returns instead of exiting.
+	// families dispatch through a closure that returns instead of
+	// exiting. builds names the artifact kinds the selected family
+	// returns, so that a -baseline of another kind is refused before the
+	// run starts.
+	disp, err := bypass.ParseDispatch(*dispatchF)
+	var builds []string
 	dispatch := func() ([]artifact, error) {
-		disp, err := bypass.ParseDispatch(*dispatchF)
-		if err != nil {
-			return nil, err
-		}
-		if *perfF || *perfJSON != "" {
-			return runPerf(*par, *seed)
-		}
-		if *scalab || *scalabJ != "" {
+		return nil, run(*table, *decompose, *traceFlag, *all, *sweep, *scale, *appsFlag, *procsFlag, *seed, *metricsF, *metricsJ, *traceJ, *chromeTr, *traceCap, *jobs)
+	}
+	switch {
+	case *perfF || *perfJSON != "":
+		builds = []string{"PERF"}
+		dispatch = func() ([]artifact, error) { return runPerf(*par, *seed) }
+	case *scalab || *scalabJ != "":
+		builds = []string{"SCALE"}
+		dispatch = func() ([]artifact, error) {
 			return runScalability(*mixFlag, *distFlag, *wlWindow, *wlFanIn, disp, *seed, *jobs)
 		}
-		if *workloadF != "" || *workloadJ != "" || *repTrace != "" || *recTrace != "" {
+	case *workloadF != "" || *workloadJ != "" || *repTrace != "" || *recTrace != "":
+		builds = []string{"WORKLOAD"}
+		if *decompJSON != "" {
+			builds = []string{"DECOMP", "WORKLOAD"}
+		}
+		dispatch = func() ([]artifact, error) {
 			return runWorkload(workloadArgs{
 				loop: *workloadF, loads: *loads, clients: *clients, mix: *mixFlag,
 				dist: *distFlag, arrival: *arrival, think: *think, procs: *wlProcs,
@@ -143,26 +155,26 @@ func main() {
 				decomp: *wlDecomp || *decompJSON != "", decompArtifact: *decompJSON != "",
 			})
 		}
-		if *faultsF != "" {
-			return nil, runFaults(*faultsF, *seed, *faultSeed, *jobs)
-		}
-		if *decompJSON != "" {
-			return runDecomp(*seed, *jobs)
-		}
-		if *benchJSON != "" || *baseline != "" {
-			return runBenchSweep(*scale, *appsFlag, *procsFlag, *seed, *jobs)
-		}
-		return nil, run(*table, *decompose, *traceFlag, *all, *sweep, *scale, *appsFlag, *procsFlag, *seed, *metricsF, *metricsJ, *traceJ, *chromeTr, *traceCap, *jobs)
+	case *faultsF != "":
+		dispatch = func() ([]artifact, error) { return nil, runFaults(*faultsF, *seed, *faultSeed, *jobs) }
+	case *decompJSON != "":
+		builds = []string{"DECOMP"}
+		dispatch = func() ([]artifact, error) { return runDecomp(*seed, *jobs) }
+	case *benchJSON != "" || *baseline != "":
+		builds = []string{"BENCH"}
+		dispatch = func() ([]artifact, error) { return runBenchSweep(*scale, *appsFlag, *procsFlag, *seed, *jobs) }
 	}
 	outputs := map[string]string{
 		"BENCH": *benchJSON, "WORKLOAD": *workloadJ, "DECOMP": *decompJSON,
 		"SCALE": *scalabJ, "PERF": *perfJSON,
 	}
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err == nil {
-		err = finish(dispatch, outputs, *baseline, *wallBudget)
-		if perr := stopProfiles(); err == nil {
-			err = perr
+		var stopProfiles func() error
+		if stopProfiles, err = startProfiles(*cpuprofile, *memprofile); err == nil {
+			err = finish(builds, dispatch, outputs, *baseline, *wallBudget)
+			if perr := stopProfiles(); err == nil {
+				err = perr
+			}
 		}
 	}
 	if err != nil {
@@ -178,21 +190,34 @@ type artifact struct {
 	v    any
 }
 
-// finish runs the dispatched mode, writes each artifact it built to the
-// file its output flag names, gates the one the -baseline file decodes
-// into, and checks the run's host wall-clock against the budget.
-func finish(dispatch func() ([]artifact, error), outputs map[string]string, baseline string, wallBudget time.Duration) error {
+// finish first reads the -baseline file and refuses it unless it is an
+// artifact of a kind in builds, the kinds the dispatched mode returns.
+// It then runs the mode, writes each artifact it built to the file its
+// output flag names, gates the one of the baseline's kind, and checks
+// the run's host wall-clock against the budget.
+func finish(builds []string, dispatch func() ([]artifact, error), outputs map[string]string, baseline string, wallBudget time.Duration) error {
+	var base []byte
+	var baseKind string
+	if baseline != "" {
+		var err error
+		if base, err = os.ReadFile(baseline); err != nil {
+			return err
+		}
+		baseKind = artifactKind(base)
+		switch {
+		case baseKind == "":
+			return fmt.Errorf("baseline %s: not a BENCH, WORKLOAD, DECOMP, SCALE or PERF artifact", baseline)
+		case len(builds) == 0:
+			return fmt.Errorf("baseline %s: a %s artifact, and this run builds none", baseline, baseKind)
+		case !slices.Contains(builds, baseKind):
+			return fmt.Errorf("baseline %s: a %s artifact, and this run builds %s", baseline, baseKind, strings.Join(builds, " and "))
+		}
+	}
 	start := time.Now()
 	arts, err := dispatch()
 	took := time.Since(start)
 	if err != nil {
 		return err
-	}
-	var base []byte
-	if baseline != "" {
-		if base, err = os.ReadFile(baseline); err != nil {
-			return err
-		}
 	}
 	gated := false
 	for _, a := range arts {
@@ -207,7 +232,7 @@ func finish(dispatch func() ([]artifact, error), outputs map[string]string, base
 		if path != "" {
 			fmt.Printf("wrote %s\n", path)
 		}
-		if base == nil || gated {
+		if a.kind != baseKind || gated {
 			continue
 		}
 		if gated, err = bench.Gate(base, out, a.v); err != nil {
@@ -218,12 +243,36 @@ func finish(dispatch func() ([]artifact, error), outputs map[string]string, base
 		}
 	}
 	if base != nil && !gated {
-		return fmt.Errorf("baseline %s: the run built no artifact of its kind", baseline)
+		return fmt.Errorf("baseline %s: the run built no %s artifact", baseline, baseKind)
 	}
 	if wallBudget > 0 && took > wallBudget {
 		return fmt.Errorf("wall-clock: the run took %v, budget %v", took.Round(time.Millisecond), wallBudget)
 	}
 	return nil
+}
+
+// artifactKind reports the kind of the artifact b holds, or "" when it
+// holds none. bench.Decode is strict, so b decodes only into the type
+// that wrote it; BENCH and WORKLOAD share a type, and only a WORKLOAD
+// artifact has a workload section.
+func artifactKind(b []byte) string {
+	var a bench.Artifact
+	if bench.Decode(b, &a) == nil {
+		if a.Workload != nil {
+			return "WORKLOAD"
+		}
+		return "BENCH"
+	}
+	for _, k := range []artifact{
+		{"DECOMP", &causal.Artifact{}},
+		{"SCALE", &bench.ScalabilityArtifact{}},
+		{"PERF", &bench.PerfArtifact{}},
+	} {
+		if bench.Decode(b, k.v) == nil {
+			return k.kind
+		}
+	}
+	return ""
 }
 
 // writeJSON formats v with the artifact writer and, when path is set,
@@ -677,7 +726,7 @@ func runPerf(par int, seed uint64) ([]artifact, error) {
 
 // runFaults runs the fault-injection soak workload (verified echo RPCs,
 // ordered group sends, and the test-scale Orca applications) under one or
-// all shipped scenarios, in both implementations, fanned out over the
+// all shipped scenarios, in all three implementations, fanned out over the
 // worker pool.
 func runFaults(name string, seed, faultSeed uint64, jobs int) error {
 	if name == "list" {

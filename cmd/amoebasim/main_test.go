@@ -265,14 +265,10 @@ func TestWorkloadSweepConfigMultiTenant(t *testing.T) {
 	}
 }
 
-// TestFinishGatesEveryKind: main writes and gates each artifact kind in
-// one place. A run gates clean against its own output file, whatever the
-// host fields say; a drifted field fails and is named with the file; a
-// baseline of a kind the run did not build fails and names the file; a
-// run over the wall budget fails.
-func TestFinishGatesEveryKind(t *testing.T) {
-	const stamp = "2026-01-01T00:00:00Z"
-	for _, a := range []artifact{
+// sampleArtifacts returns one small artifact of each kind, each stamped
+// with the host field stamp and seed 5.
+func sampleArtifacts(stamp string) []artifact {
+	return []artifact{
 		{"BENCH", &bench.Artifact{SchemaVersion: bench.ArtifactSchemaVersion, GeneratedAt: stamp,
 			Scale: "quick", Seed: 5,
 			Table3: []bench.Table3Cell{{App: "sor", Impl: "user-space", Procs: 4, SimNS: 200, Answer: 7}}}},
@@ -290,12 +286,24 @@ func TestFinishGatesEveryKind(t *testing.T) {
 		{"PERF", &bench.PerfArtifact{SchemaVersion: bench.PerfSchemaVersion, GeneratedAt: stamp,
 			Seed: 5, Par: 1,
 			Cells: []bench.PerfCell{{Name: "perf/32proc", Procs: 32, Ops: 100, Checksum: 14926440533338159846}}}},
-	} {
+	}
+}
+
+// TestFinishGatesEveryKind: main writes and gates each artifact kind in
+// one place. A run gates clean against its own output file, whatever the
+// host fields say; a drifted field fails and is named with the file; a
+// run that builds no artifact of the baseline's kind, though its mode
+// names that kind, fails and names the file; a run over the wall budget
+// fails.
+func TestFinishGatesEveryKind(t *testing.T) {
+	const stamp = "2026-01-01T00:00:00Z"
+	for _, a := range sampleArtifacts(stamp) {
 		t.Run(a.kind, func(t *testing.T) {
 			dir := t.TempDir()
 			out := filepath.Join(dir, a.kind+".json")
+			kinds := []string{a.kind}
 			built := func() ([]artifact, error) { return []artifact{a}, nil }
-			if err := finish(built, map[string]string{a.kind: out}, "", 0); err != nil {
+			if err := finish(kinds, built, map[string]string{a.kind: out}, "", 0); err != nil {
 				t.Fatal(err)
 			}
 			b, err := os.ReadFile(out)
@@ -313,11 +321,11 @@ func TestFinishGatesEveryKind(t *testing.T) {
 				return path
 			}
 
-			if err := finish(built, nil, edited(stamp, "2027-07-07T00:00:00Z"), 0); err != nil {
+			if err := finish(kinds, built, nil, edited(stamp, "2027-07-07T00:00:00Z"), 0); err != nil {
 				t.Errorf("a host field gated: %v", err)
 			}
 			drifted := edited(`"seed": 5`, `"seed": 6`)
-			err = finish(built, nil, drifted, 0)
+			err = finish(kinds, built, nil, drifted, 0)
 			if err == nil || !strings.Contains(err.Error(), drifted) || !strings.Contains(err.Error(), "seed: 5, baseline 6") {
 				t.Errorf("drifted seed not reported with the file: %v", err)
 			}
@@ -327,17 +335,53 @@ func TestFinishGatesEveryKind(t *testing.T) {
 			}
 			for _, arts := range [][]artifact{nil, {{"OTHER", other}}} {
 				elsewhere := func() ([]artifact, error) { return arts, nil }
-				if err := finish(elsewhere, nil, out, 0); err == nil || !strings.Contains(err.Error(), out) {
-					t.Errorf("a baseline of a kind the run did not build: %v", err)
+				if err := finish(kinds, elsewhere, nil, out, 0); err == nil || !strings.Contains(err.Error(), out) {
+					t.Errorf("a run that built no artifact of the baseline's kind: %v", err)
 				}
 			}
 			slow := func() ([]artifact, error) { time.Sleep(2 * time.Millisecond); return built() }
-			if err := finish(slow, nil, out, time.Millisecond); err == nil || !strings.Contains(err.Error(), "wall-clock") {
+			if err := finish(kinds, slow, nil, out, time.Millisecond); err == nil || !strings.Contains(err.Error(), "wall-clock") {
 				t.Errorf("a run over the wall budget passed: %v", err)
 			}
-			if err := finish(slow, nil, out, time.Hour); err != nil {
+			if err := finish(kinds, slow, nil, out, time.Hour); err != nil {
 				t.Errorf("a run inside the wall budget failed: %v", err)
 			}
 		})
+	}
+}
+
+// TestFinishRefusesBaselineBeforeRun: a -baseline file of a kind the
+// selected mode does not build, or no artifact at all, is refused before
+// the mode runs, and the error names the file and its kind.
+func TestFinishRefusesBaselineBeforeRun(t *testing.T) {
+	dir := t.TempDir()
+	refused := func() ([]artifact, error) {
+		t.Error("the run started under a baseline it cannot gate")
+		return nil, nil
+	}
+	arts := sampleArtifacts("2026-01-01T00:00:00Z")
+	for i, a := range arts {
+		path := filepath.Join(dir, a.kind+".json")
+		b, err := writeJSON(path, a.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := artifactKind(b); got != a.kind {
+			t.Errorf("%s reads as a %q artifact", path, got)
+		}
+		other := arts[(i+1)%len(arts)].kind
+		for _, builds := range [][]string{nil, {other}} {
+			err := finish(builds, refused, nil, path, 0)
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "a "+a.kind+" artifact") {
+				t.Errorf("a %s baseline under a run that builds %v: %v", a.kind, builds, err)
+			}
+		}
+	}
+	junk := filepath.Join(dir, "junk.json")
+	if err := os.WriteFile(junk, []byte(`{"kind": "none"}`), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := finish([]string{"BENCH"}, refused, nil, junk, 0); err == nil || !strings.Contains(err.Error(), junk) {
+		t.Errorf("a baseline that is no artifact: %v", err)
 	}
 }

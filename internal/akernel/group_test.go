@@ -3,6 +3,7 @@ package akernel_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -71,9 +72,15 @@ func (r *groupRig) send(i int, f func(th *proc.Thread, w *panda.Kernel)) {
 	r.kernels[i].Processor().NewThread("send", proc.PrioNormal, func(th *proc.Thread) { f(th, r.trs[i]) })
 }
 
-// counter reads kernel i's group counter name.
+// counter reads kernel i's group counter name from a snapshot.
 func (r *groupRig) counter(i int, name string) int64 {
-	return r.reg.Counter(name, metrics.L("proc", "cpu"+strconv.Itoa(i)), metrics.L("gid", kernelGID)).Value()
+	want := []metrics.Label{metrics.L("gid", kernelGID), metrics.L("proc", "cpu"+strconv.Itoa(i))}
+	for _, c := range r.reg.Snapshot().Counters {
+		if c.Name == name && slices.Equal(c.Labels, want) {
+			return c.Value
+		}
+	}
+	panic(fmt.Sprintf("no counter %s of kernel %d", name, i))
 }
 
 func allMembers(n int) []int {

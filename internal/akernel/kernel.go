@@ -58,16 +58,16 @@ type Kernel struct {
 	mx *kernMetrics // nil when metrics are disabled
 }
 
-// kernMetrics bundles the kernel's metric handles (labeled by processor).
+// kernMetrics bundles the kernel's metrics (labeled by processor).
 type kernMetrics struct {
-	rpcCalls      *metrics.Counter
-	rpcRetrans    *metrics.Counter
-	rpcServes     *metrics.Counter
-	rpcFailures   *metrics.Counter
-	acksExplicit  *metrics.Counter
-	rpcLatency    *metrics.Histogram
-	reasmTimeouts *metrics.Counter
-	rawQueueDepth *metrics.Gauge
+	rpcCalls      metrics.Counter   `metric:"akernel.rpc_calls"`
+	rpcRetrans    metrics.Counter   `metric:"akernel.rpc_retransmissions"`
+	rpcServes     metrics.Counter   `metric:"akernel.rpc_serves"`
+	rpcFailures   metrics.Counter   `metric:"akernel.rpc_failures"`
+	acksExplicit  metrics.Counter   `metric:"akernel.acks_explicit"`
+	rpcLatency    metrics.Histogram `metric:"akernel.rpc_latency_us"`
+	reasmTimeouts metrics.Counter   `metric:"akernel.reasm_timeouts"`
+	rawQueueDepth metrics.Gauge     `metric:"akernel.raw_queue_depth"`
 }
 
 // New boots a kernel on processor p, attached to segment seg of net.
@@ -84,17 +84,8 @@ func New(p *proc.Processor, net *ether.Network, seg int) (*Kernel, error) {
 		flip: st,
 	}
 	if reg := p.Sim().Metrics(); reg != nil {
-		l := metrics.L("proc", p.Name())
-		k.mx = &kernMetrics{
-			rpcCalls:      reg.Counter("akernel.rpc_calls", l),
-			rpcRetrans:    reg.Counter("akernel.rpc_retransmissions", l),
-			rpcServes:     reg.Counter("akernel.rpc_serves", l),
-			rpcFailures:   reg.Counter("akernel.rpc_failures", l),
-			acksExplicit:  reg.Counter("akernel.acks_explicit", l),
-			rpcLatency:    reg.Histogram("akernel.rpc_latency_us", l),
-			reasmTimeouts: reg.Counter("akernel.reasm_timeouts", l),
-			rawQueueDepth: reg.Gauge("akernel.raw_queue_depth", l),
-		}
+		k.mx = new(kernMetrics)
+		reg.Register(k.mx, metrics.L("proc", p.Name()))
 	}
 	k.rpc = newRPCModule(k)
 	k.raw = newRawModule(k)

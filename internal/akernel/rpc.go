@@ -141,7 +141,7 @@ func newRPCModule(k *Kernel) *rpcModule {
 	}
 	r.handleFn = r.handleNext
 	if k.mx != nil {
-		r.reasm.SetTimeoutCounter(k.mx.reasmTimeouts)
+		r.reasm.SetTimeoutCounter(&k.mx.reasmTimeouts)
 	}
 	k.flip.Register(r.replyTo)
 	return r

@@ -166,12 +166,12 @@ type FaultSoakRun struct {
 	Apps     []apps.Result
 }
 
-// FaultSoakSweep fans the scenario x mode soak matrix out over the
-// worker pool and returns the runs in deterministic (scenario-major,
-// kernel-space-first) order. Each soak owns its clusters, so results
+// FaultSoakSweep fans the scenario x implementation soak matrix out over
+// the worker pool and returns the runs in deterministic (scenario-major,
+// then panda.AllModes) order. Each soak owns its clusters, so results
 // are identical for any worker count.
 func FaultSoakSweep(scenarios []string, workSeed, faultSeed uint64, workers int) ([]FaultSoakRun, error) {
-	modes := []panda.Mode{panda.KernelSpace, panda.UserSpace}
+	modes := panda.AllModes()
 	runs := make([]FaultSoakRun, 0, len(scenarios)*len(modes))
 	for _, n := range scenarios {
 		for _, mode := range modes {

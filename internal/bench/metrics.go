@@ -52,17 +52,17 @@ func ObservabilityRun(mode panda.Mode, seed uint64) (ModeObservability, error) {
 	return ModeObservability{Mode: mode.String(), Metrics: c.Metrics.Snapshot()}, nil
 }
 
-// ObservabilityAppendix runs the workload in both modes.
+// ObservabilityAppendix runs the workload in every implementation.
 func ObservabilityAppendix(seed uint64) ([]ModeObservability, error) {
-	kern, err := ObservabilityRun(panda.KernelSpace, seed)
-	if err != nil {
-		return nil, err
+	var runs []ModeObservability
+	for _, mode := range panda.AllModes() {
+		run, err := ObservabilityRun(mode, seed)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
 	}
-	user, err := ObservabilityRun(panda.UserSpace, seed)
-	if err != nil {
-		return nil, err
-	}
-	return []ModeObservability{kern, user}, nil
+	return runs, nil
 }
 
 // PrintObservability renders per-layer metric tables for each mode.

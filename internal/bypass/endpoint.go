@@ -126,6 +126,8 @@ type Endpoint struct {
 	panda.RPC     // the stop-and-wait RPC, over the queue pair (qpLink)
 	*panda.Groups // the group protocol, over the queue pair; nil without groups
 
+	mx *panda.Metrics // the panda.* series user space publishes; nil when metrics are disabled
+
 	rawHandler panda.RawHandler
 }
 
@@ -172,6 +174,8 @@ func New(p *proc.Processor, net *ether.Network, segment int, cfg Config) (*Endpo
 	e.helper = panda.NewHelper(p, "qp-timer")
 	e.Groups = panda.NewGroups(p, cfg.Groups, (*qpLink)(e), e.helper, qpPlacement)
 	panda.InitRPC(&e.RPC, p, net, (*qpLink)(e), e.helper, qpPlacement)
+	e.mx = panda.RegisterMetrics(p, &e.RPC, e.Groups)
+	e.reasm.SetTimeoutCounter(e.mx.ReasmTimeouts())
 	e.consumer = p.NewThread("qp-consumer", proc.PrioDaemon, e.consumerLoop)
 	owned := e.Sequenced()
 	if len(owned) > 0 && cfg.Dedicated {
@@ -487,6 +491,7 @@ func (e *Endpoint) consumerLoop(t *proc.Thread) {
 func (e *Endpoint) sequencerLoop(gid int) func(t *proc.Thread) {
 	return func(t *proc.Thread) {
 		reasm := flip.NewReassembler(e.sim, e.m.RetransTimeout)
+		reasm.SetTimeoutCounter(e.mx.ReasmTimeouts())
 		match := func(f *bfrag) bool {
 			g, ok := seqTraffic(f)
 			return ok && g == gid

@@ -99,9 +99,14 @@ type Segment struct {
 	// segments of this segment's partition.
 	hops *hopPool
 
-	mxFrames *metrics.Counter // ether.segment_frames{seg=N}
-	mxBusyUS *metrics.Counter // ether.segment_busy_us{seg=N}
-	mxQueued *metrics.Counter // ether.frames_queued{seg=N}
+	mx *segMetrics // nil when metrics are disabled
+}
+
+// segMetrics bundles one segment's metrics (labeled by segment).
+type segMetrics struct {
+	frames metrics.Counter `metric:"ether.segment_frames"`
+	busyUS metrics.Counter `metric:"ether.segment_busy_us"`
+	queued metrics.Counter `metric:"ether.frames_queued"`
 }
 
 // hop is a pooled record for one scheduled step of a frame: the flat
@@ -218,8 +223,13 @@ type uplink struct {
 	frames int64
 	bytes  int64
 
-	mxFrames *metrics.Counter // ether.uplink_frames{uplink=N}
-	mxBusyUS *metrics.Counter // ether.uplink_busy_us{uplink=N}
+	mx *uplinkMetrics // nil when metrics are disabled
+}
+
+// uplinkMetrics bundles one uplink's metrics (labeled by switch group).
+type uplinkMetrics struct {
+	frames metrics.Counter `metric:"ether.uplink_frames"`
+	busyUS metrics.Counter `metric:"ether.uplink_busy_us"`
 }
 
 // Network is the full pool interconnect: segments plus a switch, or — in
@@ -246,15 +256,15 @@ type Network struct {
 	mx *netMetrics // nil when metrics are disabled
 }
 
-// netMetrics bundles the network-wide metric handles; the single pointer
-// keeps hot-path sites at one branch.
+// netMetrics bundles the network-wide metrics; the single pointer keeps
+// hot-path sites at one branch.
 type netMetrics struct {
-	framesSent   *metrics.Counter
-	bytesSent    *metrics.Counter
-	framesRecv   *metrics.Counter
-	dropsDown    *metrics.Counter
-	dropsLoss    *metrics.Counter
-	segForwarded *metrics.Counter
+	framesSent   metrics.Counter `metric:"ether.frames_sent"`
+	bytesSent    metrics.Counter `metric:"ether.bytes_sent"`
+	framesRecv   metrics.Counter `metric:"ether.frames_recv"`
+	dropsDown    metrics.Counter `metric:"ether.frames_dropped,cause=nic_down"`
+	dropsLoss    metrics.Counter `metric:"ether.frames_dropped,cause=loss"`
+	segForwarded metrics.Counter `metric:"ether.frames_forwarded"`
 }
 
 // New creates a network with the given number of segments. NICs are added
@@ -266,23 +276,16 @@ func New(s *sim.Sim, m *model.CostModel, segments int, seed uint64) *Network {
 	}
 	n := &Network{sim: s, m: m, rng: sim.NewRand(seed)}
 	pool := &hopPool{}
-	if reg := s.Metrics(); reg != nil {
-		n.mx = &netMetrics{
-			framesSent:   reg.Counter("ether.frames_sent"),
-			bytesSent:    reg.Counter("ether.bytes_sent"),
-			framesRecv:   reg.Counter("ether.frames_recv"),
-			dropsDown:    reg.Counter("ether.frames_dropped", metrics.L("cause", "nic_down")),
-			dropsLoss:    reg.Counter("ether.frames_dropped", metrics.L("cause", "loss")),
-			segForwarded: reg.Counter("ether.frames_forwarded"),
-		}
+	reg := s.Metrics()
+	if reg != nil {
+		n.mx = new(netMetrics)
+		reg.Register(n.mx)
 	}
 	for i := 0; i < segments; i++ {
 		seg := &Segment{id: i, sm: s, hops: pool}
-		if reg := s.Metrics(); reg != nil {
-			l := metrics.L("seg", strconv.Itoa(i))
-			seg.mxFrames = reg.Counter("ether.segment_frames", l)
-			seg.mxBusyUS = reg.Counter("ether.segment_busy_us", l)
-			seg.mxQueued = reg.Counter("ether.frames_queued", l)
+		if reg != nil {
+			seg.mx = new(segMetrics)
+			reg.Register(seg.mx, metrics.L("seg", strconv.Itoa(i)))
 		}
 		n.segments = append(n.segments, seg)
 	}
@@ -311,9 +314,8 @@ func NewWithTopology(s *sim.Sim, m *model.CostModel, topo Topology, seed uint64)
 	for g := 0; g < groups; g++ {
 		u := &uplink{group: g, sm: s}
 		if reg := s.Metrics(); reg != nil {
-			l := metrics.L("uplink", strconv.Itoa(g))
-			u.mxFrames = reg.Counter("ether.uplink_frames", l)
-			u.mxBusyUS = reg.Counter("ether.uplink_busy_us", l)
+			u.mx = new(uplinkMetrics)
+			reg.Register(u.mx, metrics.L("uplink", strconv.Itoa(g)))
 		}
 		n.uplinks = append(n.uplinks, u)
 	}
@@ -540,9 +542,9 @@ func (n *Network) uplinkTransit(u *uplink, at sim.Time, fr Frame) sim.Time {
 	u.sm.CausalSpan(fr.Op, sim.PhaseWire, at, out)
 	u.frames++
 	u.bytes += int64(fr.Size)
-	if u.mxFrames != nil {
-		u.mxFrames.Inc()
-		u.mxBusyUS.Add(tx.Microseconds())
+	if u.mx != nil {
+		u.mx.frames.Inc()
+		u.mx.busyUS.Add(tx.Microseconds())
 	}
 	return out
 }
@@ -647,11 +649,11 @@ func (n *Network) transmitOn(seg *Segment, fr Frame) sim.Time {
 	seg.sm.CausalSpan(fr.Op, sim.PhaseWire, seg.sm.Now(), seg.busyUntil)
 	seg.frames++
 	seg.bytes += int64(fr.Size)
-	if seg.mxFrames != nil {
-		seg.mxFrames.Inc()
-		seg.mxBusyUS.Add(tx.Microseconds())
+	if seg.mx != nil {
+		seg.mx.frames.Inc()
+		seg.mx.busyUS.Add(tx.Microseconds())
 		if queued {
-			seg.mxQueued.Inc()
+			seg.mx.queued.Inc()
 		}
 	}
 	return seg.busyUntil

@@ -204,17 +204,17 @@ type Stack struct {
 	mx *stackMetrics // nil when metrics are disabled
 }
 
-// stackMetrics bundles the per-stack metric handles (labeled by processor).
+// stackMetrics bundles the per-stack metrics (labeled by processor).
 type stackMetrics struct {
-	packetsSent *metrics.Counter
-	packetsRecv *metrics.Counter
-	bytesSent   *metrics.Counter
-	messages    *metrics.Counter
-	fragments   *metrics.Counter // extra fragments beyond the first packet
-	locates     *metrics.Counter
-	locateFails *metrics.Counter
-	routeDrops  *metrics.Counter // route-cache invalidations
-	queueDrops  *metrics.Counter // bounded pending-locate queue evictions
+	packetsSent metrics.Counter `metric:"flip.packets_sent"`
+	packetsRecv metrics.Counter `metric:"flip.packets_recv"`
+	bytesSent   metrics.Counter `metric:"flip.bytes_sent"`
+	messages    metrics.Counter `metric:"flip.messages_sent"`
+	fragments   metrics.Counter `metric:"flip.extra_fragments"` // extra fragments beyond the first packet
+	locates     metrics.Counter `metric:"flip.locates_sent"`
+	locateFails metrics.Counter `metric:"flip.locate_failures"`
+	routeDrops  metrics.Counter `metric:"flip.route_invalidations"` // route-cache invalidations
+	queueDrops  metrics.Counter `metric:"flip.locate_queue_drops"`  // bounded pending-locate queue evictions
 }
 
 // NewStack creates the FLIP instance for processor p, attaching a NIC on
@@ -239,18 +239,8 @@ func NewStack(p *proc.Processor, net *ether.Network, segment int) (*Stack, error
 	}
 	st.nic = nic
 	if reg := p.Sim().Metrics(); reg != nil {
-		l := metrics.L("proc", p.Name())
-		st.mx = &stackMetrics{
-			packetsSent: reg.Counter("flip.packets_sent", l),
-			packetsRecv: reg.Counter("flip.packets_recv", l),
-			bytesSent:   reg.Counter("flip.bytes_sent", l),
-			messages:    reg.Counter("flip.messages_sent", l),
-			fragments:   reg.Counter("flip.extra_fragments", l),
-			locates:     reg.Counter("flip.locates_sent", l),
-			locateFails: reg.Counter("flip.locate_failures", l),
-			routeDrops:  reg.Counter("flip.route_invalidations", l),
-			queueDrops:  reg.Counter("flip.locate_queue_drops", l),
-		}
+		st.mx = new(stackMetrics)
+		reg.Register(st.mx, metrics.L("proc", p.Name()))
 	}
 	return st, nil
 }

@@ -10,25 +10,31 @@ import (
 )
 
 // TestLookupCanonicalOrder pins that the scratch-based key builder
-// canonicalizes label order exactly like series creation does: any
-// permutation resolves to the same handle.
+// canonicalizes label order exactly like the snapshot does: any
+// permutation resolves to the same handle, and the snapshot names the
+// one series by its canonical identity.
 func TestLookupCanonicalOrder(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("flip.packets", L("proc", "cpu1"), L("nic", "0"), L("dir", "tx"))
 	b := r.Counter("flip.packets", L("dir", "tx"), L("proc", "cpu1"), L("nic", "0"))
 	c := r.Counter("flip.packets", L("nic", "0"), L("dir", "tx"), L("proc", "cpu1"))
 	if a != b || b != c {
-		t.Fatalf("label permutations resolved to distinct series: %q %q %q", a.ID(), b.ID(), c.ID())
+		t.Fatal("label permutations resolved to distinct series")
 	}
-	if want := "flip.packets{dir=tx,nic=0,proc=cpu1}"; a.ID() != want {
-		t.Fatalf("ID = %q, want %q", a.ID(), want)
+	snap := r.Snapshot()
+	if len(snap.Counters) != 1 {
+		t.Fatalf("snapshot has %d counters, want 1", len(snap.Counters))
+	}
+	s := snap.Counters[0]
+	if id, want := string(appendID(nil, s.Name, s.Labels)), "flip.packets{dir=tx,nic=0,proc=cpu1}"; id != want {
+		t.Fatalf("ID = %q, want %q", id, want)
 	}
 }
 
-// TestLookupZeroAlloc is the satellite budget: resolving an existing
-// handle — the path every layer hits at construction and any dynamic
-// call site hits per operation — must not allocate, for counters, gauges
-// and histograms, with and without labels.
+// TestLookupZeroAlloc: re-resolving an existing single series — the
+// path a series made while a run goes takes on each use — must not
+// allocate, for counters, gauges and histograms, with and without
+// labels.
 func TestLookupZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	labels := []Label{L("proc", "cpu0"), L("app", "tsp")}

@@ -4,12 +4,17 @@
 // proc) publishes into.
 //
 // The registry is attached to a simulation via sim.Sim.SetMetrics and is
-// nil by default. Layers resolve their handles once at construction time;
-// when metrics are disabled every hot-path site is guarded by a single
-// branch on a nil pointer (the same pattern as sim.Trace) and allocates
-// nothing. When enabled, Counter.Inc / Gauge.Set / Histogram.Observe are
-// plain field updates into preallocated storage — the simulation is
-// single-threaded, so no atomics or locks are needed.
+// nil by default. A layer keeps its series of one processor (or segment,
+// or scenario) in one struct of Counter, Gauge and Histogram values, each
+// field naming its series in a `metric:"name"` tag, and registers that
+// struct once with Register. The values hold no pointers, so a
+// registration is one pointer-free allocation by the layer and one record
+// appended by the registry; series identities are built only when a
+// Snapshot runs. When metrics are disabled the layer's struct pointer is
+// nil and every hot-path site is guarded by that single branch (the same
+// pattern as sim.Trace) and allocates nothing. When enabled,
+// Counter.Inc / Gauge.Set / Histogram.Observe are plain field updates —
+// the simulation is single-threaded, so no atomics or locks are needed.
 //
 // Snapshots are deterministic: series are exported sorted by name and
 // canonical label order, never by map iteration, so two same-seed runs
@@ -17,13 +22,17 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Label is one key=value dimension attached to a metric series.
@@ -35,34 +44,25 @@ type Label struct {
 // L constructs a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// series is the identity shared by all metric kinds.
-type series struct {
-	name   string
-	labels []Label // sorted by key
-	id     string  // canonical "name{k=v,...}" identity
-}
-
-// seriesKey canonicalizes (name, labels) into the registry's reused
-// scratch buffers and returns the "name{k=v,...}" identity as a byte
-// slice. Labels are ordered by (Key, Value) with a closure-free insertion
-// sort (label sets are tiny and usually already sorted, so this is one
-// comparison per label), and the key is built into a buffer that is
-// reused across lookups — resolving an existing handle allocates nothing.
-// The returned slice and r.lblBuf stay valid until the next seriesKey
-// call.
-func (r *Registry) seriesKey(name string, labels []Label) []byte {
-	ls := append(r.lblBuf[:0], labels...)
+// sortLabels orders ls by (Key, Value) in place with a closure-free
+// insertion sort: label sets are tiny and usually already sorted, so this
+// is one comparison per label.
+func sortLabels(ls []Label) {
 	for i := 1; i < len(ls); i++ {
 		for j := i; j > 0 && (ls[j].Key < ls[j-1].Key ||
 			(ls[j].Key == ls[j-1].Key && ls[j].Value < ls[j-1].Value)); j-- {
 			ls[j], ls[j-1] = ls[j-1], ls[j]
 		}
 	}
-	r.lblBuf = ls
-	b := append(r.keyBuf[:0], name...)
-	if len(ls) > 0 {
+}
+
+// appendID appends the canonical series identity "name{k=v,...}" of name
+// and its labels, already in canonical order, to b.
+func appendID(b []byte, name string, sorted []Label) []byte {
+	b = append(b, name...)
+	if len(sorted) > 0 {
 		b = append(b, '{')
-		for i, l := range ls {
+		for i, l := range sorted {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -72,26 +72,12 @@ func (r *Registry) seriesKey(name string, labels []Label) []byte {
 		}
 		b = append(b, '}')
 	}
-	r.keyBuf = b
 	return b
 }
-
-// newSeries pins a canonical series for a freshly created metric: the
-// scratch label order and key are copied into permanent storage.
-func newSeries(name string, sorted []Label, key []byte) series {
-	return series{name: name, labels: append([]Label(nil), sorted...), id: string(key)}
-}
-
-// Name returns the metric name (without labels).
-func (s *series) Name() string { return s.name }
-
-// ID returns the canonical series identity, e.g. "flip.packets_sent{proc=cpu0}".
-func (s *series) ID() string { return s.id }
 
 // Counter is a monotonically increasing count. The nil Counter is a valid
 // no-op, so call sites need no extra guard beyond their layer's own.
 type Counter struct {
-	series
 	v int64
 }
 
@@ -121,7 +107,6 @@ func (c *Counter) Value() int64 {
 // remembers the high-water mark, which is usually the number the analysis
 // wants. The nil Gauge is a valid no-op.
 type Gauge struct {
-	series
 	v, max int64
 }
 
@@ -164,7 +149,7 @@ func (g *Gauge) Max() int64 {
 // microseconds: a 1-2-5 ladder from 1 µs to 1 s, matching the µs-to-ms
 // scale of the paper's measurements. Observations above the last bound
 // land in an overflow bucket.
-var BucketBoundsUS = []int64{
+var BucketBoundsUS = [...]int64{
 	1, 2, 5, 10, 20, 50, 100, 200, 500,
 	1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000, 500000,
 	1000000,
@@ -175,8 +160,7 @@ var BucketBoundsUS = []int64{
 // exactly-tracked [Min, Max] range, so distributions built on bucket
 // boundaries yield exact percentiles. The nil Histogram is a valid no-op.
 type Histogram struct {
-	series
-	counts   []int64 // len(BucketBoundsUS)+1; last is overflow
+	counts   [len(BucketBoundsUS) + 1]int64 // last is overflow
 	count    int64
 	sum      time.Duration
 	min, max time.Duration
@@ -199,7 +183,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count++
 	h.sum += d
 	us := int64(d / time.Microsecond)
-	for i, le := range BucketBoundsUS {
+	for i, le := range &BucketBoundsUS {
 		if us <= le {
 			h.counts[i]++
 			return
@@ -261,7 +245,7 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 		rank = 1
 	}
 	var cum int64
-	for i, c := range h.counts {
+	for i, c := range &h.counts {
 		cum += c
 		if cum >= rank {
 			if i == len(BucketBoundsUS) {
@@ -280,43 +264,137 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return h.max
 }
 
+// kind is what a series holds.
+type kind uint8
+
+const (
+	kindCounter kind = iota
+	kindGauge
+	kindHistogram
+	numKinds
+)
+
+var kindOf = map[reflect.Type]kind{
+	reflect.TypeFor[Counter]():   kindCounter,
+	reflect.TypeFor[Gauge]():     kindGauge,
+	reflect.TypeFor[Histogram](): kindHistogram,
+}
+
+// field is one series of a registered struct type: its name, the fixed
+// labels its tag adds, what it holds and its offset in the struct.
+type field struct {
+	name  string
+	extra []Label
+	kind  kind
+	off   uintptr
+}
+
+// appendFields appends to fs the series of struct type t, which sits at
+// offset base of the registered struct. A Counter, Gauge or Histogram
+// field is named by its tag, `metric:"name"` or `metric:"name,k=v,..."`
+// with fixed extra labels; a field tagged "-" is left out; an untagged
+// field of another struct type is walked into. Anything else is a
+// programming error.
+func appendFields(fs []field, t reflect.Type, base uintptr) []field {
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		tag, tagged := sf.Tag.Lookup("metric")
+		k, isMetric := kindOf[sf.Type]
+		switch {
+		case tag == "-":
+		case isMetric && tag != "":
+			name, rest, _ := strings.Cut(tag, ",")
+			f := field{name: name, kind: k, off: base + sf.Offset}
+			for rest != "" {
+				var kv string
+				kv, rest, _ = strings.Cut(rest, ",")
+				key, value, ok := strings.Cut(kv, "=")
+				if !ok {
+					panic(fmt.Sprintf("metrics: %v.%s: label %q is not key=value", t, sf.Name, kv))
+				}
+				f.extra = append(f.extra, L(key, value))
+			}
+			fs = append(fs, f)
+		case !isMetric && !tagged && sf.Type.Kind() == reflect.Struct:
+			fs = appendFields(fs, sf.Type, base+sf.Offset)
+		default:
+			panic(fmt.Sprintf("metrics: %v.%s is neither a tagged Counter, Gauge or Histogram nor a struct of them", t, sf.Name))
+		}
+	}
+	return fs
+}
+
 // Registry holds every metric series of one simulation. The nil Registry
 // is valid and hands out nil handles, so disabled-metrics call sites cost
 // one branch and zero allocations.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	recs   []record
+	labels []Label                  // every record's labels, each a contiguous run
+	tables map[reflect.Type][]field // each registered struct type's fields, read once
 
-	// Reused scratch for series-identity lookups, so resolving an
-	// existing handle is allocation-free (see seriesKey).
+	// single indexes the series made one at a time (Counter, Gauge,
+	// Histogram) by kind and canonical identity into recs, so
+	// re-resolving one allocates nothing; keyBuf and lblBuf are its
+	// reused scratch.
+	single map[string]int
 	keyBuf []byte
 	lblBuf []Label
 }
 
+// record is one registration: the pointer to the struct (or single
+// series) that was registered, its field table, and its labels,
+// labels[lo:hi]. The pointer is kept typed, so reflect.DeepEqual compares
+// two registries by their values.
+type record struct {
+	mx     any
+	fields []field
+	lo, hi int
+}
+
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+func NewRegistry() *Registry { return &Registry{} }
+
+// Register adds the series of mx, a pointer to a struct of Counter, Gauge
+// and Histogram values, under labels; each field names its series in a
+// `metric` tag (see appendFields). The layer updates the values in place
+// and the registry reads them at each Snapshot. Registering two structs
+// that name the same series is a programming error that Snapshot reports.
+// A nil registry does nothing.
+func (r *Registry) Register(mx any, labels ...Label) {
+	if r == nil {
+		return
 	}
+	v := reflect.ValueOf(mx)
+	if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
+		panic(fmt.Sprintf("metrics: Register(%T): want a non-nil pointer to a struct", mx))
+	}
+	t := v.Type().Elem()
+	fields, ok := r.tables[t]
+	if !ok {
+		fields = appendFields(nil, t, 0)
+		if r.tables == nil {
+			r.tables = make(map[reflect.Type][]field)
+		}
+		r.tables[t] = fields
+	}
+	r.add(mx, fields, labels)
+}
+
+func (r *Registry) add(mx any, fields []field, labels []Label) {
+	lo := len(r.labels)
+	r.labels = append(r.labels, labels...)
+	r.recs = append(r.recs, record{mx: mx, fields: fields, lo: lo, hi: len(r.labels)})
 }
 
 // Counter returns the counter for (name, labels), creating it on first
-// use. Resolving an existing counter is allocation-free. A nil registry
+// use: a series made while a run goes, outside any registered struct.
+// Resolving an existing counter is allocation-free. A nil registry
 // returns a nil (no-op) handle.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := r.seriesKey(name, labels)
-	if c := r.counters[string(key)]; c != nil {
-		return c
-	}
-	c := &Counter{series: newSeries(name, r.lblBuf, key)}
-	r.counters[c.id] = c
-	return c
+	return r.lookup(kindCounter, name, labels).(*Counter)
 }
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
@@ -325,13 +403,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	key := r.seriesKey(name, labels)
-	if g := r.gauges[string(key)]; g != nil {
-		return g
-	}
-	g := &Gauge{series: newSeries(name, r.lblBuf, key)}
-	r.gauges[g.id] = g
-	return g
+	return r.lookup(kindGauge, name, labels).(*Gauge)
 }
 
 // Histogram returns the histogram for (name, labels), creating it on
@@ -340,13 +412,36 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	key := r.seriesKey(name, labels)
-	if h := r.hists[string(key)]; h != nil {
-		return h
+	return r.lookup(kindHistogram, name, labels).(*Histogram)
+}
+
+// lookup returns the single series of kind k for (name, labels), making
+// it on first use. The key is built in reused scratch and probed with the
+// compiler's no-copy map[string] lookup.
+func (r *Registry) lookup(k kind, name string, labels []Label) any {
+	ls := append(r.lblBuf[:0], labels...)
+	sortLabels(ls)
+	r.lblBuf = ls
+	key := appendID(append(r.keyBuf[:0], byte(k)), name, ls)
+	r.keyBuf = key
+	if i, ok := r.single[string(key)]; ok {
+		return r.recs[i].mx
 	}
-	h := &Histogram{series: newSeries(name, r.lblBuf, key), counts: make([]int64, len(BucketBoundsUS)+1)}
-	r.hists[h.id] = h
-	return h
+	var mx any
+	switch k {
+	case kindCounter:
+		mx = new(Counter)
+	case kindGauge:
+		mx = new(Gauge)
+	default:
+		mx = new(Histogram)
+	}
+	if r.single == nil {
+		r.single = make(map[string]int)
+	}
+	r.single[string(key)] = len(r.recs)
+	r.add(mx, []field{{name: name, kind: k}}, ls)
+	return mx
 }
 
 // ---- Snapshots ----
@@ -397,47 +492,73 @@ type Snapshot struct {
 
 func us(d time.Duration) int64 { return int64(d / time.Microsecond) }
 
-// Snapshot exports the registry's current state. A nil registry exports an
-// empty snapshot.
+// series is one series while a snapshot is built: its value, name and
+// canonical labels, and its identity, ids[lo:hi] of the snapshot's
+// identity buffer.
+type series struct {
+	p      unsafe.Pointer
+	name   string
+	labels []Label
+	lo, hi int
+}
+
+// Snapshot exports the registry's current state, each kind sorted by
+// series identity. Two series with one identity mean a series was
+// registered twice, and Snapshot panics naming it. A nil registry
+// exports an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var snap Snapshot
 	if r == nil {
 		return snap
 	}
-	ids := make([]string, 0, len(r.counters))
-	for id := range r.counters {
-		ids = append(ids, id)
+	var ids []byte
+	var byKind [numKinds][]series
+	for _, rec := range r.recs {
+		p := reflect.ValueOf(rec.mx).UnsafePointer()
+		// The record's labels in canonical order, shared by its fields
+		// that add none of their own.
+		var base []Label
+		if rec.hi > rec.lo {
+			base = append(base, r.labels[rec.lo:rec.hi]...)
+			sortLabels(base)
+		}
+		for _, f := range rec.fields {
+			ls := base
+			if len(f.extra) > 0 {
+				ls = append(append(make([]Label, 0, len(base)+len(f.extra)), base...), f.extra...)
+				sortLabels(ls)
+			}
+			lo := len(ids)
+			ids = appendID(ids, f.name, ls)
+			byKind[f.kind] = append(byKind[f.kind], series{
+				p: unsafe.Add(p, f.off), name: f.name, labels: ls, lo: lo, hi: len(ids)})
+		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		c := r.counters[id]
-		snap.Counters = append(snap.Counters, CounterSnap{Name: c.name, Labels: c.labels, Value: c.v})
+	for _, ss := range byKind {
+		slices.SortFunc(ss, func(a, b series) int { return bytes.Compare(ids[a.lo:a.hi], ids[b.lo:b.hi]) })
+		for i := 1; i < len(ss); i++ {
+			if id := ids[ss[i].lo:ss[i].hi]; bytes.Equal(id, ids[ss[i-1].lo:ss[i-1].hi]) {
+				panic(fmt.Sprintf("metrics: series %s registered twice", id))
+			}
+		}
 	}
 
-	ids = ids[:0]
-	for id := range r.gauges {
-		ids = append(ids, id)
+	for _, s := range byKind[kindCounter] {
+		snap.Counters = append(snap.Counters, CounterSnap{Name: s.name, Labels: s.labels, Value: (*Counter)(s.p).v})
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		g := r.gauges[id]
-		snap.Gauges = append(snap.Gauges, GaugeSnap{Name: g.name, Labels: g.labels, Value: g.v, Max: g.max})
+	for _, s := range byKind[kindGauge] {
+		g := (*Gauge)(s.p)
+		snap.Gauges = append(snap.Gauges, GaugeSnap{Name: s.name, Labels: s.labels, Value: g.v, Max: g.max})
 	}
-
-	ids = ids[:0]
-	for id := range r.hists {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		h := r.hists[id]
+	for _, s := range byKind[kindHistogram] {
+		h := (*Histogram)(s.p)
 		hs := HistogramSnap{
-			Name: h.name, Labels: h.labels,
+			Name: s.name, Labels: s.labels,
 			Count: h.count, SumUS: us(h.sum), MinUS: us(h.min), MaxUS: us(h.max),
 			P50US: us(h.Percentile(50)), P90US: us(h.Percentile(90)),
 			P99US: us(h.Percentile(99)), P999US: us(h.Percentile(99.9)),
 		}
-		for i, c := range h.counts {
+		for i, c := range &h.counts {
 			if c == 0 {
 				continue
 			}

@@ -59,12 +59,12 @@ type Runtime struct {
 	mx *orcaMetrics // nil when metrics are disabled
 }
 
-// orcaMetrics bundles the runtime's metric handles (labeled by processor).
+// orcaMetrics bundles the runtime's metrics (labeled by processor).
 type orcaMetrics struct {
-	guardBlocks  *metrics.Counter // operations suspended on a false guard
-	guardRetries *metrics.Counter // guard re-evaluations that stayed false
-	bcastWrites  *metrics.Counter // replicated-write broadcasts issued
-	remoteRPCs   *metrics.Counter // invocations shipped to a remote owner
+	guardBlocks  metrics.Counter `metric:"orca.guard_blocks"`  // operations suspended on a false guard
+	guardRetries metrics.Counter `metric:"orca.guard_retries"` // guard re-evaluations that stayed false
+	bcastWrites  metrics.Counter `metric:"orca.bcast_writes"`  // replicated-write broadcasts issued
+	remoteRPCs   metrics.Counter `metric:"orca.remote_rpcs"`   // invocations shipped to a remote owner
 }
 
 // NewProgram creates Orca runtimes over the given transports (one per
@@ -80,13 +80,8 @@ func NewProgram(transports []panda.Transport, procs []*proc.Processor) *Program 
 			pending: make(map[uint64]*localInv),
 		}
 		if reg := procs[i].Sim().Metrics(); reg != nil {
-			l := metrics.L("proc", procs[i].Name())
-			rt.mx = &orcaMetrics{
-				guardBlocks:  reg.Counter("orca.guard_blocks", l),
-				guardRetries: reg.Counter("orca.guard_retries", l),
-				bcastWrites:  reg.Counter("orca.bcast_writes", l),
-				remoteRPCs:   reg.Counter("orca.remote_rpcs", l),
-			}
+			rt.mx = new(orcaMetrics)
+			reg.Register(rt.mx, metrics.L("proc", procs[i].Name()))
 		}
 		tr.HandleRPC(rt.onRPC)
 		tr.HandleGroup(rt.onGroup)

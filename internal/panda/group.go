@@ -49,15 +49,17 @@ type Groups struct {
 	spares []*gsend // send records whose send is over
 }
 
-// groupMetrics bundles a group's counters. User space hands every group
-// the same set, kernel space each group its own.
+// groupMetrics is a group's counters under the series names of user
+// space and bypass, which hand every group of an instance the same set.
+// Kernel space registers the same fields under its own names, each group
+// its own set (kernGroupMetrics).
 type groupMetrics struct {
-	pbSends     *metrics.Counter
-	bbSends     *metrics.Counter
-	localSends  *metrics.Counter // sends sequenced in place; nil where the placement has none
-	sendRetrans *metrics.Counter
-	deliveries  *metrics.Counter
-	retransReqs *metrics.Counter
+	pbSends     metrics.Counter `metric:"panda.grp_pb_sends"`
+	bbSends     metrics.Counter `metric:"panda.grp_bb_sends"`
+	localSends  metrics.Counter `metric:"-"` // sends sequenced in place: kernel space only
+	sendRetrans metrics.Counter `metric:"panda.grp_send_retrans"`
+	deliveries  metrics.Counter `metric:"panda.grp_deliveries"`
+	retransReqs metrics.Counter `metric:"panda.grp_retrans_requests"`
 }
 
 type gkey struct {

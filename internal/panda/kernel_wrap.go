@@ -67,12 +67,29 @@ type Kernel struct {
 	daemons   int
 	available int
 
-	// Metric handles (nil when metrics are disabled). The relayed-replies
-	// counter tracks asynchronous replies that had to be routed back
-	// through the accepting daemon — the extra context switch the paper
-	// measures on guarded Orca operations.
-	mxRelayed *metrics.Counter
-	mxDaemons *metrics.Gauge
+	mx *kernelMetrics // nil when metrics are disabled
+}
+
+// kernelMetrics is the panda.* series of one kernel-space instance,
+// labeled by its processor. The relayed-replies counter tracks
+// asynchronous replies that had to be routed back through the accepting
+// daemon — the extra context switch the paper measures on guarded Orca
+// operations.
+type kernelMetrics struct {
+	relayed metrics.Counter `metric:"panda.relayed_replies"`
+	daemons metrics.Gauge   `metric:"panda.rpc_daemons"`
+}
+
+// kernGroupMetrics is groupMetrics under kernel space's series names,
+// which it registers for each group, labeled by processor and group; the
+// group core sees it through a conversion to groupMetrics.
+type kernGroupMetrics struct {
+	pbSends     metrics.Counter `metric:"akernel.grp_pb_sends"`
+	bbSends     metrics.Counter `metric:"akernel.grp_bb_sends"`
+	localSends  metrics.Counter `metric:"akernel.grp_local_sends"`
+	sendRetrans metrics.Counter `metric:"akernel.grp_send_retrans"`
+	deliveries  metrics.Counter `metric:"akernel.grp_deliveries"`
+	retransReqs metrics.Counter `metric:"akernel.grp_retrans_requests"`
 }
 
 var _ Transport = (*Kernel)(nil)
@@ -123,9 +140,8 @@ func NewKernel(k *akernel.Kernel, cfg KernelConfig) *Kernel {
 	w := &Kernel{id: p.ID(), k: k, p: p, m: p.Model(), sim: p.Sim(), st: k.FLIP()}
 	reg := w.sim.Metrics()
 	if reg != nil {
-		l := metrics.L("proc", p.Name())
-		w.mxRelayed = reg.Counter("panda.relayed_replies", l)
-		w.mxDaemons = reg.Gauge("panda.rpc_daemons", l)
+		w.mx = new(kernelMetrics)
+		reg.Register(w.mx, metrics.L("proc", p.Name()))
 	}
 	held := make([]GroupSpec, 0, len(cfg.Groups))
 	for _, spec := range cfg.Groups {
@@ -150,14 +166,9 @@ func NewKernel(k *akernel.Kernel, cfg KernelConfig) *Kernel {
 			if spec.Sequencer == w.id {
 				history = reg.Gauge("akernel.seq_history", lp, lg)
 			}
-			w.grp.setMetrics(spec.GID, &groupMetrics{
-				pbSends:     reg.Counter("akernel.grp_pb_sends", lp, lg),
-				bbSends:     reg.Counter("akernel.grp_bb_sends", lp, lg),
-				localSends:  reg.Counter("akernel.grp_local_sends", lp, lg),
-				sendRetrans: reg.Counter("akernel.grp_send_retrans", lp, lg),
-				deliveries:  reg.Counter("akernel.grp_deliveries", lp, lg),
-				retransReqs: reg.Counter("akernel.grp_retrans_requests", lp, lg),
-			}, history)
+			mx := new(kernGroupMetrics)
+			reg.Register(mx, lp, lg)
+			w.grp.setMetrics(spec.GID, (*groupMetrics)(mx), history)
 		}
 		if spec.Sequencer == w.id {
 			w.st.Register(seqAddress(gid))
@@ -380,7 +391,9 @@ type kernCtx struct {
 func (w *Kernel) spawnRPCDaemon() {
 	w.daemons++
 	w.available++
-	w.mxDaemons.Set(int64(w.daemons))
+	if w.mx != nil {
+		w.mx.daemons.Set(int64(w.daemons))
+	}
 	name := "pan-rpc-daemon-" + strconv.Itoa(w.daemons)
 	w.p.NewThread(name, proc.PrioDaemon, w.rpcDaemon)
 }
@@ -432,7 +445,9 @@ func (w *Kernel) Reply(t *proc.Thread, ctx *RPCContext, payload any, size int) {
 	}
 	kc.payload = payload
 	kc.size = size
-	w.mxRelayed.Inc()
+	if w.mx != nil {
+		w.mx.relayed.Inc()
+	}
 	// Signaling another kernel thread goes through the kernel.
 	t.Syscall()
 	t.Flush()

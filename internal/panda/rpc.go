@@ -45,16 +45,16 @@ type RPC struct {
 	srv     map[int]*srvChan
 }
 
-// rpcMetrics bundles the RPC core's metric handles. Only user space
-// registers them.
+// rpcMetrics is the RPC core's metrics. User space and bypass register
+// them, as part of Metrics.
 type rpcMetrics struct {
-	calls           *metrics.Counter
-	retrans         *metrics.Counter
-	upcalls         *metrics.Counter
-	failures        *metrics.Counter
-	acksPiggybacked *metrics.Counter
-	acksExplicit    *metrics.Counter
-	latency         *metrics.Histogram
+	calls           metrics.Counter   `metric:"panda.rpc_calls"`
+	retrans         metrics.Counter   `metric:"panda.rpc_retransmissions"`
+	upcalls         metrics.Counter   `metric:"panda.rpc_upcalls"`
+	failures        metrics.Counter   `metric:"panda.rpc_failures"`
+	acksPiggybacked metrics.Counter   `metric:"panda.acks_piggybacked"`
+	acksExplicit    metrics.Counter   `metric:"panda.acks_explicit"`
+	latency         metrics.Histogram `metric:"panda.rpc_latency_us"`
 }
 
 // InitRPC readies r, the RPC core a placement embeds, on processor p:

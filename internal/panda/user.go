@@ -114,15 +114,58 @@ type User struct {
 	iface      *Helper // interface-layer daemon (ablation), nil normally
 	rawHandler RawHandler
 
-	mx *userMetrics // nil when metrics are disabled
+	mx *Metrics // nil when metrics are disabled
 }
 
-// userMetrics bundles the instance's metric handles (labeled by
-// processor).
-type userMetrics struct {
+// Metrics is the panda.* series of one user-space or bypass instance,
+// labeled by its processor: its RPC core's, its reassembly timeouts, and
+// the counters that every group it holds shares.
+type Metrics struct {
 	rpc           rpcMetrics
-	reasmTimeouts *metrics.Counter
+	reasmTimeouts metrics.Counter `metric:"panda.reasm_timeouts"`
 	grp           groupMetrics
+}
+
+// RegisterMetrics registers the panda.* series of the instance on
+// processor p, whose RPC core is r and group table gs (nil without
+// groups), and hands the cores their metrics; each group the instance
+// sequences also gets a panda.seq_history gauge. It returns nil when the
+// simulator keeps no metrics.
+func RegisterMetrics(p *proc.Processor, r *RPC, gs *Groups) *Metrics {
+	reg := p.Sim().Metrics()
+	if reg == nil {
+		return nil
+	}
+	mx := new(Metrics)
+	reg.Register(mx, metrics.L("proc", p.Name()))
+	r.mx = &mx.rpc
+	if gs == nil {
+		return mx
+	}
+	for _, g := range gs.grps {
+		if g == nil {
+			continue
+		}
+		g.mx = &mx.grp
+		if g.seq != nil {
+			ls := []metrics.Label{metrics.L("proc", p.Name())}
+			if gid := g.spec.GID; gid > 0 {
+				ls = append(ls, metrics.L("gid", strconv.Itoa(gid)))
+			}
+			g.seq.gauge = reg.Gauge("panda.seq_history", ls...)
+		}
+	}
+	return mx
+}
+
+// ReasmTimeouts returns the counter of the partial messages that the
+// instance's reassemblers give up on (for
+// flip.Reassembler.SetTimeoutCounter), or nil when mx is nil.
+func (mx *Metrics) ReasmTimeouts() *metrics.Counter {
+	if mx == nil {
+		return nil
+	}
+	return &mx.reasmTimeouts
 }
 
 var _ Transport = (*User)(nil)
@@ -138,32 +181,7 @@ func NewUser(k *akernel.Kernel, cfg UserConfig) *User {
 		m:   p.Model(),
 		sim: p.Sim(),
 	}
-	if reg := u.sim.Metrics(); reg != nil {
-		l := metrics.L("proc", p.Name())
-		u.mx = &userMetrics{
-			rpc: rpcMetrics{
-				calls:           reg.Counter("panda.rpc_calls", l),
-				retrans:         reg.Counter("panda.rpc_retransmissions", l),
-				upcalls:         reg.Counter("panda.rpc_upcalls", l),
-				failures:        reg.Counter("panda.rpc_failures", l),
-				acksPiggybacked: reg.Counter("panda.acks_piggybacked", l),
-				acksExplicit:    reg.Counter("panda.acks_explicit", l),
-				latency:         reg.Histogram("panda.rpc_latency_us", l),
-			},
-			reasmTimeouts: reg.Counter("panda.reasm_timeouts", l),
-			grp: groupMetrics{
-				pbSends:     reg.Counter("panda.grp_pb_sends", l),
-				bbSends:     reg.Counter("panda.grp_bb_sends", l),
-				sendRetrans: reg.Counter("panda.grp_send_retrans", l),
-				deliveries:  reg.Counter("panda.grp_deliveries", l),
-				retransReqs: reg.Counter("panda.grp_retrans_requests", l),
-			},
-		}
-	}
 	u.reasm = flip.NewReassembler(u.sim, u.m.RetransTimeout)
-	if u.mx != nil {
-		u.reasm.SetTimeoutCounter(u.mx.reasmTimeouts)
-	}
 	k.RawRegister()
 	for _, gs := range cfg.Groups {
 		k.RawJoinGroup(groupAddr(gs.GID))
@@ -172,20 +190,8 @@ func NewUser(k *akernel.Kernel, cfg UserConfig) *User {
 	u.Groups = NewGroups(p, cfg.Groups, (*userLink)(u), u.helper, userPlacement)
 	InitRPC(&u.RPC, p, k.FLIP().Network(), (*userLink)(u), u.helper, userPlacement)
 	u.RPC.noPiggyback = cfg.NoPiggyback
-	if u.mx != nil {
-		u.RPC.mx = &u.mx.rpc
-		for _, gs := range cfg.Groups {
-			var history *metrics.Gauge
-			if u.Sequences(gs.GID) {
-				ls := []metrics.Label{metrics.L("proc", p.Name())}
-				if gs.GID > 0 {
-					ls = append(ls, metrics.L("gid", strconv.Itoa(gs.GID)))
-				}
-				history = u.sim.Metrics().Gauge("panda.seq_history", ls...)
-			}
-			u.setMetrics(gs.GID, &u.mx.grp, history)
-		}
-	}
+	u.mx = RegisterMetrics(p, &u.RPC, u.Groups)
+	u.reasm.SetTimeoutCounter(u.mx.ReasmTimeouts())
 	if cfg.InterfaceDaemon {
 		u.iface = NewHelper(p, "pan-iface")
 	}
@@ -354,9 +360,7 @@ func (u *User) ownsSeqTraffic(pk *flip.Packet) bool {
 func (u *User) sequencerLoop(gid int) func(t *proc.Thread) {
 	return func(t *proc.Thread) {
 		reasm := flip.NewReassembler(u.sim, u.m.RetransTimeout)
-		if u.mx != nil {
-			reasm.SetTimeoutCounter(u.mx.reasmTimeouts)
-		}
+		reasm.SetTimeoutCounter(u.mx.ReasmTimeouts())
 		match := func(pk *flip.Packet) bool {
 			g, ok := seqTraffic(pk)
 			return ok && g == gid

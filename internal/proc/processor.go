@@ -73,20 +73,20 @@ type Processor struct {
 
 // procMetrics mirrors the Stats counters onto the metrics registry. The
 // Stats struct remains the cheap always-on accounting (bench's
-// decomposition arithmetic depends on copies of it); the registry handles
-// are resolved once here so hot sites pay a single nil check.
+// decomposition arithmetic depends on copies of it); the struct is
+// registered once here so hot sites pay a single nil check.
 type procMetrics struct {
-	ctxSwitches    *metrics.Counter
-	coldDispatches *metrics.Counter
-	warmDispatches *metrics.Counter
-	directResumes  *metrics.Counter
-	preemptions    *metrics.Counter
-	interrupts     *metrics.Counter
-	traps          *metrics.Counter
-	syscalls       *metrics.Counter
-	locks          *metrics.Counter
-	threadsCreated *metrics.Counter
-	threadsDone    *metrics.Counter
+	ctxSwitches    metrics.Counter `metric:"proc.ctx_switches"`
+	coldDispatches metrics.Counter `metric:"proc.intr_dispatch_cold"`
+	warmDispatches metrics.Counter `metric:"proc.intr_dispatch_warm"`
+	directResumes  metrics.Counter `metric:"proc.direct_resumes"`
+	preemptions    metrics.Counter `metric:"proc.preemptions"`
+	interrupts     metrics.Counter `metric:"proc.interrupts"`
+	traps          metrics.Counter `metric:"proc.window_traps"`
+	syscalls       metrics.Counter `metric:"proc.syscalls"`
+	locks          metrics.Counter `metric:"proc.lock_ops"`
+	threadsCreated metrics.Counter `metric:"proc.threads_created"`
+	threadsDone    metrics.Counter `metric:"proc.threads_done"`
 }
 
 type intrItem struct {
@@ -110,20 +110,8 @@ func New(s *sim.Sim, m *model.CostModel, id int, name string) *Processor {
 	p.serviceFn = p.serviceIntrItem
 	p.dispatchFn = p.dispatch
 	if reg := s.Metrics(); reg != nil {
-		l := metrics.L("proc", name)
-		p.mx = &procMetrics{
-			ctxSwitches:    reg.Counter("proc.ctx_switches", l),
-			coldDispatches: reg.Counter("proc.intr_dispatch_cold", l),
-			warmDispatches: reg.Counter("proc.intr_dispatch_warm", l),
-			directResumes:  reg.Counter("proc.direct_resumes", l),
-			preemptions:    reg.Counter("proc.preemptions", l),
-			interrupts:     reg.Counter("proc.interrupts", l),
-			traps:          reg.Counter("proc.window_traps", l),
-			syscalls:       reg.Counter("proc.syscalls", l),
-			locks:          reg.Counter("proc.lock_ops", l),
-			threadsCreated: reg.Counter("proc.threads_created", l),
-			threadsDone:    reg.Counter("proc.threads_done", l),
-		}
+		p.mx = new(procMetrics)
+		reg.Register(p.mx, metrics.L("proc", name))
 	}
 	return p
 }
