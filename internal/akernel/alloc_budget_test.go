@@ -5,6 +5,7 @@ import (
 
 	"amoebasim/internal/flip"
 	"amoebasim/internal/proc"
+	"amoebasim/internal/sim"
 )
 
 // TestRawReceiveMatchZeroAlloc: a warm RawReceiveMatch that blocks until
@@ -17,7 +18,7 @@ func TestRawReceiveMatchZeroAlloc(t *testing.T) {
 	var received int
 	k.Processor().NewThread("daemon", proc.PrioDaemon, func(th *proc.Thread) {
 		for {
-			pk := k.RawReceiveMatch(th, nil)
+			pk := k.RawReceiveMatch(th, nil, sim.PhaseRecvQueue)
 			received++
 			k.RawRelease(pk)
 		}

@@ -12,12 +12,11 @@ import (
 // been optimized" (user-to-kernel address translation); RawPathOverhead in
 // the cost model captures that residual per-packet cost.
 type rawModule struct {
-	k         *Kernel
-	queue     []rawEntry
-	waiters   []*rawWaiter
-	free      []*rawWaiter // waiters whose RawReceiveMatch has returned
-	discard   func(*flip.Packet) bool
-	waitPhase func(*flip.Packet) sim.PhaseID
+	k       *Kernel
+	queue   []rawEntry
+	waiters []*rawWaiter
+	free    []*rawWaiter // waiters whose RawReceiveMatch has returned
+	discard func(*flip.Packet) bool
 }
 
 // rawEntry is one queued packet plus its enqueue instant, so the time it
@@ -50,12 +49,6 @@ func (k *Kernel) RawJoinGroup(a flip.Address) { k.flip.JoinGroup(a) }
 // group address.
 func (k *Kernel) RawDiscard(match func(*flip.Packet) bool) { k.raw.discard = match }
 
-// RawWaitPhase installs a classifier deciding which causal phase a
-// packet's wait in the raw receive queue belongs to (nil, the default,
-// classifies everything as PhaseRecvQueue). The user-space group
-// protocol classifies sequencer-bound traffic as PhaseSeqQueue.
-func (k *Kernel) RawWaitPhase(fn func(*flip.Packet) sim.PhaseID) { k.raw.waitPhase = fn }
-
 // RawNextMsgID allocates a FLIP message id (local bookkeeping, no
 // crossing).
 func (k *Kernel) RawNextMsgID() uint64 { return k.flip.NextMsgID() }
@@ -80,19 +73,16 @@ func (k *Kernel) RawSend(t *proc.Thread, dst flip.Address, msgID uint64, hdr, si
 	k.leaveKernel(t)
 }
 
-// RawReceive blocks the calling thread (the Panda system-layer daemon)
-// until a FLIP packet arrives for the user-space endpoint, then copies it
-// to user space. FLIP fragments large messages, so the daemon receives
-// packets, not messages: reassembly happens in user space.
-func (k *Kernel) RawReceive(t *proc.Thread) *flip.Packet {
-	return k.RawReceiveMatch(t, nil)
-}
-
-// RawReceiveMatch is RawReceive restricted to packets satisfying match
-// (nil matches everything). It lets a user-space protocol thread — e.g.
-// the Panda sequencer — block directly on its own traffic so an arriving
-// packet dispatches it straight out of the interrupt handler.
-func (k *Kernel) RawReceiveMatch(t *proc.Thread, match func(*flip.Packet) bool) *flip.Packet {
+// RawReceiveMatch blocks the calling thread until a FLIP packet
+// satisfying match (nil matches everything) arrives for the user-space
+// endpoint, then copies it to user space. FLIP fragments large messages,
+// so a user-space thread receives packets, not messages: reassembly
+// happens in user space. The match lets a protocol thread, such as the
+// Panda sequencer, block directly on its own traffic, so that an arriving
+// packet dispatches it straight out of the interrupt handler. The time a
+// packet waited in the raw queue is attributed to phase wait, which the
+// caller picks for its own traffic.
+func (k *Kernel) RawReceiveMatch(t *proc.Thread, match func(*flip.Packet) bool, wait sim.PhaseID) *flip.Packet {
 	r := k.raw
 	k.enterKernel(t)
 	var pk *flip.Packet
@@ -100,7 +90,7 @@ func (k *Kernel) RawReceiveMatch(t *proc.Thread, match func(*flip.Packet) bool) 
 		if match == nil || match(q.pk) {
 			pk = q.pk
 			// The packet sat in the raw queue from enqueue to this pickup.
-			k.sim.CausalSpan(pk.Op, r.queueWaitPhase(pk), q.at, k.sim.Now())
+			k.sim.CausalSpan(pk.Op, wait, q.at, k.sim.Now())
 			last := len(r.queue) - 1
 			copy(r.queue[i:], r.queue[i+1:])
 			r.queue[last] = rawEntry{} // clear the vacated slot so the packet can be GC'd
@@ -135,18 +125,7 @@ func (k *Kernel) RawReceiveMatch(t *proc.Thread, match func(*flip.Packet) bool) 
 	return pk
 }
 
-// queueWaitPhase classifies one packet's raw-queue wait.
-func (r *rawModule) queueWaitPhase(pk *flip.Packet) sim.PhaseID {
-	if r.waitPhase != nil {
-		return r.waitPhase(pk)
-	}
-	return sim.PhaseRecvQueue
-}
-
-// RawPending reports queued packets not yet picked up by the daemon.
-func (k *Kernel) RawPending() int { return len(k.raw.queue) }
-
-// RawRelease recycles a packet returned by RawReceive/RawReceiveMatch
+// RawRelease recycles a packet returned by RawReceiveMatch
 // once the user-space protocol has extracted its payload. Skipping it is
 // safe (the packet falls back to the garbage collector) but gives up the
 // free-list recycling.

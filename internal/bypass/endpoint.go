@@ -7,15 +7,17 @@
 // consumed from a completion queue by polling, by a NIC interrupt, or by a
 // hybrid of the two (see Dispatch).
 //
-// The RPC and the group protocol are panda's cores, the same state
-// machines user space runs: the endpoint embeds them and supplies only
-// the queue-pair packet path (qpLink), the completion-queue consumer and
-// a sequencer thread for each group it sequences. Messages are panda.Wire
-// values, carried by reference. Groups use the PB method only: because
-// fragmentation gather-reads the application buffer, the BB method's
-// reason to exist — avoiding a second copy of large messages through the
-// sequencer — disappears, so large messages take the same path as small
-// ones.
+// The endpoint embeds panda's user-level library, the same code user
+// space runs: the RPC and group cores, the receive thread (here the
+// completion-queue consumer) with its dispatch, and one sequencer thread
+// per group the endpoint sequences. The endpoint supplies only the
+// library's port (qpLink): descriptor posting and its free list, the
+// completion queue with its poll/interrupt/hybrid wake, multicast
+// steering and loopback. Messages are panda.Wire values, carried by
+// reference. Groups use the PB method only: because fragmentation
+// gather-reads the application buffer, the BB method's reason to exist —
+// avoiding a second copy of large messages through the sequencer —
+// disappears, so large messages take the same path as small ones.
 //
 // Compared to the user-space column, the per-packet path drops the
 // syscall, the raw-interface translation overhead, the kernel FLIP layer
@@ -26,8 +28,6 @@
 package bypass
 
 import (
-	"strconv"
-
 	"amoebasim/internal/ether"
 	"amoebasim/internal/flip"
 	"amoebasim/internal/model"
@@ -36,23 +36,8 @@ import (
 	"amoebasim/internal/sim"
 )
 
-// bypassDepth models the thin user-level library: unlike Panda-over-FLIP's
-// deeply nested stack (pandaDepth 6, trapping on every syscall), the
-// bypass fast path is two frames deep — shallow enough that the SPARC's
-// six register windows absorb it without overflow or underflow traps,
-// which is why the crossing phase of a bypass operation is exactly zero.
-const bypassDepth = 2
-
-// systemHeaderBytes is the system-layer test-message header (Table 1).
-const systemHeaderBytes = 16
-
-// qpPlacement names bypass's trace events brpc.* and bgrp.*; bypass has
-// no BB method.
-var qpPlacement = panda.NewPlacement(bypassDepth, "brpc", "consumer resumes client", "bgrp", false)
-
-// qpLink is the endpoint seen as the packet path of the RPC and group
-// cores: the queue pair, with no syscall, no kernel FLIP layer and no
-// copies.
+// qpLink is the endpoint seen as the port of its library: the queue
+// pair, with no syscall, no kernel FLIP layer and no copies.
 type qpLink Endpoint
 
 func (l *qpLink) SendWire(t *proc.Thread, dest int, w *panda.Wire, msgID uint64) {
@@ -80,6 +65,29 @@ func (l *qpLink) WakeCaller(t, caller *proc.Thread) {
 	caller.UnblockDirect()
 }
 
+// SendSystem posts w to processor dest, or to every endpoint when dest
+// is -1.
+func (l *qpLink) SendSystem(t *proc.Thread, dest int, w *panda.Wire, msgID uint64, hdr int) {
+	(*Endpoint)(l).post(t, dest, hdr, w, msgID, dest < 0)
+}
+
+// Receiver consumes each fragment from the completion queue and
+// reassembles it in user space.
+func (l *qpLink) Receiver(match func(*panda.Wire) bool, seq bool, r *flip.Reassembler) func(t *proc.Thread) (*panda.Wire, bool) {
+	e := (*Endpoint)(l)
+	return func(t *proc.Thread) (*panda.Wire, bool) {
+		f := e.receive(t, match, seq)
+		w, done := f.w, reassemble(r, f)
+		e.freeFrag(f)
+		return w, done
+	}
+}
+
+// Discard installs drop as the QP's receive filter, which runs before
+// any completion-queue entry is made. The endpoint is then a dedicated
+// sequencer machine, whose pickups pay no shared-machine dispatch.
+func (l *qpLink) Discard(drop func(*panda.Wire) bool) { l.discard = drop }
+
 // Config configures one bypass endpoint.
 type Config struct {
 	// NICBase is the NIC id of processor 0's bypass queue pair; processor
@@ -90,11 +98,6 @@ type Config struct {
 	Groups []panda.GroupSpec
 	// Dispatch selects the completion-queue dispatch mode (zero: Poll).
 	Dispatch Dispatch
-	// Dedicated marks an endpoint that runs only sequencer threads (a
-	// dedicated sequencer machine): no application threads compete for the
-	// processor, so pickups never pay the shared-machine dispatch cost,
-	// and non-sequencer traffic is dropped at the NIC filter.
-	Dedicated bool
 }
 
 // Endpoint is one processor's bypass transport instance. It implements
@@ -108,11 +111,12 @@ type Endpoint struct {
 	net *ether.Network
 	cfg Config
 
-	reasm   *flip.Reassembler
 	rxq     []rxEntry
 	waiters []*waiter
 	free    []*waiter // waiters whose receive has returned
-	discard func(*bfrag) bool
+	// discard is the receive filter of a dedicated sequencer machine, nil
+	// on every other endpoint.
+	discard func(*panda.Wire) bool
 	msgSeq  uint64
 
 	// frags is the free list of unicast descriptors that the endpoints on
@@ -120,15 +124,7 @@ type Endpoint struct {
 	// once reassembly has read it (freeFrag).
 	frags *fragPool
 
-	consumer *proc.Thread
-	helper   *panda.Helper
-
-	panda.RPC     // the stop-and-wait RPC, over the queue pair (qpLink)
-	*panda.Groups // the group protocol, over the queue pair; nil without groups
-
-	mx *panda.Metrics // the panda.* series user space publishes; nil when metrics are disabled
-
-	rawHandler panda.RawHandler
+	panda.Library // over the queue pair (qpLink)
 }
 
 var _ panda.Transport = (*Endpoint)(nil)
@@ -143,7 +139,7 @@ type rxEntry struct {
 // waiter is a thread parked on the completion queue.
 type waiter struct {
 	t      *proc.Thread
-	match  func(*bfrag) bool
+	match  func(*panda.Wire) bool
 	ph     sim.PhaseID // service phase (PhaseSeqService for sequencer threads)
 	at     sim.Time    // park instant, for spin accounting
 	f      *bfrag
@@ -170,51 +166,12 @@ func New(p *proc.Processor, net *ether.Network, segment int, cfg Config) (*Endpo
 	e.nic = nic
 	e.net = net
 	e.frags = e.sim.Shared(fragPoolKey{}, func() any { return new(fragPool) }).(*fragPool)
-	e.reasm = flip.NewReassembler(e.sim, e.m.RetransTimeout)
-	e.helper = panda.NewHelper(p, "qp-timer")
-	e.Groups = panda.NewGroups(p, cfg.Groups, (*qpLink)(e), e.helper, qpPlacement)
-	panda.InitRPC(&e.RPC, p, net, (*qpLink)(e), e.helper, qpPlacement)
-	e.mx = panda.RegisterMetrics(p, &e.RPC, e.Groups)
-	e.reasm.SetTimeoutCounter(e.mx.ReasmTimeouts())
-	e.consumer = p.NewThread("qp-consumer", proc.PrioDaemon, e.consumerLoop)
-	owned := e.Sequenced()
-	if len(owned) > 0 && cfg.Dedicated {
-		// Dedicated sequencer machine: the NIC filter drops member
-		// traffic so only the sequencer threads ever run, keeping their
-		// context loaded (the warm-dispatch / direct-resume regime).
-		e.discard = func(f *bfrag) bool { return !e.ownsSeqTraffic(f) }
-	}
-	for _, gid := range owned {
-		name := "qp-sequencer"
-		if gid > 0 {
-			name = "qp-sequencer-g" + strconv.Itoa(gid)
-		}
-		seq := p.NewThread(name, proc.PrioDaemon, e.sequencerLoop(gid))
-		// Everything the sequencer thread does is sequencer service from
-		// the client's point of view.
-		seq.SetPhaseOverride(sim.PhaseSeqService)
-	}
+	e.Start(p, net, (*qpLink)(e), panda.Bypass, cfg.Groups)
 	return e, nil
 }
 
-// Mode reports Bypass.
-func (e *Endpoint) Mode() panda.Mode { return panda.Bypass }
-
-// ID reports the processor id.
-func (e *Endpoint) ID() int { return e.id }
-
 // Dispatch reports the endpoint's completion-queue dispatch mode.
 func (e *Endpoint) Dispatch() Dispatch { return e.cfg.Dispatch }
-
-// HandleRaw registers the system-layer message upcall (Table 1).
-func (e *Endpoint) HandleRaw(h panda.RawHandler) { e.rawHandler = h }
-
-// ownsSeqTraffic reports whether f is sequencer traffic for a group this
-// endpoint sequences.
-func (e *Endpoint) ownsSeqTraffic(f *bfrag) bool {
-	gid, ok := seqTraffic(f)
-	return ok && e.Sequences(gid)
-}
 
 func (e *Endpoint) nextMsgID() uint64 {
 	e.msgSeq++
@@ -299,16 +256,6 @@ func (e *Endpoint) post(t *proc.Thread, dst int, hdr int, w *panda.Wire, msgID u
 	}
 }
 
-// SystemSend is the Panda system-layer primitive of Table 1: a message
-// straight onto the queue pair (unicast to a processor, or multicast to
-// every endpoint).
-func (e *Endpoint) SystemSend(t *proc.Thread, dest int, payload any, size int, multicast bool) {
-	w := &panda.Wire{Kind: panda.WireRAW, From: e.id, Payload: payload, Size: size}
-	t.Call(bypassDepth)
-	e.post(t, dest, systemHeaderBytes, w, e.nextMsgID(), multicast)
-	t.Return(bypassDepth)
-}
-
 // ---- Receive path ----
 
 // onFrame is the NIC receive upcall: the device DMA-writes the fragment
@@ -326,7 +273,7 @@ func (e *Endpoint) onFrame(fr ether.Frame) {
 // parked consumer (waking it per the dispatch mode), or onto the queue.
 // Runs in driver context.
 func (e *Endpoint) deliver(f *bfrag) {
-	if e.discard != nil && e.discard(f) {
+	if e.discard != nil && e.discard(f.w) {
 		e.freeFrag(f)
 		return
 	}
@@ -338,7 +285,7 @@ func (e *Endpoint) deliver(f *bfrag) {
 		}
 	}
 	for i, w := range e.waiters {
-		if w.match != nil && !w.match(f) {
+		if w.match != nil && !w.match(f.w) {
 			continue
 		}
 		last := len(e.waiters) - 1
@@ -391,15 +338,20 @@ func (e *Endpoint) wake(w *waiter, f *bfrag) {
 	e.p.InterruptTagged(e.m.IntrEntry, f.op, w.ph, func() { w.t.Unblock() })
 }
 
-// receive blocks t until a completion-queue entry satisfying match (nil:
-// any) is available, then consumes it. ph is the service phase queue
-// waits are attributed against (PhaseSeqService for sequencer threads).
-func (e *Endpoint) receive(t *proc.Thread, match func(*bfrag) bool, ph sim.PhaseID) *bfrag {
+// receive blocks t until a completion-queue entry whose wire satisfies
+// match (nil: any) is available, then consumes it. seq marks a sequencer
+// thread: its service is sequencer service, which an interrupt wake-up is
+// tagged with, and its queue wait is sequencer queueing.
+func (e *Endpoint) receive(t *proc.Thread, match func(*panda.Wire) bool, seq bool) *bfrag {
+	ph, wait := sim.PhaseProtoRecv, sim.PhaseRecvQueue
+	if seq {
+		ph, wait = sim.PhaseSeqService, sim.PhaseSeqQueue
+	}
 	var f *bfrag
 	for i, q := range e.rxq {
-		if match == nil || match(q.f) {
+		if match == nil || match(q.f.w) {
 			f = q.f
-			e.sim.CausalSpan(f.op, waitPhaseFor(ph), q.at, e.sim.Now())
+			e.sim.CausalSpan(f.op, wait, q.at, e.sim.Now())
 			last := len(e.rxq) - 1
 			copy(e.rxq[i:], e.rxq[i+1:])
 			e.rxq[last] = rxEntry{}
@@ -436,7 +388,7 @@ func (e *Endpoint) receive(t *proc.Thread, match func(*bfrag) bool, ph sim.Phase
 		// at interrupt level; a dedicated machine pays nothing. Later
 		// fragments of the same message ride the burst for free: the
 		// consumer already holds the processor while it streams them.
-		if !e.cfg.Dedicated && f.frag == 0 {
+		if e.discard == nil && f.frag == 0 {
 			t.ChargeP(sim.PhaseSched, e.m.BypassSharedDispatch)
 		}
 		if e.cfg.Dispatch != Interrupt {
@@ -446,84 +398,4 @@ func (e *Endpoint) receive(t *proc.Thread, match func(*bfrag) bool, ph sim.Phase
 	t.SetOp(f.op)
 	t.ChargeP(sim.PhaseProtoRecv, e.m.BypassRxPacket)
 	return f
-}
-
-// waitPhaseFor maps a service phase to the phase its queue wait belongs
-// to: waiting for the sequencer is sequencer queueing, everything else is
-// receive queueing.
-func waitPhaseFor(ph sim.PhaseID) sim.PhaseID {
-	if ph == sim.PhaseSeqService {
-		return sim.PhaseSeqQueue
-	}
-	return sim.PhaseRecvQueue
-}
-
-// consumerLoop is the endpoint's completion-queue consumer: it picks up
-// fragments, reassembles them, and upcalls the protocol handlers to
-// completion — the bypass analogue of the Panda receive daemon, minus the
-// fetch syscall and the kernel-to-user copy.
-func (e *Endpoint) consumerLoop(t *proc.Thread) {
-	var filter func(*bfrag) bool
-	if e.SequencesAny() {
-		// Sequencer traffic for owned groups is consumed directly by the
-		// sequencer threads.
-		filter = func(f *bfrag) bool { return !e.ownsSeqTraffic(f) }
-	}
-	for {
-		f := e.receive(t, filter, sim.PhaseProtoRecv)
-		t.Call(bypassDepth)
-		w, done := f.w, reassemble(e.reasm, f)
-		e.freeFrag(f)
-		if done {
-			e.dispatchMsg(t, w)
-		}
-		t.Return(bypassDepth)
-		// Drop the per-packet operation before blocking for the next one.
-		t.SetOp(0)
-	}
-}
-
-// sequencerLoop is the body of group gid's sequencer thread. It blocks
-// directly on the group's sequencer traffic from the completion queue.
-// The service loop per message is: pick the request up (per the dispatch
-// mode), stamp a sequence number, post the data multicast — no fetch
-// syscall, no multicast syscall, no copies.
-func (e *Endpoint) sequencerLoop(gid int) func(t *proc.Thread) {
-	return func(t *proc.Thread) {
-		reasm := flip.NewReassembler(e.sim, e.m.RetransTimeout)
-		reasm.SetTimeoutCounter(e.mx.ReasmTimeouts())
-		match := func(f *bfrag) bool {
-			g, ok := seqTraffic(f)
-			return ok && g == gid
-		}
-		for {
-			f := e.receive(t, match, sim.PhaseSeqService)
-			t.Call(bypassDepth)
-			w, done := f.w, reassemble(reasm, f)
-			e.freeFrag(f)
-			if done {
-				e.OnSequencer(t, w)
-			}
-			t.Return(bypassDepth)
-			// Drop the per-packet operation before blocking for the next one.
-			t.SetOp(0)
-		}
-	}
-}
-
-func (e *Endpoint) dispatchMsg(t *proc.Thread, w *panda.Wire) {
-	switch w.Kind {
-	case panda.WireREQ:
-		e.OnRequest(t, w)
-	case panda.WireREP:
-		e.OnReply(t, w)
-	case panda.WireACK:
-		e.OnAck(w)
-	case panda.WireGrpDATA, panda.WireGrpSYNC:
-		e.OnMember(t, w)
-	case panda.WireRAW:
-		if e.rawHandler != nil {
-			e.rawHandler(t, w.From, w.Payload, w.Size)
-		}
-	}
 }

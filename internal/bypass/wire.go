@@ -26,14 +26,3 @@ type bfrag struct {
 func reassemble(r *flip.Reassembler, f *bfrag) bool {
 	return f.nfrags <= 1 || r.AddFragment(flip.Address(f.src), f.msgID, f.frag, f.nfrags)
 }
-
-// seqTraffic reports whether f carries sequencer-bound group traffic, and
-// for which group.
-func seqTraffic(f *bfrag) (gid int, ok bool) {
-	switch f.w.Kind {
-	case panda.WireGrpREQ, panda.WireGrpRETR, panda.WireGrpSTATUS:
-		return f.w.GID, true
-	default:
-		return 0, false
-	}
-}

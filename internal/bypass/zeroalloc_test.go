@@ -34,20 +34,47 @@ func TestReassemblerSingleFragmentZeroAlloc(t *testing.T) {
 }
 
 // TestSeqTrafficClassifierZeroAlloc: the NIC-side discard filter runs on
-// every frame a dedicated sequencer machine receives; it must be free.
+// every frame a dedicated sequencer machine receives. It must keep the
+// sequencer traffic of the groups the machine sequences, drop the rest,
+// and be free. A member endpoint installs none.
 func TestSeqTrafficClassifierZeroAlloc(t *testing.T) {
-	seq := &bfrag{w: &panda.Wire{Kind: panda.WireGrpREQ, GID: 3}}
-	data := &bfrag{w: &panda.Wire{Kind: panda.WireGrpDATA, GID: 3}}
-	avg := testing.AllocsPerRun(1000, func() {
-		if gid, ok := seqTraffic(seq); !ok || gid != 3 {
-			t.Fatal("sequencer-bound frame not classified")
+	s := sim.New()
+	m := model.Calibrated()
+	net := ether.New(s, m, 1, 1)
+	spec := panda.GroupSpec{GID: 3, Members: []int{0}, Sequencer: 1}
+	var eps [2]*Endpoint
+	for i := range eps {
+		p := proc.New(s, m, i, "cpu")
+		t.Cleanup(p.Shutdown)
+		e, err := New(p, net, 0, Config{Groups: []panda.GroupSpec{spec}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := seqTraffic(data); ok {
-			t.Fatal("data frame misclassified as sequencer-bound")
+		eps[i] = e
+	}
+	if eps[0].discard != nil {
+		t.Fatal("a member endpoint installed a discard filter")
+	}
+	drop := eps[1].discard
+	if drop == nil {
+		t.Fatal("the dedicated sequencer machine installed no discard filter")
+	}
+	seq := &panda.Wire{Kind: panda.WireGrpREQ, GID: 3}
+	foreign := &panda.Wire{Kind: panda.WireGrpREQ, GID: 4}
+	data := &panda.Wire{Kind: panda.WireGrpDATA, GID: 3}
+	avg := testing.AllocsPerRun(1000, func() {
+		if drop(seq) {
+			t.Fatal("sequencer-bound frame dropped")
+		}
+		if !drop(foreign) {
+			t.Fatal("another group's sequencer frame kept")
+		}
+		if !drop(data) {
+			t.Fatal("data frame kept")
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("seqTraffic allocates %.2f objects/op, budget is 0", avg)
+		t.Fatalf("the discard filter allocates %.2f objects/op, budget is 0", avg)
 	}
 }
 

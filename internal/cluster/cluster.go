@@ -474,10 +474,9 @@ func New(cfg Config) (*Cluster, error) {
 			}
 			if cfg.Mode == panda.Bypass {
 				if _, err := bypass.New(c.Procs[id], c.Net, c.placement[id], bypass.Config{
-					NICBase:   total,
-					Groups:    owned,
-					Dispatch:  cfg.Dispatch,
-					Dedicated: true,
+					NICBase:  total,
+					Groups:   owned,
+					Dispatch: cfg.Dispatch,
 				}); err != nil {
 					return nil, fmt.Errorf("cluster: bypass sequencer %d: %w", id, err)
 				}

@@ -30,12 +30,13 @@ const (
 // multicasts it with its sequence number. BB method, for large messages
 // where the placement has it: the member multicasts the data and the
 // sequencer multicasts a short accept. Each group has its own sequencer
-// and an independent sequence space. User space and bypass embed a
-// *Groups, nil without groups, so GroupSend, GroupSendTo and HandleGroup
-// are their own; their receive thread passes member traffic to OnMember,
-// and the sequencer thread they run for each group they sequence passes
-// that group's traffic to OnSequencer. Kernel space runs the same calls
-// from its interrupt handler, with no thread.
+// and an independent sequence space. The Library embeds a *Groups, nil
+// without groups, so GroupSend, GroupSendTo and HandleGroup are user
+// space's and bypass's own; the library's receive thread passes member
+// traffic to onMember, and the sequencer thread it runs for each group
+// the machine sequences passes that group's traffic to onSequencer.
+// Kernel space runs the same calls from its interrupt handler, with no
+// thread.
 type Groups struct {
 	link   GroupLink
 	pl     *Placement
@@ -144,12 +145,12 @@ type memberAck struct {
 	reported bool   // a status report was seen
 }
 
-// NewGroups builds the group table of the instance on processor p, which
+// newGroups builds the group table of the instance on processor p, which
 // holds the groups specs lists, or returns nil when specs is empty. link
 // carries its wires, helper runs the sends its timers defer (nil: the
 // timers send at once, at interrupt level), and pl fixes its call depth,
 // trace names and methods.
-func NewGroups(p *proc.Processor, specs []GroupSpec, link GroupLink, helper *Helper, pl *Placement) *Groups {
+func newGroups(p *proc.Processor, specs []GroupSpec, link GroupLink, helper *Helper, pl *Placement) *Groups {
 	if len(specs) == 0 {
 		return nil
 	}
@@ -231,43 +232,23 @@ func (gs *Groups) Sequences(gid int) bool {
 	return g != nil && g.seq != nil
 }
 
-// Sequenced lists, in increasing order, the groups whose sequencer this
-// instance runs.
-func (gs *Groups) Sequenced() []int {
-	var gids []int
-	if gs != nil {
-		for _, g := range gs.grps {
-			if g != nil && g.seq != nil {
-				gids = append(gids, g.spec.GID)
-			}
-		}
-	}
-	return gids
-}
-
-// SequencesAny reports whether this instance runs the sequencer of any of
-// its groups.
-func (gs *Groups) SequencesAny() bool {
+// roles lists, in increasing order, the groups whose sequencer this
+// instance runs, and reports whether it is a member of any group (not on
+// a dedicated sequencer machine).
+func (gs *Groups) roles() (sequenced []int, member bool) {
 	if gs == nil {
-		return false
+		return nil, false
 	}
 	for _, g := range gs.grps {
-		if g != nil && g.seq != nil {
-			return true
+		if g == nil {
+			continue
+		}
+		member = member || g.amMember
+		if g.seq != nil {
+			sequenced = append(sequenced, g.spec.GID)
 		}
 	}
-	return false
-}
-
-// anyMember reports whether this instance is a member of any of its
-// groups (false on a dedicated sequencer machine).
-func (gs *Groups) anyMember() bool {
-	for _, g := range gs.grps {
-		if g != nil && g.amMember {
-			return true
-		}
-	}
-	return false
+	return sequenced, member
 }
 
 // HandleGroup registers the ordered group delivery upcall (shared by
@@ -481,10 +462,10 @@ func (gs *Groups) charge(t *proc.Thread, ph sim.PhaseID) {
 
 // ---- Member side (receive thread context) ----
 
-// OnMember runs in the placement's receive thread t, or at interrupt
+// onMember runs in the placement's receive thread t, or at interrupt
 // level with t nil, for a group message to this member: ordered data, a
 // BB accept or data, or a status probe.
-func (gs *Groups) OnMember(t *proc.Thread, w *Wire) {
+func (gs *Groups) onMember(t *proc.Thread, w *Wire) {
 	g := gs.byGID(w.GID)
 	if g == nil {
 		return
@@ -655,10 +636,10 @@ func (g *group) maxHeld(hi uint64) uint64 {
 
 // ---- Sequencer side (sequencer thread context) ----
 
-// OnSequencer runs in the sequencer thread t of w's group, or at
+// onSequencer runs in the sequencer thread t of w's group, or at
 // interrupt level with t nil, for a message to the sequencer: an ordering
 // request, BB data, a retransmission request or a status report.
-func (gs *Groups) OnSequencer(t *proc.Thread, w *Wire) {
+func (gs *Groups) onSequencer(t *proc.Thread, w *Wire) {
 	gs.grps[w.GID].seqHandle(t, w)
 }
 

@@ -149,7 +149,7 @@ func NewKernel(k *akernel.Kernel, cfg KernelConfig) *Kernel {
 			held = append(held, spec)
 		}
 	}
-	w.grp = NewGroups(p, held, (*kernLink)(w), nil, kernPlacement)
+	w.grp = newGroups(p, held, (*kernLink)(w), nil, kernPlacement)
 	if w.grp != nil {
 		w.kgrps = make([]kernGroup, len(w.grp.grps))
 		w.st.Handle(flip.ProtoGroup, w.onPacket)
@@ -324,10 +324,10 @@ func (kg *kernGroup) handleNext() {
 	kg.inbox = kg.inbox[:n]
 	seq := toSequencer(w.Kind)
 	if !seq || w.Kind == WireGrpBB {
-		kg.grp.OnMember(nil, w)
+		kg.grp.onMember(nil, w)
 	}
 	if seq && kg.grp.Sequences(w.GID) {
-		kg.grp.OnSequencer(nil, w)
+		kg.grp.onSequencer(nil, w)
 	}
 }
 

@@ -22,11 +22,12 @@ const rpcMaxRetries = 16
 // the same server, falling back to an explicit acknowledgement after a
 // timeout. Unlike the Amoeba kernel protocol, the reply may be sent
 // asynchronously by any thread (pan_rpc_reply), which is what lets the
-// Orca runtime use continuations. A placement embeds it, so Call, Reply
-// and HandleRPC are the placement's own, and its receive thread passes
-// each received RPC wire straight to OnRequest, OnReply or OnAck: the
-// reply path runs close to a 2 KiB coroutine stack, and one more frame
-// there doubles the stacks of a 1000-processor run's receive daemons.
+// Orca runtime use continuations. The Library embeds it, so Call, Reply
+// and HandleRPC are user space's and bypass's own, and the library's
+// receive thread passes each received RPC wire, through one dispatch
+// frame, to onRequest, onReply or onAck: the reply path runs close to a
+// 2 KiB coroutine stack, and one more frame there doubles the stacks of a
+// 1000-processor run's receive daemons.
 type RPC struct {
 	link   Link
 	pl     *Placement
@@ -55,17 +56,6 @@ type rpcMetrics struct {
 	acksPiggybacked metrics.Counter   `metric:"panda.acks_piggybacked"`
 	acksExplicit    metrics.Counter   `metric:"panda.acks_explicit"`
 	latency         metrics.Histogram `metric:"panda.rpc_latency_us"`
-}
-
-// InitRPC readies r, the RPC core a placement embeds, on processor p:
-// link carries its wires over net, helper runs the sends its timers
-// defer, and pl fixes its call depth and trace names.
-func InitRPC(r *RPC, p *proc.Processor, net *ether.Network, link Link, helper *Helper, pl *Placement) {
-	*r = RPC{
-		link: link, pl: pl, p: p, sim: p.Sim(), m: p.Model(), net: net, helper: helper, id: p.ID(),
-		chans: make(map[int]*rpcChan),
-		srv:   make(map[int]*srvChan),
-	}
 }
 
 // rpcChan is the client side of one (this process → server) channel:
@@ -349,10 +339,10 @@ func (r *RPC) sendExplicitAck(t *proc.Thread, dest int, seq uint64) {
 	t.Return(r.pl.depth)
 }
 
-// OnRequest runs in the placement's receive thread t for a received
+// onRequest runs in the placement's receive thread t for a received
 // request: duplicate-filter it, then upcall the registered handler
 // (implicit message receipt: no dedicated server thread is scheduled).
-func (r *RPC) OnRequest(t *proc.Thread, w *Wire) {
+func (r *RPC) onRequest(t *proc.Thread, w *Wire) {
 	s := r.srvFor(w.From)
 	if w.AckSeq > 0 && s.cached != nil && s.cached.Seq == w.AckSeq {
 		r.acked(s) // piggybacked ack of the previous reply
@@ -456,10 +446,10 @@ func (r *RPC) resendCached(t *proc.Thread, client int, s *srvChan) {
 	r.link.SendWire(t, client, s.cached, s.cachedMsgID)
 }
 
-// OnReply runs in the placement's receive thread t for a received
+// onReply runs in the placement's receive thread t for a received
 // reply: match the outstanding call and wake the client thread, the way
 // the placement's link hands it over.
-func (r *RPC) OnReply(t *proc.Thread, w *Wire) {
+func (r *RPC) onReply(t *proc.Thread, w *Wire) {
 	c := r.chans[w.From]
 	if c == nil || c.inflight == nil {
 		return
@@ -479,9 +469,9 @@ func (r *RPC) OnReply(t *proc.Thread, w *Wire) {
 	r.link.WakeCaller(t, cs.t)
 }
 
-// OnAck runs in the placement's receive thread for a received explicit
+// onAck runs in the placement's receive thread for a received explicit
 // acknowledgement of a reply.
-func (r *RPC) OnAck(w *Wire) {
+func (r *RPC) onAck(w *Wire) {
 	s := r.srv[w.From]
 	if s != nil && s.cached != nil && s.cached.Seq == w.AckSeq {
 		r.acked(s)

@@ -12,10 +12,14 @@
 //     kernel's interrupt handler over its FLIP stack.
 //
 // The RPC and the group protocol are each one state machine (RPC,
-// Groups), which a placement runs over its own packet path (Link); the
-// bypass package runs them over a user-mapped queue pair. Every variant
-// implements the same Transport interface, so the Orca RTS and the
-// benchmarks are implementation-agnostic.
+// Groups), which a placement runs over its own packet path (Link). User
+// space and bypass share one user-level library around them (Library):
+// the system layer's receive thread, the wire dispatch, a sequencer
+// thread per sequenced group and the sequencer-traffic classifier. Each
+// supplies only its Port: raw FLIP by system call in user space, a
+// user-mapped queue pair in package bypass. Every variant implements the
+// same Transport interface, so the Orca RTS and the benchmarks are
+// implementation-agnostic.
 package panda
 
 import (
@@ -189,10 +193,10 @@ type Link interface {
 }
 
 // Placement is what else a placement fixes at construction: the call
-// depth of its protocol stack, the names of its trace events, whether
-// its group protocol has the BB method and whether its sequencer runs in
-// the member's handler. Its strings are built once, so an untraced call
-// or send boxes nothing.
+// depth of its protocol stack, the names of its trace events and of the
+// library's threads, whether its group protocol has the BB method and
+// whether its sequencer runs in the member's handler. Its strings are
+// built once, so an untraced call or send boxes nothing.
 type Placement struct {
 	depth                                    int
 	bb                                       bool
@@ -200,6 +204,10 @@ type Placement struct {
 	repFmt                                   string // detail format of rep
 	grpSend, grpDlv, grpSeq                  string
 	grpRetr                                  string // "" when retransmission requests are not traced
+	// timerThread, recvThread and seqThread name the Library's timer
+	// helper, receive thread and sequencer threads ("" in kernel space,
+	// which runs no Library).
+	timerThread, recvThread, seqThread string
 	// seqInHandler is set where one handler serves a machine's member and
 	// the sequencer it runs, as the kernel's interrupt handler does. A
 	// send from that machine is then sequenced in place, and the member
@@ -208,16 +216,18 @@ type Placement struct {
 	seqInHandler bool
 }
 
-// NewPlacement names the RPC trace events rpc.req, rpc.rep and so on and
-// the group ones grp.send, grp.dlv and grp.seq, ends the RPC reply's
-// trace detail with note, nests every send depth frames deep, and sends
-// group messages above BBThreshold by the BB method when bb is set.
-func NewPlacement(depth int, rpc, note, grp string, bb bool) *Placement {
+// newPlacement names the RPC trace events rpc.req, rpc.rep and so on,
+// the group ones grp.send, grp.dlv and grp.seq, and the library's threads
+// threads-timer, threads-recv and threads-sequencer; it ends the RPC
+// reply's trace detail with note, nests every send depth frames deep, and
+// sends group messages above BBThreshold by the BB method when bb is set.
+func newPlacement(depth int, rpc, note, grp string, bb bool, threads, recv string) *Placement {
 	return &Placement{
 		depth: depth, bb: bb,
 		req: rpc + ".req", done: rpc + ".done", fail: rpc + ".fail", ack: rpc + ".ack",
 		upcall: rpc + ".upcall", serve: rpc + ".serve", rep: rpc + ".rep",
 		repFmt:  "seq=%d size=%d (" + note + ")",
 		grpSend: grp + ".send", grpDlv: grp + ".dlv", grpSeq: grp + ".seq",
+		timerThread: threads + "-timer", recvThread: threads + "-" + recv, seqThread: threads + "-sequencer",
 	}
 }

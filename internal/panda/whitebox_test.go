@@ -49,7 +49,7 @@ func groupOf(tr Transport) (*group, *proc.Processor) {
 		return w.grp.byGID(0), w.p
 	}
 	u := tr.(*User)
-	return u.byGID(0), u.p
+	return u.byGID(0), u.RPC.p
 }
 
 // TestWhiteboxBBFlow bounds the BB (large message) flow and dumps state if
