@@ -97,3 +97,5 @@ func (c *locateCounter) Trace(_ sim.Time, _, kind, _ string) {
 		c.n++
 	}
 }
+
+func (c *locateCounter) TraceSpan(sim.Time, sim.Phase, uint64, string, string, string) {}

@@ -21,10 +21,15 @@ import (
 	"amoebasim/internal/metrics"
 )
 
-// Tracer receives protocol trace events (see internal/trace). A nil tracer
-// costs one branch per event site.
+// Tracer receives protocol trace events (see internal/trace): point
+// events, and the begin and end edges of structured spans. A span's edges
+// carry a correlation id allocated by the simulator, so an exported trace
+// can be reassembled into intervals (request → reply, fragment burst →
+// reassembly) without string parsing. A nil tracer costs one branch per
+// event site.
 type Tracer interface {
 	Trace(at Time, source, kind, detail string)
+	TraceSpan(at Time, ph Phase, span uint64, source, kind, detail string)
 }
 
 // Phase classifies a structured trace event: an instantaneous point, or
@@ -46,16 +51,6 @@ func (p Phase) String() string {
 	default:
 		return "I"
 	}
-}
-
-// SpanTracer is an optional extension of Tracer for structured span
-// events. Begin and End edges carry a correlation id allocated by the
-// simulator, so an exported trace can be reassembled into intervals
-// (request → reply, fragment burst → reassembly) without string parsing.
-// Tracers that do not implement it receive spans as ordinary events.
-type SpanTracer interface {
-	Tracer
-	TraceSpan(at Time, ph Phase, span uint64, source, kind, detail string)
 }
 
 // Time is an instant of simulated time, expressed as the duration since the
@@ -112,7 +107,6 @@ type Sim struct {
 	stopped  bool
 	events   uint64 // total events executed
 	tracer   Tracer
-	spans    SpanTracer // tracer, if it also handles spans
 	causal   CausalTracer
 	spanSeq  uint64
 	registry *metrics.Registry
@@ -137,10 +131,7 @@ func (s *Sim) Shared(key any, mk func() any) any {
 }
 
 // SetTracer installs a protocol event tracer (nil disables tracing).
-func (s *Sim) SetTracer(tr Tracer) {
-	s.tracer = tr
-	s.spans, _ = tr.(SpanTracer)
-}
+func (s *Sim) SetTracer(tr Tracer) { s.tracer = tr }
 
 // SetMetrics attaches a metrics registry (nil disables metrics, the
 // default). Layers resolve their handles at construction time, so the
@@ -197,11 +188,7 @@ func (s *Sim) traceSpan(ph Phase, span uint64, source, kind, format string, args
 	if len(args) > 0 {
 		detail = fmt.Sprintf(format, args...)
 	}
-	if s.spans != nil {
-		s.spans.TraceSpan(s.now, ph, span, source, kind, detail)
-		return
-	}
-	s.tracer.Trace(s.now, source, kind, detail)
+	s.tracer.TraceSpan(s.now, ph, span, source, kind, detail)
 }
 
 // New returns a fresh simulator with the clock at zero.

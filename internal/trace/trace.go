@@ -33,7 +33,7 @@ func (e Event) String() string {
 	return fmt.Sprintf("%-14v %-6s %-12s %s", e.At, e.Source, e.Kind, e.Detail)
 }
 
-// Log is a bounded in-memory event log implementing sim.SpanTracer. When
+// Log is a bounded in-memory event log implementing sim.Tracer. When
 // full it behaves as a ring buffer: the oldest events are overwritten so
 // the tail of the run — what debugging needs — is always retained, and
 // Dropped reports how many were lost off the front.
@@ -44,7 +44,7 @@ type Log struct {
 	dropped int
 }
 
-var _ sim.SpanTracer = (*Log)(nil)
+var _ sim.Tracer = (*Log)(nil)
 
 // NewLog creates a log keeping at most max events (0 = 64k default).
 func NewLog(max int) *Log {
@@ -59,7 +59,7 @@ func (l *Log) Trace(at sim.Time, source, kind, detail string) {
 	l.add(Event{At: at, Source: source, Kind: kind, Detail: detail})
 }
 
-// TraceSpan implements sim.SpanTracer.
+// TraceSpan implements sim.Tracer.
 func (l *Log) TraceSpan(at sim.Time, ph sim.Phase, span uint64, source, kind, detail string) {
 	l.add(Event{At: at, Source: source, Kind: kind, Detail: detail, Span: span, Phase: ph})
 }
