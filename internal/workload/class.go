@@ -402,53 +402,8 @@ func ParseClasses(s string) ([]Class, error) {
 			if !ok {
 				return nil, fmt.Errorf("workload: class %s: bad element %q (want key=val)", name, kv)
 			}
-			v = strings.TrimSpace(v)
-			var err error
-			switch strings.TrimSpace(k) {
-			case "clients":
-				c.Clients, err = strconv.Atoi(v)
-				if err != nil || c.Clients < 1 {
-					return nil, fmt.Errorf("workload: class %s: bad clients %q", name, v)
-				}
-			case "load":
-				c.OfferedLoad, err = strconv.ParseFloat(v, 64)
-				if err != nil || !finite(c.OfferedLoad) || c.OfferedLoad < 0 {
-					return nil, fmt.Errorf("workload: class %s: bad load %q", name, v)
-				}
-			case "mix":
-				// A custom mix joins op=weight pairs with + because ,
-				// separates class keys.
-				c.Mix, err = ParseMix(strings.ReplaceAll(v, "+", ","))
-				if err != nil {
-					return nil, fmt.Errorf("class %s: %w", name, err)
-				}
-			case "dist":
-				c.Sizes, err = ParseSizeDist(v)
-				if err != nil {
-					return nil, fmt.Errorf("class %s: %w", name, err)
-				}
-			case "arrival":
-				c.Arrival, err = ParseArrivalSpec(v)
-				if err != nil {
-					return nil, fmt.Errorf("class %s: %w", name, err)
-				}
-			case "think":
-				c.ThinkTime, err = time.ParseDuration(v)
-				if err != nil || c.ThinkTime < 0 {
-					return nil, fmt.Errorf("workload: class %s: bad think time %q", name, v)
-				}
-			case "slo":
-				c.SLO, err = time.ParseDuration(v)
-				if err != nil || c.SLO < 0 {
-					return nil, fmt.Errorf("workload: class %s: bad slo %q", name, v)
-				}
-			case "shape":
-				c.Shape, err = ParseShape(v)
-				if err != nil {
-					return nil, fmt.Errorf("class %s: %w", name, err)
-				}
-			default:
-				return nil, fmt.Errorf("workload: class %s: unknown key %q (clients, load, mix, dist, arrival, think, slo, shape)", name, k)
+			if err := c.set(strings.TrimSpace(k), v); err != nil {
+				return nil, err
 			}
 		}
 		classes = append(classes, c)
@@ -456,8 +411,53 @@ func ParseClasses(s string) ([]Class, error) {
 	return classes, nil
 }
 
+// set parses v, the value of class key k, into c: the one parser and check
+// of each key, for inline specs and class files alike.
+func (c *Class) set(k, v string) error {
+	v = strings.TrimSpace(v)
+	var err error
+	switch k {
+	case "clients":
+		c.Clients, err = strconv.Atoi(v)
+		if err != nil || c.Clients < 1 {
+			return fmt.Errorf("workload: class %s: bad clients %q", c.Name, v)
+		}
+	case "load":
+		c.OfferedLoad, err = strconv.ParseFloat(v, 64)
+		if err != nil || !finite(c.OfferedLoad) || c.OfferedLoad < 0 {
+			return fmt.Errorf("workload: class %s: bad load %q", c.Name, v)
+		}
+	case "mix":
+		// A custom mix joins op=weight pairs with + because , separates
+		// class keys.
+		c.Mix, err = ParseMix(strings.ReplaceAll(v, "+", ","))
+	case "dist":
+		c.Sizes, err = ParseSizeDist(v)
+	case "arrival":
+		c.Arrival, err = ParseArrivalSpec(v)
+	case "think":
+		c.ThinkTime, err = time.ParseDuration(v)
+		if err != nil || c.ThinkTime < 0 {
+			return fmt.Errorf("workload: class %s: bad think time %q", c.Name, v)
+		}
+	case "slo":
+		c.SLO, err = time.ParseDuration(v)
+		if err != nil || c.SLO < 0 {
+			return fmt.Errorf("workload: class %s: bad slo %q", c.Name, v)
+		}
+	case "shape":
+		c.Shape, err = ParseShape(v)
+	default:
+		return fmt.Errorf("workload: class %s: unknown key %q (clients, load, mix, dist, arrival, think, slo, shape)", c.Name, k)
+	}
+	if err != nil {
+		return fmt.Errorf("class %s: %w", c.Name, err)
+	}
+	return nil
+}
+
 // classFile is the JSON form of one class (all fields optional except
-// name; strings use the same micro-syntax as ParseClasses).
+// name; each string is one value in the syntax of its ParseClasses key).
 type classFile struct {
 	Name    string  `json:"name"`
 	Clients int     `json:"clients"`
@@ -480,42 +480,52 @@ func LoadClassesFile(path string) ([]Class, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: read class spec: %w", err)
 	}
-	var raw []classFile
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return nil, fmt.Errorf("workload: parse class spec %s: %w", path, err)
-	}
-	var parts []string
-	for _, r := range raw {
-		kv := []string{}
-		if r.Clients != 0 {
-			kv = append(kv, fmt.Sprintf("clients=%d", r.Clients))
-		}
-		if r.Load != 0 {
-			kv = append(kv, fmt.Sprintf("load=%g", r.Load))
-		}
-		if r.Mix != "" {
-			kv = append(kv, "mix="+strings.ReplaceAll(r.Mix, ",", "+"))
-		}
-		if r.Dist != "" {
-			kv = append(kv, "dist="+r.Dist)
-		}
-		if r.Arrival != "" {
-			kv = append(kv, "arrival="+r.Arrival)
-		}
-		if r.Think != "" {
-			kv = append(kv, "think="+r.Think)
-		}
-		if r.SLO != "" {
-			kv = append(kv, "slo="+r.SLO)
-		}
-		if r.Shape != "" {
-			kv = append(kv, "shape="+r.Shape)
-		}
-		parts = append(parts, r.Name+":"+strings.Join(kv, ","))
-	}
-	classes, err := ParseClasses(strings.Join(parts, ";"))
+	classes, err := decodeClasses(b)
 	if err != nil {
 		return nil, fmt.Errorf("workload: class spec %s: %w", path, err)
+	}
+	return classes, nil
+}
+
+// decodeClasses builds one class from each element of a JSON class array,
+// field by field: a value is parsed as its key's value only, so it can
+// neither set another key nor add a class. A name is kept exactly.
+func decodeClasses(b []byte) ([]Class, error) {
+	var raw []classFile
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return nil, err
+	}
+	classes := make([]Class, 0, len(raw))
+	seen := make(map[string]bool)
+	for _, r := range raw {
+		if strings.TrimSpace(r.Name) == "" {
+			return nil, fmt.Errorf("workload: class with empty name")
+		}
+		if seen[r.Name] {
+			return nil, fmt.Errorf("workload: duplicate class %q", r.Name)
+		}
+		seen[r.Name] = true
+		c := Class{Name: r.Name, Clients: 2}
+		fields := [...]struct{ k, v string }{
+			{"clients", ""}, {"load", ""},
+			{"mix", r.Mix}, {"dist", r.Dist}, {"arrival", r.Arrival},
+			{"think", r.Think}, {"slo", r.SLO}, {"shape", r.Shape},
+		}
+		if r.Clients != 0 {
+			fields[0].v = strconv.Itoa(r.Clients)
+		}
+		if r.Load != 0 {
+			fields[1].v = strconv.FormatFloat(r.Load, 'g', -1, 64)
+		}
+		for _, f := range fields {
+			if f.v == "" {
+				continue // absent: the key's default
+			}
+			if err := c.set(f.k, f.v); err != nil {
+				return nil, err
+			}
+		}
+		classes = append(classes, c)
 	}
 	return classes, nil
 }

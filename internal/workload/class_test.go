@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -247,6 +248,55 @@ func TestLoadClassesFile(t *testing.T) {
 	}
 	if _, err := ParseClasses("@" + path); err == nil {
 		t.Error("malformed file accepted")
+	}
+}
+
+// TestClassFileValuesStayInTheirField: a class file's value is parsed as
+// the value of its own key and nothing else. Spliced into the inline
+// syntax, a name or value holding ';', ':' or ',' added a class or set
+// another key.
+func TestClassFileValuesStayInTheirField(t *testing.T) {
+	dir := t.TempDir()
+	load := func(spec string) ([]Class, error) {
+		path := filepath.Join(dir, "classes.json")
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return ParseClasses("@" + path)
+	}
+	classes, err := load(`[{"name": "a:clients=3;b", "clients": 2}]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(classes) != 1 || classes[0].Name != "a:clients=3;b" || classes[0].Clients != 2 {
+		t.Errorf("a name holding spec syntax loads as %+v, want one class of that name with 2 clients", classes)
+	}
+	for _, spec := range []string{
+		`[{"name": "x", "dist": "fixed:128,clients=40"}]`,
+		`[{"name": "x", "slo": "4ms;evil:clients=1"}]`,
+		`[{"name": "x", "mix": "rpc;y:clients=9"}]`,
+	} {
+		if classes, err := load(spec); err == nil {
+			t.Errorf("%s loads as %+v, want an error", spec, classes)
+		}
+	}
+}
+
+// TestCommittedScenarioLoads: the committed class file loads to the
+// classes its inline spelling parses to.
+func TestCommittedScenarioLoads(t *testing.T) {
+	got, err := ParseClasses("@" + filepath.Join("..", "..", "SCENARIO_multiclass.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ParseClasses("interactive:clients=6,load=250,mix=rpc,dist=fixed:128,arrival=poisson,slo=4ms;" +
+		"batch:clients=4,load=120,mix=group,dist=uniform:256-4096,arrival=weibull:0.55;" +
+		"bursty:clients=4,load=80,mix=mixed,arrival=gamma:0.5,slo=20ms,shape=bursty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SCENARIO_multiclass.json loads as\n%+v\nwant\n%+v", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -154,6 +155,46 @@ func FuzzParseClasses(f *testing.F) {
 		for _, c := range classes {
 			if !classFinite(c) {
 				t.Fatalf("ParseClasses(%q) holds %+v", s, c)
+			}
+		}
+	})
+}
+
+// FuzzLoadClasses: a class file decodes to one class per array element,
+// each named exactly as in the file and holding finite numbers only, or
+// to an error.
+func FuzzLoadClasses(f *testing.F) {
+	for _, s := range []string{
+		`[{"name": "interactive", "clients": 6, "load": 250, "mix": "rpc", "dist": "fixed:128", "arrival": "poisson", "slo": "4ms"}]`,
+		`[{"name": "bursty", "clients": 4, "load": 80, "mix": "rpc=1,group=1", "arrival": "gamma:0.5", "shape": "bursty"}]`,
+		`[{"name": "a:clients=3;b", "clients": 2}]`,
+		`[{"name": "x", "dist": "fixed:128,clients=40"}]`,
+		`[{"name": "x", "slo": "4ms;evil:clients=1"}]`,
+		`[{"name": "x", "load": 1e308}, {"name": "y", "mix": "rpc=NaN"}]`,
+		`[]`, `null`, `{}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		classes, err := decodeClasses(b)
+		if err != nil {
+			return
+		}
+		var names []struct {
+			Name string `json:"name"`
+		}
+		if err := json.Unmarshal(b, &names); err != nil {
+			t.Fatalf("decodeClasses(%q) accepted what the name decoder refuses: %v", b, err)
+		}
+		if len(classes) != len(names) {
+			t.Fatalf("decodeClasses(%q) = %d classes for %d elements", b, len(classes), len(names))
+		}
+		for i, c := range classes {
+			if c.Name != names[i].Name {
+				t.Fatalf("decodeClasses(%q): class %d named %q, file says %q", b, i, c.Name, names[i].Name)
+			}
+			if !classFinite(c) {
+				t.Fatalf("decodeClasses(%q) holds %+v", b, c)
 			}
 		}
 	})
