@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"amoebasim/internal/faults"
@@ -17,7 +18,9 @@ var soakModes = panda.AllModes()
 // its class of fault.
 func TestFaultSoakScenarios(t *testing.T) {
 	active := map[string]func(FaultSoakResult) bool{
-		"nic-flap":   func(r FaultSoakResult) bool { return r.NetDrops > 0 },
+		// A downed interface that carries no traffic also drops frames:
+		// only a retransmitted call shows the flap reached the server.
+		"nic-flap":   func(r FaultSoakResult) bool { return rpcRetransmissions(r) > 0 },
 		"partition":  func(r FaultSoakResult) bool { return r.DropsPartition > 0 },
 		"burst-loss": func(r FaultSoakResult) bool { return r.DropsBurst > 0 },
 		"dup-storm":  func(r FaultSoakResult) bool { return r.Dups > 0 },
@@ -46,6 +49,18 @@ func TestFaultSoakScenarios(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rpcRetransmissions sums the RPC retransmissions of every layer in the
+// soak's metrics (akernel.* in kernel space, panda.* otherwise).
+func rpcRetransmissions(r FaultSoakResult) int64 {
+	var n int64
+	for _, c := range r.Metrics.Counters {
+		if strings.HasSuffix(c.Name, ".rpc_retransmissions") {
+			n += c.Value
+		}
+	}
+	return n
 }
 
 // TestFaultSoakDeterminism: a soak run is a pure function of (scenario,

@@ -24,7 +24,8 @@
 // and every byte copy; what remains is the protocol state machine itself,
 // a per-packet descriptor cost, and the doorbell write. Routes are static
 // (queue pairs are pre-established to every peer), so there is no locate
-// traffic either.
+// traffic either. A bypass processor boots no kernel: its queue pair is
+// its only NIC, and processor i's is NIC i.
 package bypass
 
 import (
@@ -90,9 +91,6 @@ func (l *qpLink) Discard(drop func(*panda.Wire) bool) { l.discard = drop }
 
 // Config configures one bypass endpoint.
 type Config struct {
-	// NICBase is the NIC id of processor 0's bypass queue pair; processor
-	// i's QP answers at NICBase + i (static routing, no locate).
-	NICBase int
 	// Groups lists the communication groups this endpoint participates in
 	// (as member, sequencer, or both).
 	Groups []panda.GroupSpec
@@ -147,7 +145,9 @@ type waiter struct {
 }
 
 // New creates and starts a bypass endpoint on processor p, attaching its
-// queue-pair NIC to the given Ethernet segment.
+// queue-pair NIC to the given Ethernet segment. Endpoints are made in
+// processor order on a network with no other NIC, so that processor i's
+// queue pair is NIC i, the id its peers address.
 func New(p *proc.Processor, net *ether.Network, segment int, cfg Config) (*Endpoint, error) {
 	e := &Endpoint{
 		id:  p.ID(),
@@ -250,7 +250,7 @@ func (e *Endpoint) post(t *proc.Thread, dst int, hdr int, w *panda.Wire, msgID u
 			f := f
 			e.sim.Schedule(0, func() { e.deliver(f) })
 		default:
-			e.nic.Send(ether.Frame{Dst: e.cfg.NICBase + dst, Size: size, Payload: f, Op: f.op})
+			e.nic.Send(ether.Frame{Dst: dst, Size: size, Payload: f, Op: f.op})
 		}
 		off += length
 	}
@@ -264,7 +264,7 @@ func (e *Endpoint) post(t *proc.Thread, dst int, hdr int, w *panda.Wire, msgID u
 func (e *Endpoint) onFrame(fr ether.Frame) {
 	f, ok := fr.Payload.(*bfrag)
 	if !ok {
-		return // foreign (FLIP) traffic sharing the wire
+		return // not a queue-pair descriptor
 	}
 	e.deliver(f)
 }

@@ -1,7 +1,10 @@
 // Package cluster assembles a complete simulated Amoeba processor pool:
-// the Ethernet, one kernel per processor board, and a Panda instance
-// (kernel-space, user-space, or kernel-bypass) on each. It is the entry
-// point the benchmarks, the Orca runtime and the examples build on.
+// the Ethernet, a Panda instance (kernel-space, user-space, or
+// kernel-bypass) on each processor board, and, in kernel and user space,
+// the Amoeba kernel each runs on. A bypass processor boots no kernel: its
+// queue pair is its only interface. Either way processor i owns NIC i.
+// It is the entry point the benchmarks, the Orca runtime and the examples
+// build on.
 package cluster
 
 import (
@@ -146,8 +149,10 @@ type Cluster struct {
 	Net   *ether.Network
 	// Par is the conservative parallel execution group, or nil when the
 	// cluster runs on the single-queue engine (see Config.Par).
-	Par        *sim.Group
-	Procs      []*proc.Processor
+	Par   *sim.Group
+	Procs []*proc.Processor
+	// Kernels is the Amoeba kernel of each processor in kernel and user
+	// space, and empty under bypass, whose processors boot none.
 	Kernels    []*akernel.Kernel
 	Transports []panda.Transport // indexed by worker processor id
 	// Metrics is the registry attached to the simulation, or nil when
@@ -446,11 +451,14 @@ func New(cfg Config) (*Cluster, error) {
 			ps = sims[partOfSeg[c.placement[i]]]
 		}
 		p := proc.New(ps, m, i, fmt.Sprintf("cpu%d", i))
+		c.Procs = append(c.Procs, p)
+		if cfg.Mode == panda.Bypass {
+			continue
+		}
 		k, err := akernel.New(p, c.Net, c.placement[i])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: boot kernel %d: %w", i, err)
 		}
-		c.Procs = append(c.Procs, p)
 		c.Kernels = append(c.Kernels, k)
 	}
 
@@ -474,7 +482,6 @@ func New(cfg Config) (*Cluster, error) {
 			}
 			if cfg.Mode == panda.Bypass {
 				if _, err := bypass.New(c.Procs[id], c.Net, c.placement[id], bypass.Config{
-					NICBase:  total,
 					Groups:   owned,
 					Dispatch: cfg.Dispatch,
 				}); err != nil {
@@ -529,11 +536,7 @@ func (c *Cluster) newTransport(i int, specs []panda.GroupSpec) (panda.Transport,
 			InterfaceDaemon: c.cfg.InterfaceDaemon,
 		}), nil
 	case panda.Bypass:
-		// Bypass queue-pair NICs are created after the kernels' FLIP NICs
-		// in processor order, so processor j's QP answers at NIC id
-		// totalProcs + j (static routing, no locate traffic).
 		return bypass.New(c.Procs[i], c.Net, c.placement[i], bypass.Config{
-			NICBase:  c.cfg.totalProcs(),
 			Groups:   specs,
 			Dispatch: c.cfg.Dispatch,
 		})

@@ -25,14 +25,8 @@ func newCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
 }
 
 // rpcNIC returns the interface that carries processor i's Panda traffic:
-// its kernel's FLIP NIC, or under bypass its queue pair's, which answers
-// at NIC id len(c.Procs) + i.
-func rpcNIC(c *cluster.Cluster, i int) *ether.NIC {
-	if c.Transports[i].Mode() == panda.Bypass {
-		return c.Net.NIC(len(c.Procs) + i)
-	}
-	return c.Kernels[i].FLIP().NIC()
-}
+// NIC i, its kernel's FLIP NIC or, under bypass, its queue pair.
+func rpcNIC(c *cluster.Cluster, i int) *ether.NIC { return c.Net.NIC(i) }
 
 // echoServer installs an RPC handler that replies with the request.
 func echoServer(tr panda.Transport) {
