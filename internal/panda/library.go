@@ -219,7 +219,16 @@ func (l *Library) recvLoop(t *proc.Thread) {
 		t.Call(depth)
 		if done && w != nil {
 			if l.iface != nil {
-				l.relay(t, w)
+				// Ablation: relay the upcall through the interface-layer
+				// daemon (one extra thread switch each way, as in
+				// pre-continuation Panda).
+				t.Syscall()
+				t.Flush()
+				l.iface.PostFromThread(t, func(it *proc.Thread, _ uint64) {
+					it.Call(depth)
+					l.dispatch(it, w)
+					it.Return(depth)
+				}, 0)
 			} else {
 				l.dispatch(t, w)
 			}
@@ -250,19 +259,6 @@ func (l *Library) dispatch(t *proc.Thread, w *Wire) {
 	}
 }
 
-// relay is the interface-daemon ablation: the upcall goes through the
-// interface-layer daemon, one extra thread switch each way, as in
-// pre-continuation Panda.
-func (l *Library) relay(t *proc.Thread, w *Wire) {
-	t.Syscall()
-	t.Flush()
-	l.iface.PostFromThread(t, func(it *proc.Thread, _ uint64) {
-		it.Call(l.RPC.pl.depth)
-		l.dispatch(it, w)
-		it.Return(l.RPC.pl.depth)
-	}, 0)
-}
-
 // toSequencer reports whether group messages of kind k go to the
 // sequencer.
 func toSequencer(k WireKind) bool {
@@ -275,21 +271,13 @@ func toSequencer(k WireKind) bool {
 }
 
 // seqTraffic reports whether w, nil for a packet without a wire, is
-// sequencer-bound group protocol traffic, and for which group.
-func seqTraffic(w *Wire) (gid int, ok bool) {
-	if w == nil || !toSequencer(w.Kind) {
-		return 0, false
-	}
-	return w.GID, true
-}
+// sequencer-bound group protocol traffic (of group w.GID).
+func seqTraffic(w *Wire) bool { return w != nil && toSequencer(w.Kind) }
 
 // ownsSeqTraffic reports whether w is sequencer traffic for a group this
 // instance sequences. A co-located shard must not steal other groups'
 // sequencer traffic from the receive thread.
-func (l *Library) ownsSeqTraffic(w *Wire) bool {
-	gid, ok := seqTraffic(w)
-	return ok && l.Sequences(gid)
-}
+func (l *Library) ownsSeqTraffic(w *Wire) bool { return seqTraffic(w) && l.Sequences(w.GID) }
 
 // sequencerLoop is the body of group gid's sequencer thread. It blocks
 // directly on the group's sequencer traffic, so an arriving request
@@ -301,10 +289,7 @@ func (l *Library) sequencerLoop(gid int) func(t *proc.Thread) {
 	return func(t *proc.Thread) {
 		reasm := flip.NewReassembler(l.RPC.sim, l.RPC.m.RetransTimeout)
 		reasm.SetTimeoutCounter(l.timeouts)
-		recv := l.port.Receiver(func(w *Wire) bool {
-			g, ok := seqTraffic(w)
-			return ok && g == gid
-		}, true, reasm)
+		recv := l.port.Receiver(func(w *Wire) bool { return seqTraffic(w) && w.GID == gid }, true, reasm)
 		depth := l.RPC.pl.depth
 		for {
 			w, done := recv(t)
