@@ -2,25 +2,26 @@ package akernel
 
 import (
 	"testing"
+	"time"
 
 	"amoebasim/internal/flip"
 	"amoebasim/internal/proc"
 	"amoebasim/internal/sim"
 )
 
-// TestRawReceiveMatchZeroAlloc: a warm RawReceiveMatch that blocks until
-// its packet arrives reuses its waiter, so the receive path allocates
-// nothing per packet.
-func TestRawReceiveMatchZeroAlloc(t *testing.T) {
+// TestRawReceiverZeroAlloc: a warm raw receive that blocks until its
+// packet arrives reuses its waiter, so the receive path allocates nothing
+// per packet.
+func TestRawReceiverZeroAlloc(t *testing.T) {
 	r := newRig(t, 1, 1)
 	k := r.kernels[0]
 	k.RawRegister()
 	var received int
+	recv := k.RawReceiver(nil, sim.PhaseRecvQueue, flip.NewReassembler(r.sim, time.Second))
 	k.Processor().NewThread("daemon", proc.PrioDaemon, func(th *proc.Thread) {
 		for {
-			pk := k.RawReceiveMatch(th, nil, sim.PhaseRecvQueue)
+			recv(th)
 			received++
-			k.RawRelease(pk)
 		}
 	})
 	r.sim.Run() // the daemon blocks
@@ -33,7 +34,7 @@ func TestRawReceiveMatchZeroAlloc(t *testing.T) {
 	}
 	deliver() // warm the waiter list and free list
 	if avg := testing.AllocsPerRun(200, deliver); avg != 0 {
-		t.Fatalf("a blocking RawReceiveMatch allocates %.2f objects/packet, budget is 0", avg)
+		t.Fatalf("a blocking raw receive allocates %.2f objects/packet, budget is 0", avg)
 	}
 	if received != 202 {
 		t.Fatalf("daemon received %d packets, want 202", received)

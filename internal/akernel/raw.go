@@ -15,7 +15,7 @@ type rawModule struct {
 	k       *Kernel
 	queue   []rawEntry
 	waiters []*rawWaiter
-	free    []*rawWaiter // waiters whose RawReceiveMatch has returned
+	free    []*rawWaiter // waiters whose receive has returned
 	discard func(*flip.Packet) bool
 }
 
@@ -73,63 +73,66 @@ func (k *Kernel) RawSend(t *proc.Thread, dst flip.Address, msgID uint64, hdr, si
 	k.leaveKernel(t)
 }
 
-// RawReceiveMatch blocks the calling thread until a FLIP packet
+// RawReceiver binds the raw receive of one user-space thread. The
+// function it returns blocks the calling thread until a FLIP packet
 // satisfying match (nil matches everything) arrives for the user-space
-// endpoint, then copies it to user space. FLIP fragments large messages,
-// so a user-space thread receives packets, not messages: reassembly
-// happens in user space. The match lets a protocol thread, such as the
-// Panda sequencer, block directly on its own traffic, so that an arriving
-// packet dispatches it straight out of the interrupt handler. The time a
-// packet waited in the raw queue is attributed to phase wait, which the
-// caller picks for its own traffic.
-func (k *Kernel) RawReceiveMatch(t *proc.Thread, match func(*flip.Packet) bool, wait sim.PhaseID) *flip.Packet {
-	r := k.raw
-	k.enterKernel(t)
-	var pk *flip.Packet
-	for i, q := range r.queue {
-		if match == nil || match(q.pk) {
-			pk = q.pk
-			// The packet sat in the raw queue from enqueue to this pickup.
-			k.sim.CausalSpan(pk.Op, wait, q.at, k.sim.Now())
-			last := len(r.queue) - 1
-			copy(r.queue[i:], r.queue[i+1:])
-			r.queue[last] = rawEntry{} // clear the vacated slot so the packet can be GC'd
-			r.queue = r.queue[:last]
-			if k.mx != nil {
-				k.mx.rawQueueDepth.Set(int64(len(r.queue)))
+// endpoint, copies it to user space, adds it to r, recycles the packet,
+// and returns its payload and whether it completed its message. FLIP
+// fragments large messages, so a user-space thread receives packets, not
+// messages: reassembly happens in user space. The match lets a protocol
+// thread, such as the Panda sequencer, block directly on its own traffic,
+// so that an arriving packet dispatches it straight out of the interrupt
+// handler. The time a packet waited in the raw queue is attributed to
+// phase wait, which the caller picks for its own traffic. The receive is
+// the returned function itself, with no frame of its own below it: a
+// receive thread's stack holds one frame between its loop and Block.
+func (k *Kernel) RawReceiver(match func(*flip.Packet) bool, wait sim.PhaseID, r *flip.Reassembler) func(t *proc.Thread) (payload any, done bool) {
+	raw := k.raw
+	return func(t *proc.Thread) (any, bool) {
+		k.enterKernel(t)
+		var pk *flip.Packet
+		for i, q := range raw.queue {
+			if match == nil || match(q.pk) {
+				pk = q.pk
+				// The packet sat in the raw queue from enqueue to this pickup.
+				k.sim.CausalSpan(pk.Op, wait, q.at, k.sim.Now())
+				last := len(raw.queue) - 1
+				copy(raw.queue[i:], raw.queue[i+1:])
+				raw.queue[last] = rawEntry{} // clear the vacated slot so the packet can be GC'd
+				raw.queue = raw.queue[:last]
+				if k.mx != nil {
+					k.mx.rawQueueDepth.Set(int64(len(raw.queue)))
+				}
+				break
 			}
-			break
 		}
-	}
-	if pk == nil {
-		var w *rawWaiter
-		if n := len(r.free); n > 0 {
-			w = r.free[n-1]
-			r.free = r.free[:n-1]
-		} else {
-			w = &rawWaiter{}
+		if pk == nil {
+			var w *rawWaiter
+			if n := len(raw.free); n > 0 {
+				w = raw.free[n-1]
+				raw.free = raw.free[:n-1]
+			} else {
+				w = &rawWaiter{}
+			}
+			w.t, w.match = t, match
+			raw.waiters = append(raw.waiters, w)
+			t.Block()
+			// Only onPacket wakes a raw waiter, after taking it off the list:
+			// once Block returns nothing else holds w.
+			pk = w.pk
+			*w = rawWaiter{}
+			raw.free = append(raw.free, w)
 		}
-		w.t, w.match = t, match
-		r.waiters = append(r.waiters, w)
-		t.Block()
-		// Only onPacket wakes a raw waiter, after taking it off the list:
-		// once Block returns nothing else holds w.
-		pk = w.pk
-		*w = rawWaiter{}
-		r.free = append(r.free, w)
+		t.SetOp(pk.Op)
+		t.ChargeP(sim.PhaseCrossing, k.m.RawPathOverhead)
+		t.CopyBytes(pk.Length)
+		k.leaveKernel(t)
+		done := r.Add(pk)
+		payload := pk.Payload
+		k.flip.ReleasePacket(pk)
+		return payload, done
 	}
-	t.SetOp(pk.Op)
-	t.ChargeP(sim.PhaseCrossing, k.m.RawPathOverhead)
-	t.CopyBytes(pk.Length)
-	k.leaveKernel(t)
-	return pk
 }
-
-// RawRelease recycles a packet returned by RawReceiveMatch
-// once the user-space protocol has extracted its payload. Skipping it is
-// safe (the packet falls back to the garbage collector) but gives up the
-// free-list recycling.
-func (k *Kernel) RawRelease(pk *flip.Packet) { k.flip.ReleasePacket(pk) }
 
 // onPacket queues an incoming FLIP packet for user space and wakes the
 // receive daemon. The dispatch of the daemon thread out of interrupt

@@ -72,18 +72,6 @@ func (l *qpLink) SendSystem(t *proc.Thread, dest int, w *panda.Wire, msgID uint6
 	(*Endpoint)(l).post(t, dest, hdr, w, msgID, dest < 0)
 }
 
-// Receiver consumes each fragment from the completion queue and
-// reassembles it in user space.
-func (l *qpLink) Receiver(match func(*panda.Wire) bool, seq bool, r *flip.Reassembler) func(t *proc.Thread) (*panda.Wire, bool) {
-	e := (*Endpoint)(l)
-	return func(t *proc.Thread) (*panda.Wire, bool) {
-		f := e.receive(t, match, seq)
-		w, done := f.w, reassemble(r, f)
-		e.freeFrag(f)
-		return w, done
-	}
-}
-
 // Discard installs drop as the QP's receive filter, which runs before
 // any completion-queue entry is made. The endpoint is then a dedicated
 // sequencer machine, whose pickups pay no shared-machine dispatch.
@@ -338,64 +326,71 @@ func (e *Endpoint) wake(w *waiter, f *bfrag) {
 	e.p.InterruptTagged(e.m.IntrEntry, f.op, w.ph, func() { w.t.Unblock() })
 }
 
-// receive blocks t until a completion-queue entry whose wire satisfies
-// match (nil: any) is available, then consumes it. seq marks a sequencer
-// thread: its service is sequencer service, which an interrupt wake-up is
-// tagged with, and its queue wait is sequencer queueing.
-func (e *Endpoint) receive(t *proc.Thread, match func(*panda.Wire) bool, seq bool) *bfrag {
+// Receiver binds a consumer of the completion queue. The function it
+// returns blocks t until an entry whose wire satisfies match (nil: any)
+// is available, consumes it, and reassembles it in user space. seq marks
+// a sequencer thread: its service is sequencer service, which an
+// interrupt wake-up is tagged with, and its queue wait is sequencer
+// queueing.
+func (l *qpLink) Receiver(match func(*panda.Wire) bool, seq bool, r *flip.Reassembler) func(t *proc.Thread) (any, bool) {
+	e := (*Endpoint)(l)
 	ph, wait := sim.PhaseProtoRecv, sim.PhaseRecvQueue
 	if seq {
 		ph, wait = sim.PhaseSeqService, sim.PhaseSeqQueue
 	}
-	var f *bfrag
-	for i, q := range e.rxq {
-		if match == nil || match(q.f.w) {
-			f = q.f
-			e.sim.CausalSpan(f.op, wait, q.at, e.sim.Now())
-			last := len(e.rxq) - 1
-			copy(e.rxq[i:], e.rxq[i+1:])
-			e.rxq[last] = rxEntry{}
-			e.rxq = e.rxq[:last]
-			break
+	return func(t *proc.Thread) (any, bool) {
+		var f *bfrag
+		for i, q := range e.rxq {
+			if match == nil || match(q.f.w) {
+				f = q.f
+				e.sim.CausalSpan(f.op, wait, q.at, e.sim.Now())
+				last := len(e.rxq) - 1
+				copy(e.rxq[i:], e.rxq[i+1:])
+				e.rxq[last] = rxEntry{}
+				e.rxq = e.rxq[:last]
+				break
+			}
 		}
-	}
-	if f == nil {
-		var w *waiter
-		if n := len(e.free); n > 0 {
-			w = e.free[n-1]
-			e.free = e.free[:n-1]
+		if f == nil {
+			var w *waiter
+			if n := len(e.free); n > 0 {
+				w = e.free[n-1]
+				e.free = e.free[:n-1]
+			} else {
+				w = &waiter{}
+			}
+			w.t, w.match, w.ph, w.at = t, match, ph, e.sim.Now()
+			e.waiters = append(e.waiters, w)
+			t.Block()
+			// Only deliver wakes a waiter, after taking it off the list (on the
+			// interrupt path its handler unblocks t, so it has run): once Block
+			// returns nothing else holds w.
+			f = w.f
+			polled := w.polled
+			*w = waiter{}
+			e.free = append(e.free, w)
+			if polled {
+				t.ChargeP(sim.PhasePollSpin, e.m.PollCheck)
+			}
 		} else {
-			w = &waiter{}
+			// Backlog pickup: the consumer stayed runnable between entries. On
+			// a shared machine each new message pays the time-sharing
+			// arbitration cost of running the QP consumer next to application
+			// threads — the price the kernel-space column avoids by processing
+			// at interrupt level; a dedicated machine pays nothing. Later
+			// fragments of the same message ride the burst for free: the
+			// consumer already holds the processor while it streams them.
+			if e.discard == nil && f.frag == 0 {
+				t.ChargeP(sim.PhaseSched, e.m.BypassSharedDispatch)
+			}
+			if e.cfg.Dispatch != Interrupt {
+				t.ChargeP(sim.PhasePollSpin, e.m.PollCheck)
+			}
 		}
-		w.t, w.match, w.ph, w.at = t, match, ph, e.sim.Now()
-		e.waiters = append(e.waiters, w)
-		t.Block()
-		// Only deliver wakes a waiter, after taking it off the list (on the
-		// interrupt path its handler unblocks t, so it has run): once Block
-		// returns nothing else holds w.
-		f = w.f
-		polled := w.polled
-		*w = waiter{}
-		e.free = append(e.free, w)
-		if polled {
-			t.ChargeP(sim.PhasePollSpin, e.m.PollCheck)
-		}
-	} else {
-		// Backlog pickup: the consumer stayed runnable between entries. On
-		// a shared machine each new message pays the time-sharing
-		// arbitration cost of running the QP consumer next to application
-		// threads — the price the kernel-space column avoids by processing
-		// at interrupt level; a dedicated machine pays nothing. Later
-		// fragments of the same message ride the burst for free: the
-		// consumer already holds the processor while it streams them.
-		if e.discard == nil && f.frag == 0 {
-			t.ChargeP(sim.PhaseSched, e.m.BypassSharedDispatch)
-		}
-		if e.cfg.Dispatch != Interrupt {
-			t.ChargeP(sim.PhasePollSpin, e.m.PollCheck)
-		}
+		t.SetOp(f.op)
+		t.ChargeP(sim.PhaseProtoRecv, e.m.BypassRxPacket)
+		w, done := f.w, reassemble(r, f)
+		e.freeFrag(f)
+		return w, done
 	}
-	t.SetOp(f.op)
-	t.ChargeP(sim.PhaseProtoRecv, e.m.BypassRxPacket)
-	return f
 }

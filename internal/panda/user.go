@@ -67,9 +67,9 @@ func (l *userLink) SendSystem(t *proc.Thread, dest int, w *Wire, msgID uint64, h
 	l.k.RawSend(t, akernel.RawAddress(dest), msgID, hdr, w.Size, w, false)
 }
 
-// Receiver fetches each packet by a raw FLIP system call, reassembles it
-// in user space and hands the packet shell back to the kernel's pool.
-func (l *userLink) Receiver(match func(*Wire) bool, seq bool, r *flip.Reassembler) func(t *proc.Thread) (*Wire, bool) {
+// Receiver fetches each packet by a raw FLIP system call and reassembles
+// it in user space.
+func (l *userLink) Receiver(match func(*Wire) bool, seq bool, r *flip.Reassembler) func(t *proc.Thread) (any, bool) {
 	var pkMatch func(*flip.Packet) bool
 	if match != nil {
 		pkMatch = func(pk *flip.Packet) bool {
@@ -81,15 +81,7 @@ func (l *userLink) Receiver(match func(*Wire) bool, seq bool, r *flip.Reassemble
 	if seq {
 		wait = sim.PhaseSeqQueue
 	}
-	k := l.k
-	return func(t *proc.Thread) (*Wire, bool) {
-		pk := k.RawReceiveMatch(t, pkMatch, wait)
-		done := r.Add(pk)
-		w, _ := pk.Payload.(*Wire)
-		// The wire struct is extracted; recycle the packet shell.
-		k.RawRelease(pk)
-		return w, done
-	}
+	return l.k.RawReceiver(pkMatch, wait, r)
 }
 
 // Discard drops matching packets in the kernel's interrupt handler,
