@@ -217,10 +217,11 @@ type Placement struct {
 }
 
 // newPlacement names the RPC trace events rpc.req, rpc.rep and so on,
-// the group ones grp.send, grp.dlv and grp.seq, and the library's threads
-// threads-timer, threads-recv and threads-sequencer; it ends the RPC
-// reply's trace detail with note, nests every send depth frames deep, and
-// sends group messages above BBThreshold by the BB method when bb is set.
+// the group ones grp.send, grp.dlv and grp.seq, and the library's timer
+// helper, receive thread and sequencer threads threads+"-timer",
+// threads+"-"+recv and threads+"-sequencer"; it ends the RPC reply's
+// trace detail with note, nests every send depth frames deep, and sends
+// group messages above BBThreshold by the BB method when bb is set.
 func newPlacement(depth int, rpc, note, grp string, bb bool, threads, recv string) *Placement {
 	return &Placement{
 		depth: depth, bb: bb,
