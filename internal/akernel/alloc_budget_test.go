@@ -10,8 +10,8 @@ import (
 )
 
 // TestRawReceiverZeroAlloc: a warm raw receive that blocks until its
-// packet arrives reuses its waiter, so the receive path allocates nothing
-// per packet.
+// packet arrives parks the waiter it owns, so the receive path allocates
+// nothing per packet.
 func TestRawReceiverZeroAlloc(t *testing.T) {
 	r := newRig(t, 1, 1)
 	k := r.kernels[0]
@@ -29,10 +29,10 @@ func TestRawReceiverZeroAlloc(t *testing.T) {
 	// again and again.
 	pk := &flip.Packet{Length: 64}
 	deliver := func() {
-		k.raw.onPacket(pk)
+		k.onRawPacket(pk)
 		r.sim.Run()
 	}
-	deliver() // warm the waiter list and free list
+	deliver() // warm the queue
 	if avg := testing.AllocsPerRun(200, deliver); avg != 0 {
 		t.Fatalf("a blocking raw receive allocates %.2f objects/packet, budget is 0", avg)
 	}

@@ -337,13 +337,14 @@ func groupSendAllocs(t *testing.T, n int) float64 {
 }
 
 // fanoutBudget bounds what one more member adds to a warm group send, in
-// objects. Delivery allocates nothing: each member reuses its receive
-// waiter, hands the delivery over by value, finds its wire in its inbox,
-// and boxes no argument for an untraced hook. What a member may add is
-// its share of the watermark reports: a pure receiver sends a status wire
-// per 16 deliveries, which travels in a packet and is not recycled, and
-// the sequencer's watchdog probes the ones behind. Before the receive
-// records were reused, each member cost at least 3 objects per send.
+// objects. Delivery allocates nothing: each member parks the receive
+// waiter its group keeps, hands the delivery over by value, finds its
+// wire in its inbox, and boxes no argument for an untraced hook. What a
+// member may add is its share of the watermark reports: a pure receiver
+// sends a status wire per 16 deliveries, which travels in a packet and
+// is not recycled, and the sequencer's watchdog probes the ones behind.
+// Before the receive records were reused, each member cost at least 3
+// objects per send.
 const fanoutBudget = 0.25
 
 // TestGroupReceiveFanoutBudget: a warm kernel-space group send allocates

@@ -53,7 +53,16 @@ type Kernel struct {
 	flip *flip.Stack
 
 	rpc *rpcModule
-	raw *rawModule
+
+	// rawq is the receive side of the raw FLIP interface, the kernel
+	// extension the Panda user-space implementation is built on: the
+	// packets for the user-space endpoint and the threads parked in a
+	// raw receive. The paper notes this extension "has not yet been
+	// optimized" (user-to-kernel address translation); RawPathOverhead
+	// in the cost model captures that residual per-packet cost.
+	// rawDiscard is RawDiscard's filter, nil when none is installed.
+	rawq       proc.Queue[*flip.Packet, *rawWaiter]
+	rawDiscard func(*flip.Packet) bool
 
 	mx *kernMetrics // nil when metrics are disabled
 }
@@ -88,9 +97,8 @@ func New(p *proc.Processor, net *ether.Network, seg int) (*Kernel, error) {
 		reg.Register(k.mx, metrics.L("proc", p.Name()))
 	}
 	k.rpc = newRPCModule(k)
-	k.raw = newRawModule(k)
 	st.Handle(flip.ProtoRPC, k.rpc.onPacket)
-	st.Handle(flip.ProtoSystem, k.raw.onPacket)
+	st.Handle(flip.ProtoSystem, k.onRawPacket)
 	return k, nil
 }
 

@@ -6,35 +6,16 @@ import (
 	"amoebasim/internal/sim"
 )
 
-// rawModule is the Amoeba kernel extension that exposes the low-level FLIP
-// interface to user space. The Panda user-space implementation is built
-// entirely on these syscalls. The paper notes this extension "has not yet
-// been optimized" (user-to-kernel address translation); RawPathOverhead in
-// the cost model captures that residual per-packet cost.
-type rawModule struct {
-	k       *Kernel
-	queue   []rawEntry
-	waiters []*rawWaiter
-	free    []*rawWaiter // waiters whose receive has returned
-	discard func(*flip.Packet) bool
-}
-
-// rawEntry is one queued packet plus its enqueue instant, so the time it
-// waits for the user-space daemon can be causally attributed.
-type rawEntry struct {
-	pk *flip.Packet
-	at sim.Time
-}
-
+// rawWaiter is a user-space thread parked in a raw receive. Each bound
+// receive owns one.
 type rawWaiter struct {
 	t     *proc.Thread
 	match func(*flip.Packet) bool
-	pk    *flip.Packet
+	pk    *flip.Packet // the packet onRawPacket handed over
 }
 
-func newRawModule(k *Kernel) *rawModule {
-	return &rawModule{k: k}
-}
+// Accepts reports whether the receive takes pk.
+func (w *rawWaiter) Accepts(pk *flip.Packet) bool { return w.match == nil || w.match(pk) }
 
 // RawRegister announces this kernel's user-space FLIP endpoint.
 func (k *Kernel) RawRegister() { k.flip.Register(RawAddress(k.id)) }
@@ -47,7 +28,7 @@ func (k *Kernel) RawJoinGroup(a flip.Address) { k.flip.JoinGroup(a) }
 // waking any thread. A dedicated sequencer machine uses it to ignore
 // member traffic it subscribed to only as a side effect of joining the
 // group address.
-func (k *Kernel) RawDiscard(match func(*flip.Packet) bool) { k.raw.discard = match }
+func (k *Kernel) RawDiscard(match func(*flip.Packet) bool) { k.rawDiscard = match }
 
 // RawNextMsgID allocates a FLIP message id (local bookkeeping, no
 // crossing).
@@ -87,41 +68,23 @@ func (k *Kernel) RawSend(t *proc.Thread, dst flip.Address, msgID uint64, hdr, si
 // the returned function itself, with no frame of its own below it: a
 // receive thread's stack holds one frame between its loop and Block.
 func (k *Kernel) RawReceiver(match func(*flip.Packet) bool, wait sim.PhaseID, r *flip.Reassembler) func(t *proc.Thread) (payload any, done bool) {
-	raw := k.raw
+	w := &rawWaiter{match: match}
 	return func(t *proc.Thread) (any, bool) {
 		k.enterKernel(t)
-		var pk *flip.Packet
-		for i, q := range raw.queue {
-			if match == nil || match(q.pk) {
-				pk = q.pk
-				// The packet sat in the raw queue from enqueue to this pickup.
-				k.sim.CausalSpan(pk.Op, wait, q.at, k.sim.Now())
-				last := len(raw.queue) - 1
-				copy(raw.queue[i:], raw.queue[i+1:])
-				raw.queue[last] = rawEntry{} // clear the vacated slot so the packet can be GC'd
-				raw.queue = raw.queue[:last]
-				if k.mx != nil {
-					k.mx.rawQueueDepth.Set(int64(len(raw.queue)))
-				}
-				break
+		pk, at, ok := k.rawq.Take(w)
+		if ok {
+			// The packet sat in the raw queue from enqueue to this pickup.
+			k.sim.CausalSpan(pk.Op, wait, at, k.sim.Now())
+			if k.mx != nil {
+				k.mx.rawQueueDepth.Set(int64(k.rawq.Len()))
 			}
-		}
-		if pk == nil {
-			var w *rawWaiter
-			if n := len(raw.free); n > 0 {
-				w = raw.free[n-1]
-				raw.free = raw.free[:n-1]
-			} else {
-				w = &rawWaiter{}
-			}
-			w.t, w.match = t, match
-			raw.waiters = append(raw.waiters, w)
+		} else {
+			w.t = t
+			k.rawq.Wait(w)
 			t.Block()
-			// Only onPacket wakes a raw waiter, after taking it off the list:
-			// once Block returns nothing else holds w.
-			pk = w.pk
-			*w = rawWaiter{}
-			raw.free = append(raw.free, w)
+			// Only onRawPacket wakes a raw waiter, after taking it off the
+			// queue: once Block returns nothing else holds w.
+			pk, w.pk = w.pk, nil
 		}
 		t.SetOp(pk.Op)
 		t.ChargeP(sim.PhaseCrossing, k.m.RawPathOverhead)
@@ -134,31 +97,24 @@ func (k *Kernel) RawReceiver(match func(*flip.Packet) bool, wait sim.PhaseID, r 
 	}
 }
 
-// onPacket queues an incoming FLIP packet for user space and wakes the
-// receive daemon. The dispatch of the daemon thread out of interrupt
-// context is the cost the paper's user-space analysis centers on.
-func (r *rawModule) onPacket(pk *flip.Packet) {
-	if r.discard != nil && r.discard(pk) {
+// onRawPacket queues an incoming FLIP packet for user space, or hands it
+// to a parked receive and wakes its thread. The dispatch of the daemon
+// thread out of interrupt context is the cost the paper's user-space
+// analysis centers on.
+func (k *Kernel) onRawPacket(pk *flip.Packet) {
+	if k.rawDiscard != nil && k.rawDiscard(pk) {
 		return
 	}
 	// The packet outlives this upcall — it sits in the raw queue or rides
 	// a waiter handoff until a daemon thread picks it up.
 	pk.Retain()
-	for i, w := range r.waiters {
-		if w.match != nil && !w.match(pk) {
-			continue
-		}
-		last := len(r.waiters) - 1
-		copy(r.waiters[i:], r.waiters[i+1:])
-		r.waiters[last] = nil // clear the vacated slot (it pins thread + packet)
-		r.waiters = r.waiters[:last]
+	if w, ok := k.rawq.Put(pk, k.sim.Now()); ok {
 		w.pk = pk
 		w.t.SetOp(pk.Op)
 		w.t.Unblock()
 		return
 	}
-	r.queue = append(r.queue, rawEntry{pk: pk, at: r.k.sim.Now()})
-	if r.k.mx != nil {
-		r.k.mx.rawQueueDepth.Set(int64(len(r.queue)))
+	if k.mx != nil {
+		k.mx.rawQueueDepth.Set(int64(k.rawq.Len()))
 	}
 }

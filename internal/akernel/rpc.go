@@ -30,7 +30,18 @@ type Request struct {
 	kern    *Kernel
 	retAddr flip.Address
 	done    bool
+
+	waiter serverWaiter // parks the thread in GetRequest
 }
+
+// serverWaiter is a server thread parked in GetRequest.
+type serverWaiter struct {
+	t *proc.Thread
+	w *rpcWire // the request handleREQ handed over
+}
+
+// Accepts reports that a server thread takes any request on its port.
+func (*serverWaiter) Accepts(*rpcWire) bool { return true }
 
 // ClientKernel reports the kernel id of the client that issued the
 // request.
@@ -59,8 +70,6 @@ type rpcWire struct {
 	payload any
 	size    int
 	retAddr flip.Address // client kernel's reply endpoint
-
-	queuedAt sim.Time // server-side: when the request entered the port queue
 }
 
 // callState tracks one outstanding client call. Channels are per client
@@ -113,20 +122,10 @@ type rpcModule struct {
 	seqs      map[int]uint64 // per-thread seq counters
 	replyTo   flip.Address
 
-	// Server side.
-	ports    map[Port]*portState
+	// Server side: each port's queue of requests and parked server
+	// threads.
+	ports    map[Port]*proc.Queue[*rpcWire, *serverWaiter]
 	channels map[chanKey]*serverChan
-}
-
-type portState struct {
-	queue   []*rpcWire
-	waiters []*serverWaiter
-	free    []*serverWaiter // waiters whose GetRequest has returned
-}
-
-type serverWaiter struct {
-	t   *proc.Thread
-	req *Request // the thread's record, filled in by the interrupt handler
 }
 
 func newRPCModule(k *Kernel) *rpcModule {
@@ -135,7 +134,7 @@ func newRPCModule(k *Kernel) *rpcModule {
 		reasm:    flip.NewReassembler(k.sim, k.m.RetransTimeout),
 		calls:    make(map[chanKey]*callState),
 		seqs:     make(map[int]uint64),
-		ports:    make(map[Port]*portState),
+		ports:    make(map[Port]*proc.Queue[*rpcWire, *serverWaiter]),
 		channels: make(map[chanKey]*serverChan),
 		replyTo:  rawBase | 0x2000_0000 | flip.Address(k.id),
 	}
@@ -294,34 +293,25 @@ func (r *rpcModule) clientTimeout(cs *callState) {
 // and fills req in with it. The same thread must later call PutReply for
 // that request before it passes req to GetRequest again.
 func (k *Kernel) GetRequest(t *proc.Thread, port Port, req *Request) {
-	r := k.rpc
 	k.enterKernel(t)
-	ps := r.port(port)
-	if len(ps.queue) > 0 {
-		w := ps.queue[0]
-		n := copy(ps.queue, ps.queue[1:])
-		ps.queue[n] = nil // clear the vacated slot so the wire msg can be GC'd
-		ps.queue = ps.queue[:n]
-		k.sim.CausalSpan(w.op, sim.PhaseRecvQueue, w.queuedAt, k.sim.Now())
+	q := k.rpc.port(port)
+	w, at, ok := q.Take(&req.waiter)
+	if ok {
+		k.sim.CausalSpan(w.op, sim.PhaseRecvQueue, at, k.sim.Now())
 		t.SetOp(w.op)
-		r.bindRequest(w, t, req)
-		k.leaveKernel(t)
-		return
-	}
-	var sw *serverWaiter
-	if n := len(ps.free); n > 0 {
-		sw = ps.free[n-1]
-		ps.free = ps.free[:n-1]
 	} else {
-		sw = &serverWaiter{}
+		req.waiter.t = t
+		q.Wait(&req.waiter)
+		t.Block()
+		// Only handleREQ wakes a server waiter, after taking it off the
+		// queue: once Block returns nothing else holds it.
+		w = req.waiter.w
 	}
-	sw.t, sw.req = t, req
-	ps.waiters = append(ps.waiters, sw)
-	t.Block()
-	// Only handleREQ wakes a server waiter, after taking it off the list:
-	// once Block returns nothing else holds sw.
-	*sw = serverWaiter{}
-	ps.free = append(ps.free, sw)
+	// The filled-in record's waiter is zero again: it holds no wire.
+	*req = Request{
+		Payload: w.payload, Size: w.size, Port: w.port,
+		ch: w.ch, seq: w.seq, op: w.op, thread: t, kern: k, retAddr: w.retAddr,
+	}
 	k.leaveKernel(t)
 }
 
@@ -376,14 +366,14 @@ func (k *Kernel) PutReply(t *proc.Thread, req *Request, reply any, size int) {
 	}
 }
 
-func (r *rpcModule) port(p Port) *portState {
-	ps := r.ports[p]
-	if ps == nil {
-		ps = &portState{}
-		r.ports[p] = ps
+func (r *rpcModule) port(p Port) *proc.Queue[*rpcWire, *serverWaiter] {
+	q := r.ports[p]
+	if q == nil {
+		q = new(proc.Queue[*rpcWire, *serverWaiter])
+		r.ports[p] = q
 		r.k.flip.Register(PortAddress(p))
 	}
-	return ps
+	return q
 }
 
 func (r *rpcModule) channel(ch chanKey) *serverChan {
@@ -453,27 +443,11 @@ func (r *rpcModule) handleREQ(w *rpcWire) {
 	}
 	sc.inFlight = w.seq
 	sc.cached, sc.cachedRep = false, flip.Message{}
-	ps := r.port(w.port)
-	if len(ps.waiters) > 0 {
-		sw := ps.waiters[0]
-		n := copy(ps.waiters, ps.waiters[1:])
-		ps.waiters[n] = nil // clear the vacated slot (it pins thread + request)
-		ps.waiters = ps.waiters[:n]
-		r.bindRequest(w, sw.t, sw.req)
+	if sw, ok := r.port(w.port).Put(w, k.sim.Now()); ok {
+		sw.w = w
 		// One context switch at the server: dispatch the server thread.
 		sw.t.SetOp(w.op)
 		sw.t.Unblock()
-		return
-	}
-	w.queuedAt = k.sim.Now()
-	ps.queue = append(ps.queue, w)
-}
-
-// bindRequest fills server thread t's record req in with request w.
-func (r *rpcModule) bindRequest(w *rpcWire, t *proc.Thread, req *Request) {
-	*req = Request{
-		Payload: w.payload, Size: w.size, Port: w.port,
-		ch: w.ch, seq: w.seq, op: w.op, thread: t, kern: r.k, retAddr: w.retAddr,
 	}
 }
 

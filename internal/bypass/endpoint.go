@@ -97,9 +97,8 @@ type Endpoint struct {
 	net *ether.Network
 	cfg Config
 
-	rxq     []rxEntry
-	waiters []*waiter
-	free    []*waiter // waiters whose receive has returned
+	// rxq is the completion queue: its entries and its parked consumers.
+	rxq proc.Queue[*bfrag, *waiter]
 	// discard is the receive filter of a dedicated sequencer machine, nil
 	// on every other endpoint.
 	discard func(*panda.Wire) bool
@@ -115,22 +114,20 @@ type Endpoint struct {
 
 var _ panda.Transport = (*Endpoint)(nil)
 
-// rxEntry is one completion-queue entry plus its arrival instant, so the
-// time it waits for the consumer can be causally attributed.
-type rxEntry struct {
-	f  *bfrag
-	at sim.Time
-}
-
-// waiter is a thread parked on the completion queue.
+// waiter is a consumer parked on the completion queue. Each bound
+// consumer owns one.
 type waiter struct {
 	t      *proc.Thread
 	match  func(*panda.Wire) bool
 	ph     sim.PhaseID // service phase (PhaseSeqService for sequencer threads)
 	at     sim.Time    // park instant, for spin accounting
 	f      *bfrag
-	polled bool // woken on the poll path (charge the poll probe on resume)
+	polled bool   // woken on the poll path (charge the poll probe on resume)
+	unpark func() // the interrupt path's wake-up, bound on its first use
 }
+
+// Accepts reports whether the consumer takes entry f.
+func (w *waiter) Accepts(f *bfrag) bool { return w.match == nil || w.match(f.w) }
 
 // New creates and starts a bypass endpoint on processor p, attaching its
 // queue-pair NIC to the given Ethernet segment. Endpoints are made in
@@ -272,19 +269,10 @@ func (e *Endpoint) deliver(f *bfrag) {
 			return
 		}
 	}
-	for i, w := range e.waiters {
-		if w.match != nil && !w.match(f.w) {
-			continue
-		}
-		last := len(e.waiters) - 1
-		copy(e.waiters[i:], e.waiters[i+1:])
-		e.waiters[last] = nil
-		e.waiters = e.waiters[:last]
+	if w, ok := e.rxq.Put(f, e.sim.Now()); ok {
 		w.f = f
 		e.wake(w, f)
-		return
 	}
-	e.rxq = append(e.rxq, rxEntry{f: f, at: e.sim.Now()})
 }
 
 // wake resumes a parked consumer according to the dispatch mode.
@@ -323,7 +311,10 @@ func (e *Endpoint) wake(w *waiter, f *bfrag) {
 		e.p.AddSpin(e.m.PollSpinBudget) // spun out the budget before parking
 	}
 	w.t.SetOp(f.op)
-	e.p.InterruptTagged(e.m.IntrEntry, f.op, w.ph, func() { w.t.Unblock() })
+	if w.unpark == nil {
+		w.unpark = func() { w.t.Unblock() }
+	}
+	e.p.InterruptTagged(e.m.IntrEntry, f.op, w.ph, w.unpark)
 }
 
 // Receiver binds a consumer of the completion queue. The function it
@@ -338,41 +329,11 @@ func (l *qpLink) Receiver(match func(*panda.Wire) bool, seq bool, r *flip.Reasse
 	if seq {
 		ph, wait = sim.PhaseSeqService, sim.PhaseSeqQueue
 	}
+	w := &waiter{match: match, ph: ph}
 	return func(t *proc.Thread) (any, bool) {
-		var f *bfrag
-		for i, q := range e.rxq {
-			if match == nil || match(q.f.w) {
-				f = q.f
-				e.sim.CausalSpan(f.op, wait, q.at, e.sim.Now())
-				last := len(e.rxq) - 1
-				copy(e.rxq[i:], e.rxq[i+1:])
-				e.rxq[last] = rxEntry{}
-				e.rxq = e.rxq[:last]
-				break
-			}
-		}
-		if f == nil {
-			var w *waiter
-			if n := len(e.free); n > 0 {
-				w = e.free[n-1]
-				e.free = e.free[:n-1]
-			} else {
-				w = &waiter{}
-			}
-			w.t, w.match, w.ph, w.at = t, match, ph, e.sim.Now()
-			e.waiters = append(e.waiters, w)
-			t.Block()
-			// Only deliver wakes a waiter, after taking it off the list (on the
-			// interrupt path its handler unblocks t, so it has run): once Block
-			// returns nothing else holds w.
-			f = w.f
-			polled := w.polled
-			*w = waiter{}
-			e.free = append(e.free, w)
-			if polled {
-				t.ChargeP(sim.PhasePollSpin, e.m.PollCheck)
-			}
-		} else {
+		f, at, ok := e.rxq.Take(w)
+		if ok {
+			e.sim.CausalSpan(f.op, wait, at, e.sim.Now())
 			// Backlog pickup: the consumer stayed runnable between entries. On
 			// a shared machine each new message pays the time-sharing
 			// arbitration cost of running the QP consumer next to application
@@ -386,11 +347,23 @@ func (l *qpLink) Receiver(match func(*panda.Wire) bool, seq bool, r *flip.Reasse
 			if e.cfg.Dispatch != Interrupt {
 				t.ChargeP(sim.PhasePollSpin, e.m.PollCheck)
 			}
+		} else {
+			w.t, w.at = t, e.sim.Now()
+			e.rxq.Wait(w)
+			t.Block()
+			// Only deliver wakes a waiter, after taking it off the queue (on
+			// the interrupt path its handler unblocks t, so it has run): once
+			// Block returns nothing else holds w.
+			f, w.f = w.f, nil
+			if w.polled {
+				w.polled = false
+				t.ChargeP(sim.PhasePollSpin, e.m.PollCheck)
+			}
 		}
 		t.SetOp(f.op)
 		t.ChargeP(sim.PhaseProtoRecv, e.m.BypassRxPacket)
-		w, done := f.w, reassemble(r, f)
+		wire, done := f.w, reassemble(r, f)
 		e.freeFrag(f)
-		return w, done
+		return wire, done
 	}
 }

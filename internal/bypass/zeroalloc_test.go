@@ -79,32 +79,51 @@ func TestSeqTrafficClassifierZeroAlloc(t *testing.T) {
 }
 
 // TestBlockingReceiveZeroAlloc: a warm completion-queue consumer that
-// blocks in receive until its fragment arrives reuses its waiter, so a
-// polled pickup allocates nothing per fragment.
+// blocks in receive until its fragment arrives owns its waiter and binds
+// its interrupt-path wake-up once, so a pickup allocates nothing per
+// fragment in any dispatch mode: polled, by interrupt, or by interrupt
+// under Hybrid once the idle gap has passed the spin budget.
 func TestBlockingReceiveZeroAlloc(t *testing.T) {
-	s := sim.New()
 	m := model.Calibrated()
-	net := ether.New(s, m, 1, 1)
-	p := proc.New(s, m, 0, "cpu0")
-	t.Cleanup(p.Shutdown)
-	e, err := New(p, net, 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var received int
-	e.HandleRaw(func(*proc.Thread, int, any, int) { received++ })
-	s.Run() // the consumer blocks on the empty completion queue
-	f := &bfrag{w: &panda.Wire{Kind: panda.WireRAW, From: 1, Size: 64}, src: 1, dst: 0, msgID: 7, nfrags: 1, length: 64}
-	deliver := func() {
-		e.deliver(f)
-		s.Run()
-	}
-	deliver() // warm the waiter list and free list
-	if avg := testing.AllocsPerRun(200, deliver); avg != 0 {
-		t.Fatalf("a blocking receive allocates %.2f objects/fragment, budget is 0", avg)
-	}
-	if received != 202 {
-		t.Fatalf("consumer picked up %d fragments, want 202", received)
+	for _, tc := range []struct {
+		mode Dispatch
+		gap  time.Duration // idle time before each fragment arrives
+		intr bool          // whether the pickup takes the interrupt path
+	}{
+		{Poll, 0, false},
+		{Interrupt, 0, true},
+		{Hybrid, m.PollSpinBudget + time.Millisecond, true},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			s := sim.New()
+			net := ether.New(s, m, 1, 1)
+			p := proc.New(s, m, 0, "cpu0")
+			t.Cleanup(p.Shutdown)
+			e, err := New(p, net, 0, Config{Dispatch: tc.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var received int
+			e.HandleRaw(func(*proc.Thread, int, any, int) { received++ })
+			s.Run() // the consumer blocks on the empty completion queue
+			f := &bfrag{w: &panda.Wire{Kind: panda.WireRAW, From: 1, Size: 64}, src: 1, dst: 0, msgID: 7, nfrags: 1, length: 64}
+			deliver := func() {
+				s.RunUntil(s.Now().Add(tc.gap))
+				e.deliver(f)
+				s.Run()
+			}
+			deliver() // warm the queue and bind the wake-up
+			intr0 := p.Stats().Interrupts
+			if avg := testing.AllocsPerRun(200, deliver); avg != 0 {
+				t.Fatalf("a blocking receive allocates %.2f objects/fragment, budget is 0", avg)
+			}
+			if received != 202 {
+				t.Fatalf("consumer picked up %d fragments, want 202", received)
+			}
+			if got := p.Stats().Interrupts - intr0; (got > 0) != tc.intr {
+				t.Fatalf("%d interrupts over 201 pickups; want the interrupt path: %v", got, tc.intr)
+			}
+		})
 	}
 }
 

@@ -108,9 +108,10 @@ type kernGroup struct {
 	inbox    []*Wire
 	handleFn func()
 
-	queue       []delivery
-	waiters     []*recvWaiter
-	freeWaiters []*recvWaiter // waiters whose receive has returned
+	// queue holds the deliveries grp_receive has not yet taken; waiter
+	// is the group daemon's, the one thread that receives.
+	queue  proc.Queue[delivery, *recvWaiter]
+	waiter recvWaiter
 }
 
 // delivery is one totally-ordered group message as grp_receive returns it.
@@ -121,10 +122,14 @@ type delivery struct {
 	size    int
 }
 
+// recvWaiter is the group daemon parked in grp_receive.
 type recvWaiter struct {
 	t *proc.Thread
-	d delivery
+	d delivery // the message deliver handed over
 }
+
+// Accepts reports that grp_receive takes every delivery.
+func (*recvWaiter) Accepts(delivery) bool { return true }
 
 // KernelConfig configures a kernel-space Panda instance.
 type KernelConfig struct {
@@ -335,14 +340,10 @@ func (kg *kernGroup) handleNext() {
 // the message to a thread blocked in grp_receive, or queues it.
 func (kg *kernGroup) deliver(_ *proc.Thread, sender int, seqno uint64, payload any, size int) {
 	d := delivery{sender: sender, seqno: seqno, payload: payload, size: size}
-	if len(kg.waiters) == 0 {
-		kg.queue = append(kg.queue, d)
-		return
+	if rw, ok := kg.queue.Put(d, kg.grp.sim.Now()); ok {
+		rw.d = d
+		rw.t.Unblock()
 	}
-	rw := kg.waiters[0]
-	kg.waiters = kg.waiters[0:copy(kg.waiters, kg.waiters[1:])]
-	rw.d = d
-	rw.t.Unblock()
 }
 
 // receive is grp_receive: it blocks t until the next totally-ordered
@@ -350,27 +351,15 @@ func (kg *kernGroup) deliver(_ *proc.Thread, sender int, seqno uint64, payload a
 func (kg *kernGroup) receive(t *proc.Thread) delivery {
 	t.Syscall()
 	t.Call(2)
-	if len(kg.queue) > 0 {
-		d := kg.queue[0]
-		kg.queue = kg.queue[0:copy(kg.queue, kg.queue[1:])]
-		t.Return(2)
-		return d
+	d, _, ok := kg.queue.Take(&kg.waiter)
+	if !ok {
+		kg.waiter.t = t
+		kg.queue.Wait(&kg.waiter)
+		t.Block()
+		// Only deliver wakes the daemon, after taking its waiter off the
+		// queue: once Block returns nothing else holds the waiter.
+		d, kg.waiter.d = kg.waiter.d, delivery{}
 	}
-	var rw *recvWaiter
-	if n := len(kg.freeWaiters); n > 0 {
-		rw = kg.freeWaiters[n-1]
-		kg.freeWaiters = kg.freeWaiters[:n-1]
-	} else {
-		rw = &recvWaiter{}
-	}
-	rw.t = t
-	kg.waiters = append(kg.waiters, rw)
-	t.Block()
-	// Only deliver wakes a receive waiter, after taking it off the list:
-	// once Block returns nothing else holds rw.
-	d := rw.d
-	*rw = recvWaiter{}
-	kg.freeWaiters = append(kg.freeWaiters, rw)
 	t.Return(2)
 	return d
 }

@@ -1,5 +1,11 @@
 package proc
 
+import (
+	"slices"
+
+	"amoebasim/internal/sim"
+)
+
 // Mutex is an Amoeba user-level mutex synchronizing the threads of one
 // process (one processor). Uncontended lock/unlock is nearly free (a few
 // instructions in user space); contention blocks the caller.
@@ -126,3 +132,57 @@ func (s *Semaphore) up() {
 
 // Value returns the current count (waiters imply zero).
 func (s *Semaphore) Value() int { return s.count }
+
+// Queue is where an arriving item waits for the thread that takes it,
+// or a thread for its item: a FIFO of items, each stamped with its
+// arrival instant, and a FIFO of waiters, each owned by its thread and
+// reporting by Accepts whether the thread takes an item. A thread takes
+// the oldest item its waiter accepts (Take), or else queues the waiter
+// (Wait) and blocks in its own frame; an arrival goes to the
+// longest-waiting waiter that accepts it (Put), or else joins the items.
+// The queue neither blocks nor wakes a thread: the caller of Put wakes
+// the waiter's thread in its own way. Removing an item or a waiter
+// clears its slot (slices.Delete does), so the backing arrays keep
+// neither alive.
+type Queue[T any, W interface{ Accepts(T) bool }] struct {
+	items   []stamped[T]
+	waiters []W
+}
+
+type stamped[T any] struct {
+	v  T
+	at sim.Time
+}
+
+// Take removes the oldest item w accepts and returns it with the instant
+// it was put; ok is false when the queue holds none.
+func (q *Queue[T, W]) Take(w W) (v T, at sim.Time, ok bool) {
+	for i, it := range q.items {
+		if w.Accepts(it.v) {
+			q.items = slices.Delete(q.items, i, i+1)
+			return it.v, it.at, true
+		}
+	}
+	return v, 0, false
+}
+
+// Wait queues w behind the waiters already there. The caller blocks
+// next; the caller of the Put that returns w wakes it.
+func (q *Queue[T, W]) Wait(w W) { q.waiters = append(q.waiters, w) }
+
+// Put removes and returns the longest-waiting waiter that accepts v, for
+// the caller to hand v to and wake. When none does, Put queues v,
+// stamped with now, and ok is false.
+func (q *Queue[T, W]) Put(v T, now sim.Time) (w W, ok bool) {
+	for i, x := range q.waiters {
+		if x.Accepts(v) {
+			q.waiters = slices.Delete(q.waiters, i, i+1)
+			return x, true
+		}
+	}
+	q.items = append(q.items, stamped[T]{v: v, at: now})
+	return w, false
+}
+
+// Len reports how many items are queued.
+func (q *Queue[T, W]) Len() int { return len(q.items) }
